@@ -52,12 +52,26 @@ let scope_arg =
   let doc = "Failure scope: $(b,object), $(b,array) or $(b,site)." in
   Arg.(value & opt string "array" & info [ "s"; "scope" ] ~docv:"SCOPE" ~doc)
 
+(* Durations must be finite and non-negative: anything else would reach
+   a [Duration] constructor and escape as an uncaught exception. *)
+let non_negative_float_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x >= 0. -> Ok x
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "%S is not a finite number >= 0" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let target_age_arg =
   let doc =
     "Recovery target age in hours before the failure (0 = just before; \
      object scope defaults to 24)."
   in
-  Arg.(value & opt float 0. & info [ "target-age" ] ~docv:"HOURS" ~doc)
+  Arg.(
+    value
+    & opt non_negative_float_conv 0.
+    & info [ "target-age" ] ~docv:"HOURS" ~doc)
 
 (* Configuration problems (malformed environment, unreadable input
    files) claim the documented exit code 2 directly — the same code
@@ -96,16 +110,19 @@ let jobs_conv =
   in
   Arg.conv (parse, Fmt.int)
 
-let positive_int_conv =
+let int_at_least lo ~what =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
+    | Some n when n >= lo -> Ok n
     | Some _ | None ->
       Error
         (`Msg
-           (Printf.sprintf "invalid count %S, expected a positive integer" s))
+           (Printf.sprintf "invalid count %S, expected a %s integer" s what))
   in
   Arg.conv (parse, Fmt.int)
+
+let positive_int_conv = int_at_least 1 ~what:"positive"
+let non_negative_int_conv = int_at_least 0 ~what:"non-negative"
 
 let jobs_arg =
   let doc =
@@ -434,14 +451,17 @@ let whatif_cmd =
 let simulate_cmd =
   let warmup =
     let doc = "Normal-mode warmup before the failure, in days." in
-    Arg.(value & opt float 84. & info [ "warmup" ] ~docv:"DAYS" ~doc)
+    Arg.(
+      value
+      & opt non_negative_float_conv 84.
+      & info [ "warmup" ] ~docv:"DAYS" ~doc)
   in
   let sweep =
     let doc =
       "Run N additional simulations with the failure instant swept across \
        one backup cycle, reporting min/max measured loss."
     in
-    Arg.(value & opt int 0 & info [ "sweep" ] ~docv:"N" ~doc)
+    Arg.(value & opt non_negative_int_conv 0 & info [ "sweep" ] ~docv:"N" ~doc)
   in
   let outage =
     let doc =
@@ -450,14 +470,23 @@ let simulate_cmd =
     in
     Arg.(value & opt (some string) None & info [ "outage" ] ~docv:"LEVEL:HOURS" ~doc)
   in
-  let parse_outage = function
+  (* LEVEL must name one of the design's protection levels (1 .. n-1;
+     level 0 is the primary copy). *)
+  let parse_outage ~levels = function
     | None -> Ok None
     | Some raw -> (
       match String.split_on_char ':' raw with
       | [ level; hours ] -> (
         match (int_of_string_opt level, float_of_string_opt hours) with
-        | Some level, Some hours when hours >= 0. ->
-          Ok (Some (level, Duration.hours hours))
+        | Some level, Some hours when Float.is_finite hours && hours >= 0. ->
+          if level >= 1 && level < levels then
+            Ok (Some (level, Duration.hours hours))
+          else
+            Error
+              (Printf.sprintf
+                 "outage level %d out of range: this design's protection \
+                  levels are 1..%d"
+                 level (levels - 1))
         | _ -> Error (Printf.sprintf "malformed outage %S" raw))
       | _ -> Error (Printf.sprintf "outage must be LEVEL:HOURS, got %S" raw))
   in
@@ -465,7 +494,7 @@ let simulate_cmd =
     let doc = "Print the last N simulated events (captures, propagations, \
                recovery milestones)."
     in
-    Arg.(value & opt int 0 & info [ "trace" ] ~docv:"N" ~doc)
+    Arg.(value & opt non_negative_int_conv 0 & info [ "trace" ] ~docv:"N" ~doc)
   in
   let run design scope target_age warmup sweep outage trace chunk jobs stats
       stats_json =
@@ -476,7 +505,11 @@ let simulate_cmd =
       match scenario_of_scope ~target_age scope with
       | Error e -> Error e
       | Ok scenario ->
-      match parse_outage outage with
+      match
+        parse_outage
+          ~levels:(Storage_hierarchy.Hierarchy.length d.Design.hierarchy)
+          outage
+      with
       | Error e -> Error e
       | Ok outage ->
         let config =
@@ -837,15 +870,24 @@ let characterize_cmd =
 let risk_cmd =
   let object_freq =
     let doc = "Expected user-error incidents per year." in
-    Arg.(value & opt float 12. & info [ "object-per-year" ] ~docv:"F" ~doc)
+    Arg.(
+      value
+      & opt non_negative_float_conv 12.
+      & info [ "object-per-year" ] ~docv:"F" ~doc)
   in
   let array_freq =
     let doc = "Expected array failures per year." in
-    Arg.(value & opt float 0.2 & info [ "array-per-year" ] ~docv:"F" ~doc)
+    Arg.(
+      value
+      & opt non_negative_float_conv 0.2
+      & info [ "array-per-year" ] ~docv:"F" ~doc)
   in
   let site_freq =
     let doc = "Expected site disasters per year." in
-    Arg.(value & opt float 0.01 & info [ "site-per-year" ] ~docv:"F" ~doc)
+    Arg.(
+      value
+      & opt non_negative_float_conv 0.01
+      & info [ "site-per-year" ] ~docv:"F" ~doc)
   in
   let horizon =
     let doc =

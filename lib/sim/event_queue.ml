@@ -57,27 +57,46 @@ let push t ~time payload =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-let peek_time t = if t.size = 0 then None else Some t.heap.(0).time
+let peek_time t = if t.size = 0 then infinity else t.heap.(0).time
+
+(* Removes and returns the root; the caller has checked [size > 0]. *)
+let take_root t =
+  let root = t.heap.(0) in
+  t.size <- t.size - 1;
+  if t.size > 0 then begin
+    t.heap.(0) <- t.heap.(t.size);
+    sift_down t 0
+  end;
+  root
 
 let pop t =
   if t.size = 0 then None
-  else begin
-    let root = t.heap.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.heap.(0) <- t.heap.(t.size);
-      sift_down t 0
-    end;
+  else
+    let root = take_root t in
     Some (root.time, root.payload)
-  end
 
-let clear t = t.size <- 0
+type 'a batch = { mutable items : 'a array; mutable len : int }
 
-let drain_until t bound =
-  let rec loop acc =
-    match peek_time t with
-    | Some time when time <= bound -> (
-      match pop t with Some ev -> loop (ev :: acc) | None -> acc)
-    | Some _ | None -> acc
-  in
-  List.rev (loop [])
+let batch () = { items = [||]; len = 0 }
+let batch_length b = b.len
+
+let batch_get b i =
+  if i < 0 || i >= b.len then
+    invalid_arg "Event_queue.batch_get: index out of range";
+  b.items.(i)
+
+let batch_add b payload =
+  let cap = Array.length b.items in
+  if b.len = cap then begin
+    let items = Array.make (max 16 (2 * cap)) payload in
+    Array.blit b.items 0 items 0 b.len;
+    b.items <- items
+  end;
+  b.items.(b.len) <- payload;
+  b.len <- b.len + 1
+
+let drain_until t bound b =
+  b.len <- 0;
+  while t.size > 0 && t.heap.(0).time <= bound do
+    batch_add b (take_root t).payload
+  done

@@ -13,9 +13,23 @@ val length : 'a t -> int
 val push : 'a t -> time:float -> 'a -> unit
 (** Raises [Invalid_argument] on a non-finite time. *)
 
-val peek_time : 'a t -> float option
-val pop : 'a t -> (float * 'a) option
-val clear : 'a t -> unit
+val peek_time : 'a t -> float
+(** The earliest event's time; [infinity] when the queue is empty. *)
 
-val drain_until : 'a t -> float -> (float * 'a) list
-(** Pops every event with time <= the bound, in order. *)
+val pop : 'a t -> (float * 'a) option
+
+type 'a batch
+(** A reusable buffer of drained payloads: draining into it allocates
+    nothing once it has grown to the largest batch. *)
+
+val batch : unit -> 'a batch
+val batch_length : 'a batch -> int
+
+val batch_get : 'a batch -> int -> 'a
+(** [batch_get b i] is the [i]th drained payload (0-based, in pop order).
+    Raises [Invalid_argument] outside [0 .. batch_length b - 1]. *)
+
+val drain_until : 'a t -> float -> 'a batch -> unit
+(** [drain_until t bound b] empties [b], then pops every event with
+    time <= [bound] into it, in order. Events pushed while the caller
+    walks [b] stay queued for the next drain. *)

@@ -32,7 +32,6 @@ val node_name : node -> string
 val add_flow :
   t ->
   ?rate_cap:float ->
-  ?label:string ->
   through:(node * int) list ->
   bytes:float ->
   unit ->
@@ -45,15 +44,11 @@ val cancel : t -> flow -> unit
 (** Removes the flow without completing it (device destroyed mid-transfer).
     Idempotent. *)
 
-val label : flow -> string
 val remaining : t -> flow -> float
 val rate : t -> flow -> float
 (** Current allocated rate (bytes/sec); 0 for finished/cancelled flows. *)
 
 val active_count : t -> int
-
-val active_flows : t -> flow list
-(** The currently active flows (diagnostics). *)
 
 val node_bytes : t -> node -> float
 (** Cumulative bytes pushed through the node by flows (each flow counted
@@ -61,9 +56,10 @@ val node_bytes : t -> node -> float
     included — the caller knows the reservation rate and the elapsed
     time. *)
 
-val next_completion : t -> (float * flow) option
-(** Time-to-finish of the earliest-finishing active flow at current rates.
-    [None] when no flow is active, or all active flows have zero rate. *)
+val next_completion : t -> float
+(** Time-to-finish of the earliest-finishing active flow at current rates;
+    [infinity] when no flow is active, or all active flows have zero
+    rate. *)
 
 val advance : t -> float -> flow list
 (** [advance t dt] progresses every active flow by [dt] at its current rate

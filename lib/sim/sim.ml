@@ -64,6 +64,9 @@ type state = {
   queue : event Event_queue.t;
   net : Flow_net.t;
   nodes : (string, Flow_net.node) Hashtbl.t;  (* device/link name -> node *)
+  routes : (Flow_net.node * int) list array;
+      (* level j -> the nodes an RP propagation into j occupies *)
+  batch : event Event_queue.batch;  (* the events due at [now] *)
   mutable inflight : (Flow_net.flow * (int * float)) list;
   mutable now : float;
   verbose : bool;
@@ -91,10 +94,12 @@ let obs_events = Storage_obs.Counter.make "sim.events"
 let obs_flow_advances = Storage_obs.Counter.make "sim.flow_advances"
 let t_sim_run = Storage_obs.Timer.make "sim.run"
 
+(* The timeline is formatted only when recording: otherwise the format's
+   arguments are consumed without building a string. *)
 let record st fmt =
-  Printf.ksprintf
-    (fun msg -> if st.record then st.events <- (st.now, msg) :: st.events)
-    fmt
+  if st.record then
+    Printf.ksprintf (fun msg -> st.events <- (st.now, msg) :: st.events) fmt
+  else Printf.ikfprintf ignore () fmt
 
 (* Techniques whose normal-mode bandwidth is a continuous background load
    (client I/O, resilvering, copy-on-write); their demands become static
@@ -222,8 +227,8 @@ let in_outage st level =
 (* The flow-net nodes a transfer between two devices occupies: both
    endpoints (or one node twice for an intra-device copy), plus the link
    if it is bandwidth-constrained. *)
-let hop_through st ~src_dev ~dst_dev ~link =
-  let node name = Hashtbl.find_opt st.nodes name in
+let hop_through nodes ~src_dev ~dst_dev ~link =
+  let node name = Hashtbl.find_opt nodes name in
   let src = node src_dev and dst = node dst_dev in
   let link_node =
     match link with
@@ -277,32 +282,22 @@ let handle_capture st ~level ~kind =
 
 let handle_transfer_start st ~level ~capture ~size ~prop =
   if in_outage st level || not (st.capture_gate level) then ignore capture
-  else begin
-    let l = Hierarchy.level st.hierarchy level in
-  let upstream = Hierarchy.level st.hierarchy (level - 1) in
-  match l.Hierarchy.link with
-  | Some ({ Interconnect.transport = Interconnect.Shipment; _ } as link) ->
-    Event_queue.push st.queue
-      ~time:(st.now +. secs link.Interconnect.delay)
-      (Shipment_arrive { level; capture })
-  | link -> (
-    let through =
-      hop_through st ~src_dev:upstream.Hierarchy.device.Device.name
-        ~dst_dev:l.Hierarchy.device.Device.name ~link
-    in
-    if size <= 0. || through = [] then store_rp st level capture
-    else begin
-      let rate_cap = if prop > 0. then size /. prop else infinity in
-      let flow =
-        Flow_net.add_flow st.net ~rate_cap
-          ~label:(Printf.sprintf "rp->%d" level)
-          ~through ~bytes:size ()
-      in
-      record st "level %d starts a %.0f MiB propagation" level
-        (size /. (1024. *. 1024.));
-      st.inflight <- (flow, (level, capture)) :: st.inflight
-    end)
-  end
+  else
+    match (Hierarchy.level st.hierarchy level).Hierarchy.link with
+    | Some ({ Interconnect.transport = Interconnect.Shipment; _ } as link) ->
+      Event_queue.push st.queue
+        ~time:(st.now +. secs link.Interconnect.delay)
+        (Shipment_arrive { level; capture })
+    | Some _ | None ->
+      let through = st.routes.(level) in
+      if size <= 0. || through = [] then store_rp st level capture
+      else begin
+        let rate_cap = if prop > 0. then size /. prop else infinity in
+        let flow = Flow_net.add_flow st.net ~rate_cap ~through ~bytes:size () in
+        record st "level %d starts a %.0f MiB propagation" level
+          (size /. (1024. *. 1024.));
+        st.inflight <- (flow, (level, capture)) :: st.inflight
+      end
 
 let handle_event st = function
   | Capture { level; kind } -> handle_capture st ~level ~kind
@@ -312,62 +307,53 @@ let handle_event st = function
   | Recovery_step { rid } -> st.on_recovery (`Step rid)
   | Recovery_xfer { rid } -> st.on_recovery (`Xfer rid)
 
-let complete_flows st flows =
-  List.iter
-    (fun flow ->
-      match List.assq_opt flow st.inflight with
-      | Some (level, capture) ->
-        st.inflight <- List.remove_assq flow st.inflight;
-        store_rp st level capture
-      | None -> (
-        match List.assq_opt flow st.rec_inflight with
-        | Some rid ->
-          st.rec_inflight <- List.remove_assq flow st.rec_inflight;
-          st.on_recovery (`Done rid)
-        | None -> ()))
-    flows
+let rec complete_flows st = function
+  | [] -> ()
+  | flow :: rest ->
+    (match List.assq_opt flow st.inflight with
+    | Some (level, capture) ->
+      st.inflight <- List.remove_assq flow st.inflight;
+      store_rp st level capture
+    | None -> (
+      match List.assq_opt flow st.rec_inflight with
+      | Some rid ->
+        st.rec_inflight <- List.remove_assq flow st.rec_inflight;
+        st.on_recovery (`Done rid)
+      | None -> ()));
+    complete_flows st rest
 
 (* Advance the interleaved discrete events and flow completions up to
-   [until]. *)
+   [until]. Each iteration advances the flows to the next instant, then
+   handles the whole batch of events due by then, in order; an event a
+   handler schedules for that same instant waits for the next iteration
+   (a zero-length advance). Apart from boxing the clock and the step, the
+   loop allocates nothing. *)
 let run_until st until =
-  let rec loop () =
-    if st.now < until then begin
-      let next_event = Event_queue.peek_time st.queue in
-      let next_flow = Flow_net.next_completion st.net in
-      let next_time =
-        List.fold_left
-          (fun acc t -> match t with Some x -> Float.min acc x | None -> acc)
-          until
-          [
-            next_event;
-            Option.map (fun (dt, _) -> st.now +. dt) next_flow;
-          ]
-      in
-      let dt = Float.max 0. (next_time -. st.now) in
-      (* A nearly-complete flow whose remaining time is below the ulp of
-         the clock (multi-year virtual times have ulps of tens of
-         nanoseconds) yields [next_time = st.now]: advancing by the
-         rounded dt would move zero bytes and the loop would never
-         progress. Advance the net by the flow's own sub-resolution dt
-         instead — virtual time itself cannot (and need not) move. *)
-      let dt =
-        match next_flow with
-        | Some (fdt, _) when dt = 0. && st.now +. fdt = st.now -> fdt
-        | Some _ | None -> dt
-      in
-      let completed = Flow_net.advance st.net dt in
-      Storage_obs.Counter.incr obs_flow_advances;
-      st.now <- next_time;
-      complete_flows st completed;
-      List.iter
-        (fun (_, ev) ->
-          Storage_obs.Counter.incr obs_events;
-          handle_event st ev)
-        (Event_queue.drain_until st.queue st.now);
-      loop ()
-    end
-  in
-  loop ()
+  while st.now < until do
+    let flow_dt = Flow_net.next_completion st.net in
+    let next_time =
+      Float.min
+        (Float.min until (Event_queue.peek_time st.queue))
+        (st.now +. flow_dt)
+    in
+    let dt = Float.max 0. (next_time -. st.now) in
+    (* A nearly-complete flow whose remaining time is below the ulp of the
+       clock (multi-year virtual times have ulps of tens of nanoseconds)
+       yields [next_time = st.now]: advancing by the rounded dt would move
+       zero bytes and the loop would never progress. Advance the net by the
+       flow's own sub-resolution dt instead — virtual time itself cannot
+       (and need not) move. *)
+    let dt = if dt = 0. && st.now +. flow_dt = st.now then flow_dt else dt in
+    let completed = Flow_net.advance st.net dt in
+    Storage_obs.Counter.incr obs_flow_advances;
+    st.now <- next_time;
+    complete_flows st completed;
+    Event_queue.drain_until st.queue st.now st.batch;
+    for i = 0 to Event_queue.batch_length st.batch - 1 do
+      Storage_obs.Counter.incr obs_events;
+      handle_event st (Event_queue.batch_get st.batch i)
+    done
+  done
 
 let build design =
   let hierarchy = design.Design.hierarchy in
@@ -386,6 +372,17 @@ let build design =
         in
         { sched; store = ref []; keep })
   in
+  (* Both the hierarchy and the network are fixed for the run, so each
+     level's propagation route is too. *)
+  let routes =
+    Array.init n (fun j ->
+        if j = 0 then []
+        else
+          let up = Hierarchy.level hierarchy (j - 1)
+          and l = Hierarchy.level hierarchy j in
+          hop_through nodes ~src_dev:up.Hierarchy.device.Device.name
+            ~dst_dev:l.Hierarchy.device.Device.name ~link:l.Hierarchy.link)
+  in
   let st =
     {
       design;
@@ -394,6 +391,8 @@ let build design =
       queue = Event_queue.create ();
       net;
       nodes;
+      routes;
+      batch = Event_queue.batch ();
       inflight = [];
       now = 0.;
       verbose = false;
@@ -545,7 +544,7 @@ let execute_recovery st scenario ~source =
         if is_shipment then hops start rest
         else begin
           let through =
-            hop_through st ~src_dev:la.Hierarchy.device.Device.name
+            hop_through st.nodes ~src_dev:la.Hierarchy.device.Device.name
               ~dst_dev:lb.Hierarchy.device.Device.name ~link
           in
           let ser_fix = secs la.Hierarchy.device.Device.access_delay in
@@ -554,19 +553,14 @@ let execute_recovery st scenario ~source =
             hops begin_xfer rest
           else begin
             let flow =
-              Flow_net.add_flow st.net ~label:"recovery" ~through
+              Flow_net.add_flow st.net ~through
                 ~bytes:(Size.to_bytes recovery_size)
                 ()
             in
+            (* Priced at the rate the flow gets on arrival, frozen. *)
             let xfer =
-              match Flow_net.next_completion st.net with
-              | Some (dt, f) when f == flow -> dt
-              | _ ->
-                (* Another flow finishes first; with propagation flows
-                   cancelled or reserved this is the recovery flow's own
-                   completion in practice, but fall back to its rate. *)
-                let r = Flow_net.rate st.net flow in
-                if r > 0. then Flow_net.remaining st.net flow /. r else nan
+              let r = Flow_net.rate st.net flow in
+              if r > 0. then Flow_net.remaining st.net flow /. r else nan
             in
             Flow_net.cancel st.net flow;
             if Float.is_nan xfer then None else hops (begin_xfer +. xfer) rest
@@ -824,7 +818,7 @@ let run_events ?(config = default_config) ?horizon design scenario =
         end
         else begin
           let through =
-            hop_through st ~src_dev:la.Hierarchy.device.Device.name
+            hop_through st.nodes ~src_dev:la.Hierarchy.device.Device.name
               ~dst_dev:lb.Hierarchy.device.Device.name ~link
           in
           let ser_fix = secs la.Hierarchy.device.Device.access_delay in
@@ -847,7 +841,7 @@ let run_events ?(config = default_config) ?horizon design scenario =
       let la = Hierarchy.level st.hierarchy a
       and lb = Hierarchy.level st.hierarchy b in
       let through =
-        hop_through st ~src_dev:la.Hierarchy.device.Device.name
+        hop_through st.nodes ~src_dev:la.Hierarchy.device.Device.name
           ~dst_dev:lb.Hierarchy.device.Device.name ~link:la.Hierarchy.link
       in
       if through = [] then begin
@@ -856,9 +850,7 @@ let run_events ?(config = default_config) ?horizon design scenario =
       end
       else begin
         let flow =
-          Flow_net.add_flow st.net
-            ~label:(Printf.sprintf "recovery-%d" r.rid)
-            ~through ~bytes:(Size.to_bytes r.size) ()
+          Flow_net.add_flow st.net ~through ~bytes:(Size.to_bytes r.size) ()
         in
         r.flow <- Some flow;
         st.rec_inflight <- (flow, r.rid) :: st.rec_inflight

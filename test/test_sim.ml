@@ -10,6 +10,12 @@ open Helpers
 
 (* --- Event_queue --- *)
 
+(* The payloads [drain_until] moves into a fresh batch, in order. *)
+let drained q bound =
+  let b = Event_queue.batch () in
+  Event_queue.drain_until q bound b;
+  List.init (Event_queue.batch_length b) (Event_queue.batch_get b)
+
 let test_queue_ordering () =
   let q = Event_queue.create () in
   List.iter (fun (t, v) -> Event_queue.push q ~time:t v)
@@ -39,30 +45,37 @@ let test_queue_fifo_ties () =
 let test_queue_drain_until () =
   let q = Event_queue.create () in
   List.iter (fun t -> Event_queue.push q ~time:t t) [ 1.; 2.; 3.; 4. ];
-  let drained = Event_queue.drain_until q 2.5 in
-  Alcotest.(check int) "drained two" 2 (List.length drained);
-  Alcotest.(check int) "two remain" 2 (Event_queue.length q)
+  Alcotest.(check (list (float 0.))) "drained two" [ 1.; 2. ] (drained q 2.5);
+  Alcotest.(check int) "two remain" 2 (Event_queue.length q);
+  (* A batch is reused: the next drain replaces its contents. *)
+  let b = Event_queue.batch () in
+  Event_queue.drain_until q 3. b;
+  Event_queue.drain_until q 10. b;
+  Alcotest.(check int) "refilled, not appended" 1 (Event_queue.batch_length b);
+  close "last drained" 4. (Event_queue.batch_get b 0);
+  check_raises_invalid "past the batch" (fun () -> Event_queue.batch_get b 1)
 
 let test_queue_validation () =
   let q = Event_queue.create () in
   check_raises_invalid "nan time" (fun () -> Event_queue.push q ~time:Float.nan ());
   Alcotest.(check bool) "empty" true (Event_queue.is_empty q);
-  Alcotest.(check bool) "no peek" true (Event_queue.peek_time q = None)
+  Alcotest.(check bool) "peek is infinity" true
+    (Event_queue.peek_time q = infinity)
 
 let test_queue_drain_until_boundaries () =
   let q = Event_queue.create () in
   Alcotest.(check int) "empty queue drains nothing" 0
-    (List.length (Event_queue.drain_until q 10.));
+    (List.length (drained q 10.));
   List.iteri (fun i t -> Event_queue.push q ~time:t i)
     [ 2.; 5.; 5.; 9. ];
   Alcotest.(check int) "bound below all: nothing" 0
-    (List.length (Event_queue.drain_until q 1.9));
+    (List.length (drained q 1.9));
   Alcotest.(check int) "queue untouched" 4 (Event_queue.length q);
   (* The bound is inclusive, and ties at the bound drain in FIFO order. *)
   Alcotest.(check (list int)) "bound on a tie drains through it" [ 0; 1; 2 ]
-    (List.map snd (Event_queue.drain_until q 5.));
+    (drained q 5.);
   Alcotest.(check (list int)) "bound above all drains the rest" [ 3 ]
-    (List.map snd (Event_queue.drain_until q 1e9));
+    (drained q 1e9);
   Alcotest.(check bool) "now empty" true (Event_queue.is_empty q)
 
 let prop_queue_pops_sorted =
@@ -116,12 +129,16 @@ let prop_queue_drain_until_partitions =
         (int_range 0 19))
     (fun (slots, bound) ->
       let q = Event_queue.create () in
-      List.iteri (fun i s -> Event_queue.push q ~time:(float_of_int s) i) slots;
+      List.iteri
+        (fun i s ->
+          let t = float_of_int s in
+          Event_queue.push q ~time:t (t, i))
+        slots;
       let bound_t = float_of_int bound in
-      let drained = Event_queue.drain_until q bound_t in
+      let drained = drained q bound_t in
       let rec rest acc =
         match Event_queue.pop q with
-        | Some (t, i) -> rest ((t, i) :: acc)
+        | Some (_, ev) -> rest (ev :: acc)
         | None -> List.rev acc
       in
       let rest = rest [] in
@@ -140,9 +157,7 @@ let test_flow_single () =
   let b = Flow_net.add_node net ~name:"b" ~capacity:40. in
   let f = Flow_net.add_flow net ~through:[ (a, 1); (b, 1) ] ~bytes:400. () in
   close "bottleneck rate" 40. (Flow_net.rate net f);
-  (match Flow_net.next_completion net with
-  | Some (dt, _) -> close "completion" 10. dt
-  | None -> Alcotest.fail "expected completion");
+  close "completion" 10. (Flow_net.next_completion net);
   let completed = Flow_net.advance net 10. in
   Alcotest.(check int) "completed" 1 (List.length completed)
 
@@ -326,13 +341,12 @@ let prop_flow_completion_delivers_bytes =
       let completed = ref 0 in
       let fuel = ref 200 in
       let rec run () =
-        match Flow_net.next_completion net with
-        | None -> ()
-        | Some (dt, _) when !fuel > 0 ->
+        let dt = Flow_net.next_completion net in
+        if Float.is_finite dt && !fuel > 0 then begin
           decr fuel;
           completed := !completed + List.length (Flow_net.advance net dt);
           run ()
-        | Some _ -> ()
+        end
       in
       run ();
       let requested =
@@ -582,6 +596,44 @@ let prop_sim_loss_bounded_random_phase =
       let m = Sim.run ~config:cfg Baseline.design Baseline.scenario_array in
       measured_loss m <= model_worst_loss Baseline.scenario_array +. 1.)
 
+(* --- Allocation budget --- *)
+
+(* Minor-heap words one [Sim.run] allocates per simulated event, at the
+   default config under the array scenario. Allocation is deterministic,
+   unlike throughput: this pins the per-event cost without depending on
+   the host, and fails if an eager timeline [sprintf] (or another
+   per-event allocation of that size) returns to the event path. The
+   event count comes from a separate run with stats recording on, so the
+   measured run is the production configuration. *)
+let words_per_event design =
+  let scenario = Baseline.scenario_array in
+  let events = Storage_obs.Counter.make "sim.events" in
+  let was_enabled = Storage_obs.enabled () in
+  Storage_obs.enable ();
+  let before = Storage_obs.Counter.value events in
+  ignore (Sim.run design scenario);
+  let n = Storage_obs.Counter.value events - before in
+  if not was_enabled then Storage_obs.disable ();
+  let w0 = Gc.minor_words () in
+  ignore (Sim.run design scenario);
+  let words = Gc.minor_words () -. w0 in
+  (n, words /. float_of_int n)
+
+let test_sim_alloc_budget () =
+  List.iter
+    (fun (label, design, budget) ->
+      let n, per_event = words_per_event design in
+      Printf.printf "%s: %d events, %.1f minor words/event (budget %.0f)\n"
+        label n per_event budget;
+      if n = 0 then Alcotest.failf "%s: no events counted" label;
+      if per_event > budget then
+        Alcotest.failf "%s: %.1f minor words per event exceeds the budget %.0f"
+          label per_event budget)
+    [
+      ("baseline", Baseline.design, 60.);
+      ("async mirror x10", Whatif.async_mirror ~links:10, 100.);
+    ]
+
 let suite =
   [
     ( "sim.event_queue",
@@ -632,6 +684,8 @@ let suite =
           test_sim_outage_validates_degraded_model;
         Alcotest.test_case "event timeline" `Quick test_sim_timeline;
         Alcotest.test_case "outage validation" `Quick test_sim_outage_validation;
+        Alcotest.test_case "allocation budget per event" `Quick
+          test_sim_alloc_budget;
         qcheck prop_sim_loss_bounded_random_phase;
       ] );
   ]
