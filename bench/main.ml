@@ -59,7 +59,7 @@ let print_artifact name =
 
 let validate () =
   print_endline "Simulator-vs-model validation (baseline, 14 failure phases):";
-  let config = { Storage_sim.Sim.warmup = Duration.weeks 12.; log = false; outage = None; record_events = false } in
+  let config = { Storage_sim.Sim.warmup = Duration.weeks 12.; outage = None; record_events = false } in
   let ok = ref true in
   List.iter
     (fun scenario ->
@@ -1403,7 +1403,7 @@ let micro_tests =
     Test.make ~name:"sim: 4-week warmup + array failure"
       (Staged.stage (fun () ->
            Storage_sim.Sim.run
-             ~config:{ Storage_sim.Sim.warmup = Duration.weeks 4.; log = false; outage = None; record_events = false }
+             ~config:{ Storage_sim.Sim.warmup = Duration.weeks 4.; outage = None; record_events = false }
              Baseline.design Baseline.scenario_array));
   ]
 

@@ -52,26 +52,37 @@ let scope_arg =
   let doc = "Failure scope: $(b,object), $(b,array) or $(b,site)." in
   Arg.(value & opt string "array" & info [ "s"; "scope" ] ~docv:"SCOPE" ~doc)
 
-(* Durations must be finite and non-negative: anything else would reach
-   a [Duration] constructor and escape as an uncaught exception. *)
-let non_negative_float_conv =
-  let parse s =
-    match float_of_string_opt s with
-    | Some x when Float.is_finite x && x >= 0. -> Ok x
-    | Some _ | None ->
-      Error (`Msg (Printf.sprintf "%S is not a finite number >= 0" s))
-  in
-  Arg.conv (parse, Format.pp_print_float)
+let non_negative s =
+  match float_of_string_opt s with
+  | Some x when Float.is_finite x && x >= 0. -> Ok x
+  | Some _ | None -> Error (Printf.sprintf "%S is not a finite number >= 0" s)
+
+(* A duration in [unit]s must also convert to a finite number of seconds:
+   anything else would reach the [Duration] constructor [make] and escape
+   as an uncaught exception. *)
+let duration ~unit make s =
+  Result.bind (non_negative s) (fun x ->
+      match make x with
+      | (_ : Duration.t) -> Ok x
+      | exception Invalid_argument _ ->
+        Error (Printf.sprintf "%S %s overflows a duration" s unit))
+
+let float_conv parse =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun m -> `Msg m) (parse s)),
+      Format.pp_print_float )
+
+let non_negative_float_conv = float_conv non_negative
+let hours_conv = float_conv (duration ~unit:"hours" Duration.hours)
+let days_conv = float_conv (duration ~unit:"days" Duration.days)
+let years_conv = float_conv (duration ~unit:"years" Duration.years)
 
 let target_age_arg =
   let doc =
     "Recovery target age in hours before the failure (0 = just before; \
      object scope defaults to 24)."
   in
-  Arg.(
-    value
-    & opt non_negative_float_conv 0.
-    & info [ "target-age" ] ~docv:"HOURS" ~doc)
+  Arg.(value & opt hours_conv 0. & info [ "target-age" ] ~docv:"HOURS" ~doc)
 
 (* Configuration problems (malformed environment, unreadable input
    files) claim the documented exit code 2 directly — the same code
@@ -451,10 +462,7 @@ let whatif_cmd =
 let simulate_cmd =
   let warmup =
     let doc = "Normal-mode warmup before the failure, in days." in
-    Arg.(
-      value
-      & opt non_negative_float_conv 84.
-      & info [ "warmup" ] ~docv:"DAYS" ~doc)
+    Arg.(value & opt days_conv 84. & info [ "warmup" ] ~docv:"DAYS" ~doc)
   in
   let sweep =
     let doc =
@@ -477,8 +485,10 @@ let simulate_cmd =
     | Some raw -> (
       match String.split_on_char ':' raw with
       | [ level; hours ] -> (
-        match (int_of_string_opt level, float_of_string_opt hours) with
-        | Some level, Some hours when Float.is_finite hours && hours >= 0. ->
+        match
+          (int_of_string_opt level, duration ~unit:"hours" Duration.hours hours)
+        with
+        | Some level, Ok hours ->
           if level >= 1 && level < levels then
             Ok (Some (level, Duration.hours hours))
           else
@@ -513,8 +523,8 @@ let simulate_cmd =
       | Error e -> Error e
       | Ok outage ->
         let config =
-          { Storage_sim.Sim.warmup = Duration.days warmup; log = false;
-            outage; record_events = trace > 0 }
+          { Storage_sim.Sim.warmup = Duration.days warmup; outage;
+            record_events = trace > 0 }
         in
         let show tag (m : Storage_sim.Sim.measured) =
           Fmt.pr "%s: source=%a measured DL=%a measured RT=%a@." tag
@@ -792,7 +802,7 @@ let characterize_cmd =
   in
   let days =
     let doc = "Length of the generated trace in days." in
-    Arg.(value & opt float 7. & info [ "days" ] ~docv:"D" ~doc)
+    Arg.(value & opt days_conv 7. & info [ "days" ] ~docv:"D" ~doc)
   in
   let save =
     let doc = "Write the generated trace to a CSV file." in
@@ -953,7 +963,7 @@ let fleet_cmd =
   in
   let horizon_arg =
     let doc = "Operating horizon simulated by each trial, in years." in
-    Arg.(value & opt float 5. & info [ "horizon-years" ] ~docv:"YEARS" ~doc)
+    Arg.(value & opt years_conv 5. & info [ "horizon-years" ] ~docv:"YEARS" ~doc)
   in
   let seed_arg =
     let doc =
@@ -1084,7 +1094,7 @@ let degraded_cmd =
   in
   let outage =
     let doc = "How long the technique has been down, in hours." in
-    Arg.(value & opt float 168. & info [ "outage" ] ~docv:"HOURS" ~doc)
+    Arg.(value & opt hours_conv 168. & info [ "outage" ] ~docv:"HOURS" ~doc)
   in
   let run design scope target_age level outage =
     match find_design design with

@@ -10,7 +10,7 @@ open Storage_model
 open Storage_presets
 open Storage_report
 
-let config = { Storage_sim.Sim.warmup = Duration.weeks 12.; log = false; outage = None; record_events = false }
+let config = { Storage_sim.Sim.warmup = Duration.weeks 12.; outage = None; record_events = false }
 
 let loss_hours = function
   | Data_loss.Updates d -> Printf.sprintf "%.1f" (Duration.to_hours d)

@@ -299,7 +299,7 @@ let cluster_results design ~horizon_s cluster =
     let config =
       { Sim.default_config with Sim.warmup = adaptive_warmup design }
     in
-    let m =
+    let injected =
       Sim.run_events ~config
         ~horizon:(Duration.seconds local_horizon_s)
         design
@@ -337,7 +337,7 @@ let cluster_results design ~horizon_s cluster =
                 losses,
                 bytes,
                 Duration.seconds (stop_s -. start_s) :: rebuilds )))
-      ([], 0, Size.zero, []) m.Sim.injected
+      ([], 0, Size.zero, []) injected
     |> fun (ivs, losses, bytes, rebuilds) ->
     (ivs, losses, bytes, List.rev rebuilds)
 
@@ -398,7 +398,9 @@ let run_trial ?(rates = default_rates) ~horizon ~seed ~index design =
       let config =
         { Sim.default_config with Sim.warmup = adaptive_warmup design }
       in
-      let m = Sim.run_events ~config ~horizon design (Scenario.of_events events) in
+      let injected =
+        Sim.run_events ~config ~horizon design (Scenario.of_events events)
+      in
       let warmup_s = Duration.to_seconds config.Sim.warmup in
       let end_s = warmup_s +. horizon_s in
       let intervals, losses, bytes, rebuilds =
@@ -422,7 +424,7 @@ let run_trial ?(rates = default_rates) ~horizon ~seed ~index design =
                   losses,
                   bytes,
                   Duration.seconds (stop_s -. start_s) :: rebuilds )))
-          ([], 0, Size.zero, []) m.Sim.injected
+          ([], 0, Size.zero, []) injected
       in
       finish (union_length intervals) losses bytes (List.rev rebuilds)
     in

@@ -4,36 +4,54 @@ open Storage_protection
 open Storage_hierarchy
 open Storage_model
 
-let log_src =
-  Logs.Src.create "storage.sim" ~doc:"storage dependability simulator"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 type config = {
   warmup : Duration.t;
-  log : bool;
   outage : (int * Duration.t) option;
   record_events : bool;
 }
 
 let default_config =
-  { warmup = Duration.weeks 12.; log = false; outage = None;
-    record_events = false }
+  { warmup = Duration.weeks 12.; outage = None; record_events = false }
 
 type measured = {
-  failure_time : Duration.t;
   source_level : int option;
   data_loss : Data_loss.loss;
   recovery_time : Duration.t option;
   rp_count : int array;
   rp_newest_age : Duration.t option array;
-  rp_oldest_age : Duration.t option array;
   bandwidth_utilization : (string * float) list;
   timeline : (Duration.t * string) list;
 }
 
 type rp = { capture_time : float }
 type kind = K_full | K_incr of int
+
+(* Per-failure bookkeeping of [run_events] that survives re-planning: the
+   [slot] is the stable record for one injected event; [recovery] records
+   are the (possibly re-planned) executions attached to it. A slot absorbed
+   by a later primary-destroying failure resolves its recovery end through
+   the absorbing slot. *)
+type slot = {
+  s_event : Scenario.event;
+  s_at : float;  (* absolute injection time *)
+  s_primary_down : bool;
+  mutable s_source_level : int option;
+  mutable s_loss : Data_loss.loss;
+  mutable s_end : float option;
+  mutable s_replans : int;
+  mutable s_absorbed_into : slot option;
+}
+
+type recovery = {
+  slot : slot;
+  size : Size.t;
+  mutable path : int list;  (* remaining levels; data is staged at the head *)
+  mutable flow : Flow_net.flow option;
+  mutable dead : bool;  (* finished, failed, replanned or absorbed *)
+}
+
+(* The flow-net nodes a transfer occupies, each with its multiplicity. *)
+type route = (Flow_net.node * int) list
 
 type event =
   | Capture of { level : int; kind : kind }
@@ -44,12 +62,12 @@ type event =
       prop : float;
     }
   | Shipment_arrive of { level : int; capture : float }
-  | Recovery_step of { rid : int }
-      (* recovering data is ready at the head of the recovery's remaining
-         path; plan the next hop *)
-  | Recovery_xfer of { rid : int }
+  | Recovery_step of recovery
+      (* the recovering data is staged at the head of the recovery's
+         remaining path; plan the next hop *)
+  | Recovery_xfer of recovery * route
       (* the next hop's transfer may begin (source staged, receiver
-         provisioned); add the flow *)
+         provisioned); add the flow over the planned route *)
 
 type level_state = {
   sched : Schedule.t option;
@@ -64,25 +82,27 @@ type state = {
   queue : event Event_queue.t;
   net : Flow_net.t;
   nodes : (string, Flow_net.node) Hashtbl.t;  (* device/link name -> node *)
-  routes : (Flow_net.node * int) list array;
-      (* level j -> the nodes an RP propagation into j occupies *)
+  routes : route array;  (* level j -> the route of a propagation into j *)
   batch : event Event_queue.batch;  (* the events due at [now] *)
   mutable inflight : (Flow_net.flow * (int * float)) list;
   mutable now : float;
-  verbose : bool;
-  mutable outage_level : int option;
-  mutable outage_start : float;
+  outage_level : int option;
+  outage_start : float;
   reservations : (string * float) list;  (* device name -> reserved B/s *)
-  mutable record : bool;
+  record : bool;
   mutable events : (float * string) list;  (* newest first *)
-  (* Multi-failure execution state ([run_events] only; inert in [run]).
-     [available_at] maps a destroyed device to the absolute time its spare
-     is provisioned (infinity: no applicable spare); absent means the
-     device was never destroyed. *)
+  (* Failure state. [available_at] maps a destroyed device to the absolute
+     time its spare is provisioned (infinity: no applicable spare); absent
+     means the device was never destroyed. The rest is [run_events]' live
+     execution: the recoveries spawned, newest first (dead ones are dropped
+     at the next injection), the flows of those transferring, and the
+     count of un-recovered primary-destroying failures — while non-zero,
+     level-1 captures (and their propagations) have nothing real to
+     capture. *)
   available_at : (string, float) Hashtbl.t;
-  mutable capture_gate : int -> bool;
-  mutable rec_inflight : (Flow_net.flow * int) list;
-  mutable on_recovery : [ `Step of int | `Xfer of int | `Done of int ] -> unit;
+  mutable recoveries : recovery list;
+  mutable rec_inflight : (Flow_net.flow * recovery) list;
+  mutable primary_invalid : int;
 }
 
 let secs = Duration.to_seconds
@@ -93,6 +113,9 @@ let obs_runs = Storage_obs.Counter.make "sim.runs"
 let obs_events = Storage_obs.Counter.make "sim.events"
 let obs_flow_advances = Storage_obs.Counter.make "sim.flow_advances"
 let t_sim_run = Storage_obs.Timer.make "sim.run"
+let obs_multi_runs = Storage_obs.Counter.make "sim.multi_runs"
+let obs_replans = Storage_obs.Counter.make "sim.recovery_replans"
+let t_sim_run_events = Storage_obs.Timer.make "sim.run_events"
 
 (* The timeline is formatted only when recording: otherwise the format's
    arguments are consumed without building a string. *)
@@ -163,10 +186,7 @@ let store_rp st level capture =
     | hd :: tl -> hd :: take (n - 1) tl
   in
   ls.store := take ls.keep updated;
-  record st "level %d stores RP captured %.0f s ago" level (st.now -. capture);
-  if st.verbose then
-    Log.debug (fun m ->
-        m "t=%.0f: level %d stores RP captured at %.0f" st.now level capture)
+  record st "level %d stores RP captured %.0f s ago" level (st.now -. capture)
 
 let newest st level =
   match !(st.levels.(level).store) with [] -> None | rp :: _ -> Some rp
@@ -224,6 +244,24 @@ let in_outage st level =
   | Some l when l = level -> st.now >= st.outage_start
   | Some _ | None -> false
 
+let device_of st j = (Hierarchy.level st.hierarchy j).Hierarchy.device.Device.name
+
+(* Whether [level] may capture and propagate now: its technique is not
+   out, its device and the upstream one are up (a destroyed device is down
+   until its spare is provisioned) and, for level 1, the primary's data is
+   valid. [available_at] is empty until the first failure, so normal
+   operation pays one length test and hashes no device name. *)
+let gate_open st level =
+  (not (in_outage st level))
+  && (Hashtbl.length st.available_at = 0
+     ||
+     let ready j =
+       match Hashtbl.find_opt st.available_at (device_of st j) with
+       | Some t -> st.now >= t
+       | None -> true
+     in
+     ready (level - 1) && (level > 1 || st.primary_invalid = 0) && ready level)
+
 (* The flow-net nodes a transfer between two devices occupies: both
    endpoints (or one node twice for an intra-device copy), plus the link
    if it is bandwidth-constrained. *)
@@ -263,15 +301,7 @@ let handle_capture st ~level ~kind =
       | None -> None
   in
   match capture with
-  | None ->
-    if st.verbose then
-      Log.debug (fun m ->
-          m "t=%.0f: level %d capture skipped (nothing upstream)" st.now level)
-  | Some _ when in_outage st level || not (st.capture_gate level) ->
-    if st.verbose then
-      Log.debug (fun m ->
-          m "t=%.0f: level %d capture suppressed (outage)" st.now level)
-  | Some capture ->
+  | Some capture when gate_open st level ->
     let w = kind_windows s kind in
     let technique = (Hierarchy.level st.hierarchy level).Hierarchy.technique in
     let size = Size.to_bytes (rp_transfer_size st.design technique s kind) in
@@ -279,10 +309,10 @@ let handle_capture st ~level ~kind =
       ~time:(st.now +. secs w.Schedule.hold)
       (Transfer_start
          { level; capture; size; prop = secs w.Schedule.propagation })
+  | Some _ | None -> ()
 
 let handle_transfer_start st ~level ~capture ~size ~prop =
-  if in_outage st level || not (st.capture_gate level) then ignore capture
-  else
+  if gate_open st level then
     match (Hierarchy.level st.hierarchy level).Hierarchy.link with
     | Some ({ Interconnect.transport = Interconnect.Shipment; _ } as link) ->
       Event_queue.push st.queue
@@ -299,13 +329,78 @@ let handle_transfer_start st ~level ~capture ~size ~prop =
         st.inflight <- (flow, (level, capture)) :: st.inflight
       end
 
+(* --- recovery hops ---
+
+   Recovery is executed strictly: a hop's transfer starts only after the
+   data has arrived at the source side AND the receiving device is
+   provisioned (the analytical model lets provisioning overlap the
+   transfer; see Recovery_time). Both entry points plan each hop with
+   [plan_hop]; they differ only in how a transfer is priced — [run] at the
+   rate of the failure instant, frozen, [run_events] as a live flow. *)
+
+(* A hop's plan: the receiver has no spare; the data is at the receiver
+   at [t] (shipped, or nothing to move); or a transfer starts at [t] over
+   the route. *)
+type hop = Unprovisionable | Staged of float | Transfer of float * route
+
+(* The hop from level [a], where the recovering data is staged at [at], to
+   level [b]. *)
+let plan_hop st ~size ~at a b =
+  let la = Hierarchy.level st.hierarchy a in
+  let prov =
+    match Hashtbl.find_opt st.available_at (device_of st b) with
+    | Some t -> t
+    | None -> st.now
+  in
+  if prov = infinity then Unprovisionable
+  else
+    let link = la.Hierarchy.link in
+    let transit =
+      match link with Some l -> secs l.Interconnect.delay | None -> 0.
+    in
+    let start = Float.max (at +. transit) prov in
+    match link with
+    | Some { Interconnect.transport = Interconnect.Shipment; _ } -> Staged start
+    | Some _ | None ->
+      let through =
+        hop_through st.nodes ~src_dev:(device_of st a)
+          ~dst_dev:(device_of st b) ~link
+      in
+      let begin_xfer = start +. secs la.Hierarchy.device.Device.access_delay in
+      if through = [] || Size.is_zero size then Staged begin_xfer
+      else Transfer (begin_xfer, through)
+
+(* The live step of [r], whose data is staged at the head of its remaining
+   path now: schedule its next hop, or finish. *)
+let step st r =
+  match r.path with
+  | a :: (b :: _ as rest) -> (
+    match plan_hop st ~size:r.size ~at:st.now a b with
+    | Unprovisionable -> r.dead <- true
+    | Staged t ->
+      r.path <- rest;
+      Event_queue.push st.queue ~time:t (Recovery_step r)
+    | Transfer (t, through) ->
+      Event_queue.push st.queue ~time:t (Recovery_xfer (r, through)))
+  | [ _ ] | [] ->
+    r.dead <- true;
+    r.slot.s_end <- Some st.now;
+    if r.slot.s_primary_down then st.primary_invalid <- st.primary_invalid - 1
+
 let handle_event st = function
   | Capture { level; kind } -> handle_capture st ~level ~kind
   | Transfer_start { level; capture; size; prop } ->
     handle_transfer_start st ~level ~capture ~size ~prop
   | Shipment_arrive { level; capture } -> store_rp st level capture
-  | Recovery_step { rid } -> st.on_recovery (`Step rid)
-  | Recovery_xfer { rid } -> st.on_recovery (`Xfer rid)
+  | Recovery_step r -> if not r.dead then step st r
+  | Recovery_xfer (r, through) ->
+    if not r.dead then begin
+      let flow =
+        Flow_net.add_flow st.net ~through ~bytes:(Size.to_bytes r.size) ()
+      in
+      r.flow <- Some flow;
+      st.rec_inflight <- (flow, r) :: st.rec_inflight
+    end
 
 let rec complete_flows st = function
   | [] -> ()
@@ -316,9 +411,11 @@ let rec complete_flows st = function
       store_rp st level capture
     | None -> (
       match List.assq_opt flow st.rec_inflight with
-      | Some rid ->
+      | Some r ->
         st.rec_inflight <- List.remove_assq flow st.rec_inflight;
-        st.on_recovery (`Done rid)
+        r.flow <- None;
+        r.path <- List.tl r.path;
+        step st r
       | None -> ()));
     complete_flows st rest
 
@@ -355,9 +452,21 @@ let run_until st until =
     done
   done
 
-let build design =
+(* The set-up both entry points share: the state, with the timeline switch
+   and the technique outage from [config], then [warmup] of normal
+   operation. *)
+let start ~config design =
   let hierarchy = design.Design.hierarchy in
   let n = Hierarchy.length hierarchy in
+  let warmup = secs config.warmup in
+  let outage_level, outage_start =
+    match config.outage with
+    | Some (level, duration) ->
+      if level <= 0 || level >= n then
+        invalid_arg "Sim: outage level out of range";
+      (Some level, Float.max 0. (warmup -. secs duration))
+    | None -> (None, infinity)
+  in
   let net, nodes, reservations = build_network design hierarchy in
   let levels =
     Array.init n (fun j ->
@@ -395,16 +504,15 @@ let build design =
       batch = Event_queue.batch ();
       inflight = [];
       now = 0.;
-      verbose = false;
-      outage_level = None;
-      outage_start = infinity;
+      outage_level;
+      outage_start;
       reservations;
-      record = false;
+      record = config.record_events;
       events = [];
       available_at = Hashtbl.create 4;
-      capture_gate = (fun _ -> true);
+      recoveries = [];
       rec_inflight = [];
-      on_recovery = ignore;
+      primary_invalid = 0;
     }
   in
   (* Align each level's cycle so that its captures land just after the
@@ -420,58 +528,54 @@ let build design =
     in
     schedule_cycle st j ~cycle_start:phase
   done;
+  run_until st warmup;
+  st.now <- warmup;
   st
 
-(* --- failure handling and executed recovery --- *)
+(* --- failure injection ---
 
-let destroyed_devices st scope =
-  List.filter
-    (fun (d : Device.t) ->
-      Location.destroys scope ~device_name:d.Device.name d.Device.location)
-    (Design.devices st.design)
-
-let apply_failure st scope =
-  let destroyed = destroyed_devices st scope in
-  let is_dead name =
-    List.exists (fun (d : Device.t) -> String.equal d.Device.name name) destroyed
+   A failure of [scope] at [st.now]: RPs stored on the destroyed devices
+   are gone, in-flight propagations to or from them abort, and each one's
+   spare comes online after its provisioning time (never, without an
+   applicable spare). Returns the destroyed device names. *)
+let inject st scope =
+  record st "FAILURE: %s" (Location.scope_name scope);
+  let destroyed =
+    List.filter_map
+      (fun (d : Device.t) ->
+        if Location.destroys scope ~device_name:d.Device.name d.Device.location
+        then begin
+          Hashtbl.replace st.available_at d.Device.name
+            (match Spare.provisioning_time (Device.spare_for d ~scope) with
+            | Some p -> st.now +. secs p
+            | None -> infinity);
+          Some d.Device.name
+        end
+        else None)
+      (Design.devices st.design)
   in
-  (* Record when each destroyed device's spare comes online (read only by
-     the multi-failure executor; [run] never consults it). *)
-  List.iter
-    (fun (d : Device.t) ->
-      let avail =
-        match Spare.provisioning_time (Device.spare_for d ~scope) with
-        | Some p -> st.now +. secs p
-        | None -> infinity
-      in
-      Hashtbl.replace st.available_at d.Device.name avail)
-    destroyed;
-  (* RPs stored on destroyed devices are gone, and in-flight transfers to or
-     from them abort. *)
-  Array.iteri
-    (fun j ls ->
-      let dev = (Hierarchy.level st.hierarchy j).Hierarchy.device in
-      if is_dead dev.Device.name then ls.store := [])
-    st.levels;
-  List.iter
-    (fun (flow, (level, _)) ->
-      let l = Hierarchy.level st.hierarchy level in
-      let upstream_dev =
-        (Hierarchy.level st.hierarchy (level - 1)).Hierarchy.device
-      in
-      if is_dead l.Hierarchy.device.Device.name
-         || is_dead upstream_dev.Device.name
-      then begin
-        Flow_net.cancel st.net flow;
-        st.inflight <- List.remove_assq flow st.inflight
-      end)
-    st.inflight
+  let dead j = List.mem (device_of st j) destroyed in
+  Array.iteri (fun j ls -> if dead j then ls.store := []) st.levels;
+  st.inflight <-
+    List.filter
+      (fun (flow, (level, _)) ->
+        let aborted = dead level || dead (level - 1) in
+        if aborted then Flow_net.cancel st.net flow;
+        not aborted)
+      st.inflight;
+  destroyed
 
-let choose_source_at st ~scope ~target ~target_now =
+(* The source for a failure of [scope] at [at] that must restore the data
+   as of [target_age] before it, as (source level, data loss): level 0
+   when the primary survives and the target is now, else the surviving
+   level with the freshest RP not newer than the target, recorded on the
+   timeline; [None] when no level has one. *)
+let choose_source st ~scope ~target_age ~at =
   let survivors = Hierarchy.surviving_levels st.hierarchy ~scope in
-  let primary_intact = List.mem 0 survivors in
-  if primary_intact && target_now then `No_recovery_needed
+  if List.mem 0 survivors && Duration.is_zero target_age then
+    (Some 0, Data_loss.Updates Duration.zero)
   else begin
+    let target = at -. secs target_age in
     let candidates =
       List.filter_map
         (fun j ->
@@ -484,113 +588,48 @@ let choose_source_at st ~scope ~target ~target_now =
         survivors
     in
     match candidates with
-    | [] -> `Total_loss
-    | (j0, l0) :: rest ->
+    | [] -> (None, Data_loss.Entire_object)
+    | best :: rest ->
       let j, loss =
         List.fold_left
           (fun (bj, bl) (j, l) -> if l < bl then (j, l) else (bj, bl))
-          (j0, l0) rest
+          best rest
       in
-      `Recover_from (j, loss)
+      record st "recovery source: level %d (loss %.0f s)" j loss;
+      (Some j, Data_loss.Updates (Duration.seconds loss))
   end
 
-let choose_source st scenario =
-  choose_source_at st ~scope:scenario.Scenario.scope
-    ~target:(st.now -. secs scenario.Scenario.target_age)
-    ~target_now:(Duration.is_zero scenario.Scenario.target_age)
+let recovery_size st ~object_size ~source =
+  match object_size with
+  | Some s -> s
+  | None ->
+    Demands.recovery_size ~workload:st.design.Design.workload
+      (Hierarchy.level st.hierarchy source).Hierarchy.technique
 
-(* Strict recovery execution: a hop's transfer starts only after the data
-   has arrived at the source side AND the receiving device is provisioned
-   (the analytical model lets provisioning overlap the transfer; see
-   Recovery_time). *)
-let execute_recovery st scenario ~source =
-  let scope = scenario.Scenario.scope in
-  let recovery_size =
-    match scenario.Scenario.object_size with
-    | Some s -> s
-    | None ->
-      Demands.recovery_size ~workload:st.design.Design.workload
-        (Hierarchy.level st.hierarchy source).Hierarchy.technique
-  in
-  let provisioned_at (d : Device.t) =
-    if Location.destroys scope ~device_name:d.Device.name d.Device.location
-    then
-      match Spare.provisioning_time (Device.spare_for d ~scope) with
-      | Some p -> Some (st.now +. secs p)
-      | None -> None
-    else Some st.now
-  in
-  let path = Recovery_time.recovery_path st.hierarchy ~source in
-  let rec hops rt = function
+(* --- single failure, frozen pricing --- *)
+
+(* Walks the recovery path at once, pricing each transfer at the rate a
+   flow gets on arrival, frozen. The finish time, or [None] when a
+   receiver cannot be provisioned or a transfer gets no bandwidth. *)
+let price_frozen st ~size path =
+  let rec hops at = function
     | a :: (b :: _ as rest) -> (
-      let la = Hierarchy.level st.hierarchy a
-      and lb = Hierarchy.level st.hierarchy b in
-      match provisioned_at lb.Hierarchy.device with
-      | None -> None
-      | Some prov -> (
-        let link = la.Hierarchy.link in
-        let transit =
-          match link with
-          | Some l -> secs l.Interconnect.delay
-          | None -> 0.
+      match plan_hop st ~size ~at a b with
+      | Unprovisionable -> None
+      | Staged t -> hops t rest
+      | Transfer (t, through) ->
+        let flow =
+          Flow_net.add_flow st.net ~through ~bytes:(Size.to_bytes size) ()
         in
-        let is_shipment =
-          match link with
-          | Some { Interconnect.transport = Interconnect.Shipment; _ } -> true
-          | Some _ | None -> false
+        let xfer =
+          let r = Flow_net.rate st.net flow in
+          if r > 0. then Flow_net.remaining st.net flow /. r else nan
         in
-        let arrival = rt +. transit in
-        let start = Float.max arrival prov in
-        if is_shipment then hops start rest
-        else begin
-          let through =
-            hop_through st.nodes ~src_dev:la.Hierarchy.device.Device.name
-              ~dst_dev:lb.Hierarchy.device.Device.name ~link
-          in
-          let ser_fix = secs la.Hierarchy.device.Device.access_delay in
-          let begin_xfer = start +. ser_fix in
-          if through = [] || Size.is_zero recovery_size then
-            hops begin_xfer rest
-          else begin
-            let flow =
-              Flow_net.add_flow st.net ~through
-                ~bytes:(Size.to_bytes recovery_size)
-                ()
-            in
-            (* Priced at the rate the flow gets on arrival, frozen. *)
-            let xfer =
-              let r = Flow_net.rate st.net flow in
-              if r > 0. then Flow_net.remaining st.net flow /. r else nan
-            in
-            Flow_net.cancel st.net flow;
-            if Float.is_nan xfer then None else hops (begin_xfer +. xfer) rest
-          end
-        end))
-    | [ _ ] | [] -> Some rt
+        Flow_net.cancel st.net flow;
+        if Float.is_nan xfer then None else hops (t +. xfer) rest)
+    | [ _ ] | [] -> Some at
   in
   hops st.now path
-
-let measure_rp_stats st =
-  let n = Array.length st.levels in
-  let count = Array.make n 0 in
-  let newest_age = Array.make n None in
-  let oldest_age = Array.make n None in
-  Array.iteri
-    (fun j ls ->
-      let rps = !(ls.store) in
-      count.(j) <- List.length rps;
-      (match rps with
-      | head :: _ ->
-        newest_age.(j) <-
-          Some (Duration.seconds (Float.max 0. (st.now -. head.capture_time)))
-      | [] -> ());
-      match List.rev rps with
-      | last :: _ ->
-        oldest_age.(j) <-
-          Some (Duration.seconds (Float.max 0. (st.now -. last.capture_time)))
-      | [] -> ())
-    st.levels;
-  (count, newest_age, oldest_age)
 
 let measure_utilization st =
   let elapsed = st.now in
@@ -617,56 +656,51 @@ let measure_utilization st =
 let run ?(config = default_config) design scenario =
   Storage_obs.Counter.incr obs_runs;
   Storage_obs.Timer.time t_sim_run @@ fun () ->
-  let st =
-    { (build design) with verbose = config.log; record = config.record_events }
-  in
-  (match config.outage with
-  | Some (level, duration) ->
-    if level <= 0 || level >= Hierarchy.length st.hierarchy then
-      invalid_arg "Sim.run: outage level out of range";
-    st.outage_level <- Some level;
-    st.outage_start <-
-      Float.max 0. (secs config.warmup -. secs duration)
-  | None -> ());
-  run_until st (secs config.warmup);
-  st.now <- secs config.warmup;
+  let st = start ~config design in
   let bandwidth_utilization = measure_utilization st in
-  let rp_count, rp_newest_age, rp_oldest_age = measure_rp_stats st in
-  let failure_time = Duration.seconds st.now in
-  record st "FAILURE: %s" (Location.scope_name scenario.Scenario.scope);
-  apply_failure st scenario.Scenario.scope;
-  let source_level, data_loss, recovery_time =
-    match choose_source st scenario with
-    | `No_recovery_needed ->
-      (Some 0, Data_loss.Updates Duration.zero, Some Duration.zero)
-    | `Total_loss -> (None, Data_loss.Entire_object, None)
-    | `Recover_from (j, loss) -> (
-      record st "recovery source: level %d (loss %.0f s)" j loss;
-      let loss = Data_loss.Updates (Duration.seconds loss) in
-      match execute_recovery st scenario ~source:j with
-      | Some finish ->
-        record st "recovery complete %.0f s after the failure"
-          (finish -. st.now);
-        (Some j, loss, Some (Duration.seconds (finish -. st.now)))
-      | None -> (Some j, loss, None))
+  let rp_count = Array.map (fun ls -> List.length !(ls.store)) st.levels in
+  let rp_newest_age =
+    Array.map
+      (fun ls ->
+        match !(ls.store) with
+        | head :: _ ->
+          Some (Duration.seconds (Float.max 0. (st.now -. head.capture_time)))
+        | [] -> None)
+      st.levels
+  in
+  ignore (inject st scenario.Scenario.scope);
+  let source_level, data_loss =
+    choose_source st ~scope:scenario.Scenario.scope
+      ~target_age:scenario.Scenario.target_age ~at:st.now
+  in
+  let recovery_time =
+    match source_level with
+    | None -> None
+    | Some 0 -> Some Duration.zero
+    | Some j ->
+      let size =
+        recovery_size st ~object_size:scenario.Scenario.object_size ~source:j
+      in
+      price_frozen st ~size (Recovery_time.recovery_path st.hierarchy ~source:j)
+      |> Option.map (fun finish ->
+             record st "recovery complete %.0f s after the failure"
+               (finish -. st.now);
+             Duration.seconds (finish -. st.now))
   in
   {
-    failure_time;
     source_level;
     data_loss;
     recovery_time;
     rp_count;
     rp_newest_age;
-    rp_oldest_age;
     bandwidth_utilization;
     timeline =
       List.rev_map (fun (t, m) -> (Duration.seconds t, m)) st.events;
   }
 
-(* --- multi-failure execution -------------------------------------- *)
+(* --- failure sequences, live pricing --- *)
 
 type injected = {
-  event : Scenario.event;
   injected_at : Duration.t;
   source_level : int option;
   data_loss : Data_loss.loss;
@@ -674,54 +708,47 @@ type injected = {
   replans : int;
 }
 
-type multi = {
-  injected : injected list;
-  horizon : Duration.t;
-  bandwidth_utilization : (string * float) list;
-  timeline : (Duration.t * string) list;
-}
+(* Chooses [slot]'s source now and starts its live recovery. *)
+let recover_slot st slot =
+  let ev = slot.s_event in
+  let source, loss =
+    choose_source st ~scope:ev.Scenario.scope
+      ~target_age:ev.Scenario.target_age ~at:slot.s_at
+  in
+  slot.s_source_level <- source;
+  slot.s_loss <- loss;
+  match source with
+  | None -> ()
+  | Some 0 -> slot.s_end <- Some slot.s_at
+  | Some j ->
+    let r =
+      {
+        slot;
+        size =
+          recovery_size st ~object_size:ev.Scenario.object_size ~source:j;
+        path = Recovery_time.recovery_path st.hierarchy ~source:j;
+        flow = None;
+        dead = false;
+      }
+    in
+    st.recoveries <- r :: st.recoveries;
+    step st r
 
-let obs_multi_runs = Storage_obs.Counter.make "sim.multi_runs"
-let obs_replans = Storage_obs.Counter.make "sim.recovery_replans"
-let t_sim_run_events = Storage_obs.Timer.make "sim.run_events"
-
-(* Per-failure bookkeeping that survives replanning: the [slot] is the
-   stable record for one injected event; [recovery] records are the
-   (possibly re-planned) executions attached to it. A slot absorbed by a
-   later primary-destroying failure resolves its recovery end through the
-   absorbing slot. *)
-type slot = {
-  s_event : Scenario.event;
-  s_at : float;  (* absolute injection time *)
-  s_primary_down : bool;
-  mutable s_source_level : int option;
-  mutable s_loss : Data_loss.loss;
-  mutable s_end : float option;
-  mutable s_replans : int;
-  mutable s_absorbed_into : slot option;
-}
-
-type recovery = {
-  rid : int;
-  slot : slot;
-  size : Size.t;
-  mutable path : int list;  (* remaining levels; data is staged at the head *)
-  mutable flow : Flow_net.flow option;
-  mutable dead : bool;  (* finished, failed, replanned or absorbed *)
-}
+let stop_recovery st r =
+  (match r.flow with
+  | Some flow ->
+    Flow_net.cancel st.net flow;
+    st.rec_inflight <- List.remove_assq flow st.rec_inflight
+  | None -> ());
+  r.dead <- true
 
 (* Executes a scenario's full event set in virtual time: each failure is
    injected at its offset past the warmup, and its recovery runs as real
    flows in the event loop — contending with RP propagation and with the
-   other recoveries, re-planned (or absorbed by a newer primary failure)
-   when a later event destroys a device it depends on. Recoveries still
-   unfinished when the horizon closes report no recovery end.
-
-   Unlike [run], whose recovery is priced synchronously at frozen
-   post-failure rates, this executor lets virtual time advance, so a
-   single-event scenario measures a (generally different) live-bandwidth
-   recovery time; the degenerate reduction to [run] is the caller's
-   choice (see Storage_fleet). *)
+   other recoveries. A later failure that destroys a device a recovery
+   depends on re-plans it from a freshly chosen source, one that destroys
+   the primary absorbs it. Recoveries still unfinished when the horizon
+   closes report no recovery end. *)
 let run_events ?(config = default_config) ?horizon design scenario =
   Storage_obs.Counter.incr obs_multi_runs;
   Storage_obs.Timer.time t_sim_run_events @@ fun () ->
@@ -738,217 +765,17 @@ let run_events ?(config = default_config) ?horizon design scenario =
   in
   if horizon < last_at then
     invalid_arg "Sim.run_events: horizon before the last failure event";
-  let st =
-    { (build design) with verbose = config.log; record = config.record_events }
-  in
-  (match config.outage with
-  | Some (level, duration) ->
-    if level <= 0 || level >= Hierarchy.length st.hierarchy then
-      invalid_arg "Sim.run_events: outage level out of range";
-    st.outage_level <- Some level;
-    st.outage_start <- Float.max 0. (secs config.warmup -. secs duration)
-  | None -> ());
+  let st = start ~config design in
   let warmup = secs config.warmup in
-  let primary_dev =
-    (Hierarchy.level st.hierarchy 0).Hierarchy.device.Device.name
-  in
-  let device_of j =
-    (Hierarchy.level st.hierarchy j).Hierarchy.device.Device.name
-  in
-  let device_ready name =
-    match Hashtbl.find_opt st.available_at name with
-    | Some t -> st.now >= t
-    | None -> true
-  in
-  (* Outstanding conditions invalidating the primary's data: one per
-     un-recovered primary-destroying failure. While non-zero, level-1
-     captures (and their propagations) have nothing real to capture. *)
-  let primary_invalid = ref 0 in
-  st.capture_gate <-
-    (fun level ->
-      let upstream_ok =
-        if level = 1 then device_ready primary_dev && !primary_invalid = 0
-        else device_ready (device_of (level - 1))
-      in
-      upstream_ok && device_ready (device_of level));
-  let recoveries : (int, recovery) Hashtbl.t = Hashtbl.create 8 in
-  let next_rid = ref 0 in
-  let finish_recovery r =
-    r.dead <- true;
-    r.slot.s_end <- Some st.now;
-    if r.slot.s_primary_down then decr primary_invalid;
-    record st "recovery %d complete %.0f s after its failure" r.rid
-      (st.now -. r.slot.s_at)
-  in
-  let fail_recovery r =
-    r.dead <- true;
-    record st "recovery %d cannot proceed (no provisionable device)" r.rid
-  in
-  (* Plan the next hop for [r], whose data is staged at the head of its
-     remaining path at the current instant. *)
-  let step r =
-    match r.path with
-    | a :: b :: _ ->
-      let la = Hierarchy.level st.hierarchy a
-      and lb = Hierarchy.level st.hierarchy b in
-      let prov =
-        match Hashtbl.find_opt st.available_at lb.Hierarchy.device.Device.name
-        with
-        | Some t -> t
-        | None -> st.now
-      in
-      if prov = infinity then fail_recovery r
-      else begin
-        let link = la.Hierarchy.link in
-        let transit =
-          match link with
-          | Some l -> secs l.Interconnect.delay
-          | None -> 0.
-        in
-        let is_shipment =
-          match link with
-          | Some { Interconnect.transport = Interconnect.Shipment; _ } -> true
-          | Some _ | None -> false
-        in
-        let arrival = st.now +. transit in
-        let start = Float.max arrival prov in
-        if is_shipment then begin
-          r.path <- List.tl r.path;
-          Event_queue.push st.queue ~time:start (Recovery_step { rid = r.rid })
-        end
-        else begin
-          let through =
-            hop_through st.nodes ~src_dev:la.Hierarchy.device.Device.name
-              ~dst_dev:lb.Hierarchy.device.Device.name ~link
-          in
-          let ser_fix = secs la.Hierarchy.device.Device.access_delay in
-          let begin_xfer = start +. ser_fix in
-          if through = [] || Size.is_zero r.size then begin
-            r.path <- List.tl r.path;
-            Event_queue.push st.queue ~time:begin_xfer
-              (Recovery_step { rid = r.rid })
-          end
-          else
-            Event_queue.push st.queue ~time:begin_xfer
-              (Recovery_xfer { rid = r.rid })
-        end
-      end
-    | [ _ ] | [] -> finish_recovery r
-  in
-  let start_xfer r =
-    match r.path with
-    | a :: b :: _ ->
-      let la = Hierarchy.level st.hierarchy a
-      and lb = Hierarchy.level st.hierarchy b in
-      let through =
-        hop_through st.nodes ~src_dev:la.Hierarchy.device.Device.name
-          ~dst_dev:lb.Hierarchy.device.Device.name ~link:la.Hierarchy.link
-      in
-      if through = [] then begin
-        r.path <- List.tl r.path;
-        step r
-      end
-      else begin
-        let flow =
-          Flow_net.add_flow st.net ~through ~bytes:(Size.to_bytes r.size) ()
-        in
-        r.flow <- Some flow;
-        st.rec_inflight <- (flow, r.rid) :: st.rec_inflight
-      end
-    | [ _ ] | [] -> finish_recovery r
-  in
-  st.on_recovery <-
-    (fun signal ->
-      let with_rec rid f =
-        match Hashtbl.find_opt recoveries rid with
-        | Some r when not r.dead -> f r
-        | Some _ | None -> ()
-      in
-      match signal with
-      | `Step rid -> with_rec rid step
-      | `Xfer rid -> with_rec rid start_xfer
-      | `Done rid ->
-        with_rec rid (fun r ->
-            r.flow <- None;
-            r.path <- List.tl r.path;
-            step r));
-  let spawn_recovery slot ~source =
-    let size =
-      match slot.s_event.Scenario.object_size with
-      | Some s -> s
-      | None ->
-        Demands.recovery_size ~workload:st.design.Design.workload
-          (Hierarchy.level st.hierarchy source).Hierarchy.technique
-    in
-    incr next_rid;
-    let r =
-      {
-        rid = !next_rid;
-        slot;
-        size;
-        path = Recovery_time.recovery_path st.hierarchy ~source;
-        flow = None;
-        dead = false;
-      }
-    in
-    Hashtbl.replace recoveries r.rid r;
-    step r;
-    r
-  in
-  let cancel_recovery_flow r =
-    match r.flow with
-    | Some flow ->
-      Flow_net.cancel st.net flow;
-      st.rec_inflight <- List.remove_assq flow st.rec_inflight;
-      r.flow <- None
-    | None -> ()
-  in
-  let choose slot ~target_now =
-    choose_source_at st ~scope:slot.s_event.Scenario.scope
-      ~target:(slot.s_at -. secs slot.s_event.Scenario.target_age)
-      ~target_now
-  in
-  let replan r =
-    cancel_recovery_flow r;
-    r.dead <- true;
-    let slot = r.slot in
-    slot.s_replans <- slot.s_replans + 1;
-    Storage_obs.Counter.incr obs_replans;
-    record st "recovery %d re-planned by a later failure" r.rid;
-    match choose slot ~target_now:false with
-    | `No_recovery_needed | `Total_loss ->
-      slot.s_source_level <- None;
-      slot.s_loss <- Data_loss.Entire_object
-    | `Recover_from (j, loss) ->
-      slot.s_source_level <- Some j;
-      slot.s_loss <- Data_loss.Updates (Duration.seconds loss);
-      ignore (spawn_recovery slot ~source:j)
-  in
-  let absorb r ~into =
-    cancel_recovery_flow r;
-    r.dead <- true;
-    if r.slot.s_primary_down then decr primary_invalid;
-    r.slot.s_absorbed_into <- Some into
-  in
-  (* Warm up, then inject each event at its offset, re-planning the
-     recoveries the new failure invalidates. *)
-  run_until st warmup;
-  st.now <- warmup;
   let slots =
     List.map
       (fun (ev : Scenario.event) ->
         let t_fail = warmup +. secs ev.Scenario.at in
         run_until st t_fail;
         st.now <- Float.max st.now t_fail;
-        record st "FAILURE: %s" (Location.scope_name ev.Scenario.scope);
-        let destroyed = destroyed_devices st ev.Scenario.scope in
-        let primary_down =
-          List.exists
-            (fun (d : Device.t) -> String.equal d.Device.name primary_dev)
-            destroyed
-        in
-        apply_failure st ev.Scenario.scope;
-        if primary_down then incr primary_invalid;
+        let destroyed = inject st ev.Scenario.scope in
+        let primary_down = List.mem (device_of st 0) destroyed in
+        if primary_down then st.primary_invalid <- st.primary_invalid + 1;
         let slot =
           {
             s_event = ev;
@@ -961,39 +788,27 @@ let run_events ?(config = default_config) ?horizon design scenario =
             s_absorbed_into = None;
           }
         in
-        let is_dead name =
-          List.exists
-            (fun (d : Device.t) -> String.equal d.Device.name name)
-            destroyed
-        in
-        let live =
-          Hashtbl.fold
-            (fun _ r acc -> if r.dead then acc else r :: acc)
-            recoveries []
-          |> List.sort (fun a b -> compare a.rid b.rid)
-        in
+        st.recoveries <- List.filter (fun r -> not r.dead) st.recoveries;
+        (* Oldest first; the recoveries re-planning spawns are not
+           revisited. *)
         List.iter
           (fun r ->
-            if primary_down then absorb r ~into:slot
-            else if List.exists (fun j -> is_dead (device_of j)) r.path then
-              replan r)
-          live;
-        (match
-           choose slot
-             ~target_now:(Duration.is_zero ev.Scenario.target_age)
-         with
-        | `No_recovery_needed ->
-          slot.s_source_level <- Some 0;
-          slot.s_loss <- Data_loss.Updates Duration.zero;
-          slot.s_end <- Some t_fail
-        | `Total_loss ->
-          slot.s_source_level <- None;
-          slot.s_loss <- Data_loss.Entire_object
-        | `Recover_from (j, loss) ->
-          record st "recovery source: level %d (loss %.0f s)" j loss;
-          slot.s_source_level <- Some j;
-          slot.s_loss <- Data_loss.Updates (Duration.seconds loss);
-          ignore (spawn_recovery slot ~source:j));
+            if primary_down then begin
+              stop_recovery st r;
+              if r.slot.s_primary_down then
+                st.primary_invalid <- st.primary_invalid - 1;
+              r.slot.s_absorbed_into <- Some slot
+            end
+            else if
+              List.exists (fun j -> List.mem (device_of st j) destroyed) r.path
+            then begin
+              stop_recovery st r;
+              r.slot.s_replans <- r.slot.s_replans + 1;
+              Storage_obs.Counter.incr obs_replans;
+              recover_slot st r.slot
+            end)
+          (List.rev st.recoveries);
+        recover_slot st slot;
         slot)
       events
   in
@@ -1005,24 +820,16 @@ let run_events ?(config = default_config) ?horizon design scenario =
     | Some into -> resolved_end into
     | None -> slot.s_end
   in
-  {
-    injected =
-      List.map
-        (fun slot ->
-          {
-            event = slot.s_event;
-            injected_at = Duration.seconds slot.s_at;
-            source_level = slot.s_source_level;
-            data_loss = slot.s_loss;
-            recovery_end =
-              Option.map Duration.seconds (resolved_end slot);
-            replans = slot.s_replans;
-          })
-        slots;
-    horizon = Duration.seconds horizon;
-    bandwidth_utilization = measure_utilization st;
-    timeline = List.rev_map (fun (t, m) -> (Duration.seconds t, m)) st.events;
-  }
+  List.map
+    (fun slot ->
+      {
+        injected_at = Duration.seconds slot.s_at;
+        source_level = slot.s_source_level;
+        data_loss = slot.s_loss;
+        recovery_end = Option.map Duration.seconds (resolved_end slot);
+        replans = slot.s_replans;
+      })
+    slots
 
 (* Each offset is an independent simulation over its own state, so the
    sweep parallelizes trivially; results stay in offset order. *)

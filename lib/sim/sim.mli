@@ -27,22 +27,20 @@ type config = {
   warmup : Duration.t;
       (** normal operation before the failure is injected; must exceed the
           recovery source's worst lag for an RP to be present *)
-  log : bool;  (** emit per-event debug logging via [Logs] *)
   outage : (int * Duration.t) option;
       (** [(level, duration)]: suppress the technique at [level] (no new
           captures or propagations) for the last [duration] of the warmup,
           simulating a protection-technique outage that the failure then
           strikes during (validates the {!Storage_model.Degraded} model) *)
   record_events : bool;
-      (** collect a human-readable event timeline in the result (RP
+      (** collect a human-readable event timeline in {!run}'s result (RP
           arrivals, propagation starts, the failure, recovery milestones) *)
 }
 
 val default_config : config
-(** 12 weeks of warmup, no logging, no outage, no event recording. *)
+(** 12 weeks of warmup, no outage, no event recording. *)
 
 type measured = {
-  failure_time : Duration.t;
   source_level : int option;
   data_loss : Data_loss.loss;
       (** measured: failure time minus the capture time of the restored RP *)
@@ -52,7 +50,6 @@ type measured = {
   rp_count : int array;  (** RPs retained per level at the failure instant *)
   rp_newest_age : Duration.t option array;
       (** age of each level's newest RP at the failure instant *)
-  rp_oldest_age : Duration.t option array;
   bandwidth_utilization : (string * float) list;
       (** measured normal-mode bandwidth utilization per device over the
           warmup (reservations plus actual transfer volume divided by
@@ -63,11 +60,14 @@ type measured = {
 }
 
 val run : ?config:config -> Design.t -> Scenario.t -> measured
-(** Simulates [warmup] of normal operation, injects the scenario's failure,
-    and executes the recovery. *)
+(** Simulates [warmup] of normal operation, injects the scenario's failure
+    (its projection: combined scope, oldest target, largest object) and
+    prices the recovery at the bandwidth of the failure instant: virtual
+    time stands still while each hop's transfer is timed at the rate a
+    flow gets on arrival, frozen. Raises [Invalid_argument] on an [outage]
+    level outside [1 .. levels - 1]. *)
 
 type injected = {
-  event : Scenario.event;
   injected_at : Duration.t;  (** absolute virtual time of the failure *)
   source_level : int option;
       (** the recovery source finally used ([Some 0]: no recovery needed;
@@ -82,31 +82,26 @@ type injected = {
           freshly chosen source *)
 }
 
-type multi = {
-  injected : injected list;  (** one per scenario event, in event order *)
-  horizon : Duration.t;  (** observed period after the warmup *)
-  bandwidth_utilization : (string * float) list;
-  timeline : (Duration.t * string) list;
-}
-
 val run_events :
-  ?config:config -> ?horizon:Duration.t -> Design.t -> Scenario.t -> multi
-(** Executes the scenario's full event set: after the warmup, each failure
-    is injected at its [at] offset and its recovery runs as real flows in
-    the event loop — overlapping recoveries contend with each other and
-    with RP propagation through the same {!Flow_net}. A later failure that
-    destroys a device an in-progress recovery depends on forces a re-plan
-    from a freshly chosen source; one that destroys the primary absorbs
-    the outage (the older event's unavailability ends when the newer
-    recovery does). Simulation stops at [warmup + horizon] (default: the
-    last event offset plus 12 weeks); recoveries still running then
-    report no [recovery_end].
-
-    Unlike {!run}, which prices its single recovery at frozen
-    post-failure bandwidth, this executor lets virtual time advance
-    during recovery, so even a single-event scenario measures a
-    live-bandwidth recovery; the exact reduction to {!run} for
-    single-failure inputs is made by the caller (see [Storage_fleet]). *)
+  ?config:config -> ?horizon:Duration.t -> Design.t -> Scenario.t ->
+  injected list
+(** Executes the scenario's full event set and returns one record per
+    event, in event order. It shares {!run}'s set-up, failure injection,
+    source choice and hop planning; only the recovery pricing differs.
+    After the warmup, each failure is injected at its [at] offset and its
+    recovery runs as real flows while virtual time advances — overlapping
+    recoveries contend with each other and with RP propagation through the
+    same {!Flow_net}, so even a single-event scenario measures a
+    live-bandwidth recovery time that differs from {!run}'s (the exact
+    reduction to {!run} for single-failure inputs is made by the caller;
+    see [Storage_fleet]). A later failure that destroys a device an
+    in-progress recovery depends on forces a re-plan from a freshly chosen
+    source; one that destroys the primary absorbs the outage (the older
+    event's unavailability ends when the newer recovery does). Simulation
+    stops at [warmup + horizon] (default: the last event offset plus 12
+    weeks); recoveries still running then report no [recovery_end]. No
+    timeline is returned. Raises [Invalid_argument] on a horizon before the
+    last event, or an [outage] level out of range. *)
 
 val sweep_failure_phase :
   ?engine:Storage_engine.t -> ?config:config -> Design.t -> Scenario.t ->

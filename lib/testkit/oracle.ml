@@ -214,8 +214,7 @@ let analytic_vs_sim =
                    (1.25 *. worst_lag_s))
             in
             let config =
-              { Storage_sim.Sim.warmup; log = false; outage = None;
-                record_events = false }
+              { Storage_sim.Sim.warmup; outage = None; record_events = false }
             in
             first_failure
               (fun (name, sc) ->

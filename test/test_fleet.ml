@@ -88,8 +88,8 @@ let test_combine_and_delay () =
 
 let test_run_events_single_event () =
   let r = Sim.run_events Baseline.design Baseline.scenario_array in
-  Alcotest.(check int) "one injected record" 1 (List.length r.Sim.injected);
-  let i = List.hd r.Sim.injected in
+  Alcotest.(check int) "one injected record" 1 (List.length r);
+  let i = List.hd r in
   close_duration "injected at the end of the warmup"
     Sim.default_config.Sim.warmup i.Sim.injected_at;
   Alcotest.(check bool) "a recovery source was found" true
@@ -107,7 +107,7 @@ let test_run_events_separated_events_independent () =
     Sim.run_events Baseline.design
       (Scenario.of_events [ ev array_scope Duration.zero; ev array_scope gap ])
   in
-  match r.Sim.injected with
+  match r with
   | [ first; second ] ->
     close_duration "second injected one gap later"
       (Duration.add first.Sim.injected_at gap)
@@ -131,7 +131,7 @@ let test_run_events_overlap_absorbs () =
       (Scenario.of_events
          [ ev array_scope Duration.zero; ev site_scope (Duration.hours 1.) ])
   in
-  match r.Sim.injected with
+  match r with
   | [ arr; site ] ->
     let end_of (i : Sim.injected) =
       match i.Sim.recovery_end with
@@ -145,6 +145,76 @@ let test_run_events_overlap_absorbs () =
       | Some a, Some s -> s > a
       | _ -> false)
   | l -> Alcotest.failf "expected 2 injected records, got %d" (List.length l)
+
+let test_run_events_replans () =
+  (* Losing the tape library an hour into an array rebuild from backup
+     (level 2) destroys the recovery's source: it re-plans once, from the
+     vault (level 3), and ends later than the same array failure alone. *)
+  let tape = Storage_device.Location.Device "tape-library" in
+  let alone = Sim.run_events Baseline.design Baseline.scenario_array in
+  let r =
+    Sim.run_events Baseline.design
+      (Scenario.of_events
+         [ ev array_scope Duration.zero; ev tape (Duration.hours 1.) ])
+  in
+  match (alone, r) with
+  | [ solo ], [ arr; _ ] ->
+    let end_of (i : Sim.injected) =
+      match i.Sim.recovery_end with
+      | Some t -> t
+      | None -> Alcotest.fail "recovery did not complete"
+    in
+    Alcotest.(check (option int)) "alone: from backup" (Some 2)
+      solo.Sim.source_level;
+    Alcotest.(check int) "re-planned once" 1 arr.Sim.replans;
+    Alcotest.(check (option int)) "re-planned onto the vault" (Some 3)
+      arr.Sim.source_level;
+    Alcotest.(check bool) "the re-planned recovery ends later" true
+      (Duration.compare (end_of arr) (end_of solo) > 0)
+  | _ -> Alcotest.fail "unexpected injected record count"
+
+let test_run_and_run_events_agree_on_one_failure () =
+  (* Both entry points share the warmup and the failure injection, so on
+     a one-event scenario they must pick the same source and measure the
+     same data loss; only the recovery time differs (frozen vs live
+     bandwidth). The source is chosen at the injection, so [run_events]
+     may stop there (a zero horizon). *)
+  let scenarios =
+    [
+      Baseline.scenario_object;
+      Baseline.scenario_array;
+      Baseline.scenario_site;
+      Scenario.make ~scope:array_scope ~target_age:(Duration.hours 30.) ();
+    ]
+  in
+  List.iter
+    (fun (name, design) ->
+      List.iter
+        (fun scenario ->
+          List.iter
+            (fun weeks ->
+              let config =
+                { Sim.default_config with Sim.warmup = Duration.weeks weeks }
+              in
+              let m = Sim.run ~config design scenario in
+              let i =
+                List.hd
+                  (Sim.run_events ~config ~horizon:Duration.zero design
+                     scenario)
+              in
+              let case =
+                Printf.sprintf "%s, %s, %g wk" name
+                  (Storage_device.Location.scope_name (scope_of scenario))
+                  weeks
+              in
+              Alcotest.(check (option int))
+                (case ^ ": source") m.Sim.source_level i.Sim.source_level;
+              Alcotest.(check bool)
+                (case ^ ": data loss") true
+                (m.Sim.data_loss = i.Sim.data_loss))
+            [ 4.; 12.; 12.3; 30. ])
+        scenarios)
+    Whatif.all
 
 (* --- the fleet Monte Carlo --- *)
 
@@ -236,6 +306,10 @@ let suite =
           test_run_events_separated_events_independent;
         Alcotest.test_case "overlapping site failure absorbs the array outage"
           `Quick test_run_events_overlap_absorbs;
+        Alcotest.test_case "a failure of the recovery source re-plans" `Quick
+          test_run_events_replans;
+        Alcotest.test_case "run and run_events agree on one failure" `Slow
+          test_run_and_run_events_agree_on_one_failure;
       ] );
     ( "fleet",
       [

@@ -482,7 +482,7 @@ let test_portfolio_parallel_equals_serial () =
 let test_sim_sweep_parallel_equals_serial () =
   let d = List.nth pool_designs 2 in
   let config =
-    { Storage_sim.Sim.warmup = Duration.weeks 10.; log = false; outage = None;
+    { Storage_sim.Sim.warmup = Duration.weeks 10.; outage = None;
       record_events = false }
   in
   let offsets =

@@ -86,7 +86,7 @@ let prop_sim_within_model_bounds =
   QCheck.Test.make ~name:"sim loss within model worst case (random designs)"
     ~count:10 arb_design (fun d ->
       let config =
-        { Storage_sim.Sim.warmup = Duration.weeks 10.; log = false; outage = None; record_events = false }
+        { Storage_sim.Sim.warmup = Duration.weeks 10.; outage = None; record_events = false }
       in
       List.for_all
         (fun sc ->

@@ -363,7 +363,7 @@ let prop_flow_completion_delivers_bytes =
 
 (* --- Sim vs model --- *)
 
-let config = { Sim.warmup = Duration.weeks 12.; log = false; outage = None; record_events = false }
+let config = { Sim.warmup = Duration.weeks 12.; outage = None; record_events = false }
 
 let model_worst_loss scenario =
   match (Evaluate.run Baseline.design scenario).Evaluate.data_loss.Data_loss.loss with
@@ -443,7 +443,7 @@ let test_sim_phase_sweep_bounded () =
 
 let test_sim_asyncb () =
   let d = Whatif.async_mirror ~links:1 in
-  let cfg = { Sim.warmup = Duration.days 2.; log = false; outage = None; record_events = false } in
+  let cfg = { Sim.warmup = Duration.days 2.; outage = None; record_events = false } in
   let m = Sim.run ~config:cfg d Baseline.scenario_array in
   Alcotest.(check (option int)) "from mirror" (Some 1) m.Sim.source_level;
   Alcotest.(check bool) "tiny loss" true (measured_loss m <= 120. +. 1.);
@@ -456,7 +456,7 @@ let test_sim_asyncb () =
 
 let test_sim_asyncb_site_strict_provisioning () =
   let d = Whatif.async_mirror ~links:10 in
-  let cfg = { Sim.warmup = Duration.days 2.; log = false; outage = None; record_events = false } in
+  let cfg = { Sim.warmup = Duration.days 2.; outage = None; record_events = false } in
   let m = Sim.run ~config:cfg d Baseline.scenario_site in
   match m.Sim.recovery_time with
   | Some rt ->
@@ -473,8 +473,7 @@ let test_sim_erasure_design () =
      the model's 2-hour worst case. *)
   let d = Whatif.erasure_coded ~fragments:8 ~required:5 ~links:1 in
   let cfg =
-    { Sim.warmup = Duration.days 3.; log = false; outage = None;
-      record_events = false }
+    { Sim.warmup = Duration.days 3.; outage = None; record_events = false }
   in
   let m = Sim.run ~config:cfg d Baseline.scenario_array in
   Alcotest.(check (option int)) "from the fragment store" (Some 1)
@@ -588,7 +587,6 @@ let prop_sim_loss_bounded_random_phase =
       let cfg =
         {
           Sim.warmup = Duration.add (Duration.weeks 12.) (Duration.hours offset_h);
-          log = false;
           outage = None;
           record_events = false;
         }
