@@ -97,27 +97,17 @@ let validate () =
 
 (* --- design-space search ablation --- *)
 
+(* The default `ssdep optimize` listing, through the same request. *)
 let pareto () =
-  let kit =
-    {
-      Storage_optimize.Candidate.workload = Cello.workload;
-      business = Baseline.business;
-      primary = Baseline.disk_array;
-      tape_library = Baseline.tape_library;
-      vault = Baseline.vault;
-      remote_array = Baseline.remote_array;
-      san = Baseline.san;
-      shipment = Baseline.air_shipment;
-      wan = (fun links -> Baseline.oc3 ~links);
-    }
-  in
-  let candidates =
-    Storage_optimize.Candidate.enumerate kit
-      Storage_optimize.Candidate.default_space
-  in
-  let scenarios = [ Baseline.scenario_array; Baseline.scenario_site ] in
-  let result = Storage_optimize.Search.run candidates scenarios in
-  Fmt.pr "%a@." Storage_optimize.Search.pp result
+  Storage_engine.with_engine (fun engine ->
+      print_string
+        (Optimize_request.listing ~engine
+           {
+             Optimize_request.rto = None;
+             rpo = None;
+             top_k = None;
+             grid_scale = 1;
+           }))
 
 (* --- ablations: the design choices DESIGN.md calls out --- *)
 
@@ -369,19 +359,6 @@ let ablate () =
 
 (* --- multicore evaluation-engine benchmark --- *)
 
-let parallel_kit =
-  {
-    Storage_optimize.Candidate.workload = Cello.workload;
-    business = Baseline.business;
-    primary = Baseline.disk_array;
-    tape_library = Baseline.tape_library;
-    vault = Baseline.vault;
-    remote_array = Baseline.remote_array;
-    san = Baseline.san;
-    shipment = Baseline.air_shipment;
-    wan = (fun links -> Baseline.oc3 ~links);
-  }
-
 (* A widened grid: a few hundred candidates, the scale §4.2's automated
    what-if exploration is about. *)
 let parallel_space =
@@ -421,7 +398,8 @@ let parallel_bench () =
   Storage_obs.enable ();
   let candidates =
     List.of_seq
-      (Storage_optimize.Candidate.enumerate parallel_kit parallel_space)
+      (Storage_optimize.Candidate.enumerate (Whatif.search_kit ())
+         parallel_space)
   in
   let scenarios = Baseline.scenarios in
   let n = List.length candidates in
@@ -460,7 +438,7 @@ let parallel_bench () =
      hardware, its slot cache shared) re-evaluates only what is new. *)
   let extra =
     List.of_seq
-      (Storage_optimize.Candidate.enumerate parallel_kit
+      (Storage_optimize.Candidate.enumerate (Whatif.search_kit ())
          { parallel_space with
            Storage_optimize.Candidate.pit_techniques = [];
            mirror_links = [ 12; 16; 20; 24 ] })
@@ -571,7 +549,7 @@ let stream_bench () =
   let module Engine = Storage_optimize.Engine in
   let scenarios = [ Baseline.scenario_array; Baseline.scenario_site ] in
   let grid scale =
-    Storage_optimize.Candidate.enumerate parallel_kit
+    Storage_optimize.Candidate.enumerate (Whatif.search_kit ())
       (Storage_optimize.Candidate.scaled_space ~scale)
   in
   (* Smallest scale clearing 10^5 candidates after validity filtering. *)
@@ -828,7 +806,7 @@ let solver_bench ~smoke () =
         let t0 = Unix.gettimeofday () in
         let r =
           Solver.run ~engine ?budget ~seed:b.Baselines.solver_seed ~method_
-            parallel_kit space scenarios
+            (Whatif.search_kit ()) space scenarios
         in
         (r, Unix.gettimeofday () -. t0)
       in
@@ -1131,7 +1109,7 @@ let check_bench ~smoke () =
   let cores = Storage_parallel.Pool.default_jobs () in
   let scenarios = [ Baseline.scenario_array; Baseline.scenario_site ] in
   let grid () =
-    Storage_optimize.Candidate.enumerate parallel_kit
+    Storage_optimize.Candidate.enumerate (Whatif.search_kit ())
       (Storage_optimize.Candidate.scaled_space ~scale:b.Baselines.grid_scale)
   in
   let n = Seq.length (grid ()) in
@@ -1273,7 +1251,7 @@ let check_bench ~smoke () =
       (fun () ->
         let solve method_ ?budget () =
           Solver.run ~engine ?budget ~seed:b.Baselines.solver_seed ~method_
-            parallel_kit space scenarios
+            (Whatif.search_kit ()) space scenarios
         in
         let grid = solve Solver.Grid () in
         let grid_evals = grid.Solver.stats.Solver.evaluations in

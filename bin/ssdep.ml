@@ -57,25 +57,39 @@ let non_negative s =
   | Some x when Float.is_finite x && x >= 0. -> Ok x
   | Some _ | None -> Error (Printf.sprintf "%S is not a finite number >= 0" s)
 
-(* A duration in [unit]s must also convert to a finite number of seconds:
-   anything else would reach the [Duration] constructor [make] and escape
-   as an uncaught exception. *)
-let duration ~unit make s =
-  Result.bind (non_negative s) (fun x ->
-      match make x with
-      | (_ : Duration.t) -> Ok x
-      | exception Invalid_argument _ ->
-        Error (Printf.sprintf "%S %s overflows a duration" s unit))
-
 let float_conv parse =
   Arg.conv
     ( (fun s -> Result.map_error (fun m -> `Msg m) (parse s)),
       Format.pp_print_float )
 
 let non_negative_float_conv = float_conv non_negative
-let hours_conv = float_conv (duration ~unit:"hours" Duration.hours)
-let days_conv = float_conv (duration ~unit:"days" Duration.days)
-let years_conv = float_conv (duration ~unit:"years" Duration.years)
+
+(* Durations go through the parser `serve /optimize` reads its objectives
+   with: a finite count >= 0 whose seconds are finite too. *)
+let hours_conv = float_conv Optimize_request.hours
+
+let days_conv =
+  float_conv (Optimize_request.duration ~unit:"days" Duration.days)
+
+let years_conv =
+  float_conv (Optimize_request.duration ~unit:"years" Duration.years)
+
+let seed_conv =
+  let parse s =
+    match Int64.of_string_opt s with
+    | Some n -> Ok n
+    | None ->
+      Error (`Msg (Printf.sprintf "invalid seed %S, expected an integer" s))
+  in
+  Arg.conv (parse, fun ppf n -> Fmt.pf ppf "0x%Lx" n)
+
+(* The preset designs' named failure scenarios (lint and report). *)
+let baseline_scenarios =
+  [
+    ("user error", Baseline.scenario_object);
+    ("array failure", Baseline.scenario_array);
+    ("site disaster", Baseline.scenario_site);
+  ]
 
 let target_age_arg =
   let doc =
@@ -405,14 +419,7 @@ let lint_cmd =
       else
         match find_design target with
         | Error e -> config_error (e ^ " (and no such file)")
-        | Ok d ->
-          Ok
-            ( d,
-              [
-                ("user error", Baseline.scenario_object);
-                ("array failure", Baseline.scenario_array);
-                ("site disaster", Baseline.scenario_site);
-              ] )
+        | Ok d -> Ok (d, baseline_scenarios)
     in
     match loaded with
     | Error e -> Error e
@@ -485,9 +492,7 @@ let simulate_cmd =
     | Some raw -> (
       match String.split_on_char ':' raw with
       | [ level; hours ] -> (
-        match
-          (int_of_string_opt level, duration ~unit:"hours" Duration.hours hours)
-        with
+        match (int_of_string_opt level, Optimize_request.hours hours) with
         | Some level, Ok hours ->
           if level >= 1 && level < levels then
             Ok (Some (level, Duration.hours hours))
@@ -592,11 +597,11 @@ let simulate_cmd =
 let optimize_cmd =
   let rto =
     let doc = "Recovery time objective in hours (constraint)." in
-    Arg.(value & opt (some float) None & info [ "rto" ] ~docv:"HOURS" ~doc)
+    Arg.(value & opt (some hours_conv) None & info [ "rto" ] ~docv:"HOURS" ~doc)
   in
   let rpo =
     let doc = "Recovery point objective in hours (constraint)." in
-    Arg.(value & opt (some float) None & info [ "rpo" ] ~docv:"HOURS" ~doc)
+    Arg.(value & opt (some hours_conv) None & info [ "rpo" ] ~docv:"HOURS" ~doc)
   in
   let top_k =
     let doc =
@@ -655,20 +660,11 @@ let optimize_cmd =
   in
   let seed_arg =
     let doc =
-      "Solver seed (decimal or 0x-hex; default: the engine's session \
+      "Solver seed (decimal or 0x-hex; default: the framework's fixed \
        seed). A fixed seed reproduces the report byte-for-byte whatever \
        $(b,--jobs) is."
     in
-    let solver_seed_conv =
-      let parse s =
-        match Int64.of_string_opt s with
-        | Some n -> Ok n
-        | None ->
-          Error (`Msg (Printf.sprintf "invalid seed %S, expected an integer" s))
-      in
-      Arg.conv (parse, fun ppf n -> Fmt.pf ppf "0x%Lx" n)
-    in
-    Arg.(value & opt (some solver_seed_conv) None & info [ "seed" ] ~docv:"SEED" ~doc)
+    Arg.(value & opt (some seed_conv) None & info [ "seed" ] ~docv:"SEED" ~doc)
   in
   let portfolio_arg =
     let doc =
@@ -683,17 +679,8 @@ let optimize_cmd =
       json chunk jobs stats stats_json =
     with_engine ?chunk ~jobs ~stats ~stats_json @@ fun engine ->
     let module Solver = Storage_optimize.Solver in
-    let business =
-      Business.make
-        ~outage_penalty_rate:(Money_rate.usd_per_hour 50_000.)
-        ~loss_penalty_rate:(Money_rate.usd_per_hour 50_000.)
-        ?recovery_time_objective:(Option.map Duration.hours rto)
-        ?recovery_point_objective:(Option.map Duration.hours rpo)
-        ()
-    in
-    let kit = Whatif.search_kit ~business () in
-    let space = Whatif.search_space ~scale:grid_scale () in
-    let scenarios = [ Baseline.scenario_array; Baseline.scenario_site ] in
+    let request = { Optimize_request.rto; rpo; top_k; grid_scale } in
+    let kit, space, scenarios = Optimize_request.problem request in
     let legacy = solver = Solver.Grid && portfolio = [] && not json in
     if (top_k <> None || max_candidates <> None) && not legacy then
       Error
@@ -704,37 +691,25 @@ let optimize_cmd =
         "--rto/--rpo conflict with --portfolio: each member's objectives \
          come from its design file"
     else if legacy then begin
-      let candidates = Storage_optimize.Candidate.enumerate kit space in
       let over_budget =
         (* Enumeration is lazy and persistent, so counting here builds one
            design at a time and retains none of them. *)
-        match max_candidates with
-        | None -> None
-        | Some bound ->
-          let n = Seq.length candidates in
-          if n > bound then Some (n, bound) else None
+        Option.bind max_candidates (fun bound ->
+            let n =
+              Seq.length (Storage_optimize.Candidate.enumerate kit space)
+            in
+            if n > bound then
+              Some
+                (Printf.sprintf
+                   "grid has %d candidate designs, over the --max-candidates \
+                    budget of %d; raise the budget or lower --grid-scale"
+                   n bound)
+            else None)
       in
       match over_budget with
-      | Some (n, bound) ->
-        Error
-          (Printf.sprintf
-             "grid has %d candidate designs, over the --max-candidates budget \
-              of %d; raise the budget or lower --grid-scale"
-             n bound)
+      | Some msg -> Error msg
       | None ->
-        let result =
-          Storage_optimize.Search.run ~engine ?top_k candidates scenarios
-        in
-        Fmt.pr "%a@." Storage_optimize.Search.pp result;
-        (match top_k with
-        | None -> ()
-        | Some k ->
-          Fmt.pr "top %d feasible (of %d):@." (min k result.feasible_count)
-            result.Storage_optimize.Search.feasible_count;
-          List.iteri
-            (fun i s ->
-              Fmt.pr "  %2d. %a@." (i + 1) Storage_optimize.Objective.pp s)
-            result.Storage_optimize.Search.feasible);
+        print_string (Optimize_request.listing ~engine request);
         Ok ()
     end
     else if portfolio = [] then begin
@@ -971,15 +946,6 @@ let fleet_cmd =
        it through one splitmix64 stream, so a fixed seed reproduces the \
        report byte-for-byte whatever $(b,--jobs) is."
     in
-    let seed_conv =
-      let parse s =
-        match Int64.of_string_opt s with
-        | Some n -> Ok n
-        | None ->
-          Error (`Msg (Printf.sprintf "invalid seed %S, expected an integer" s))
-      in
-      Arg.conv (parse, fun ppf n -> Fmt.pf ppf "0x%Lx" n)
-    in
     Arg.(value & opt seed_conv 0xCA5CADEL & info [ "seed" ] ~docv:"SEED" ~doc)
   in
   let afr_arg =
@@ -1150,14 +1116,7 @@ let report_cmd =
       | None -> (
         match find_design design with
         | Error e -> Error e
-        | Ok d ->
-          Ok
-            ( d,
-              [
-                ("user error", Baseline.scenario_object);
-                ("array failure", Baseline.scenario_array);
-                ("site disaster", Baseline.scenario_site);
-              ] ))
+        | Ok d -> Ok (d, baseline_scenarios))
     in
     match design_and_scenarios with
     | Error e -> Error e
@@ -1296,15 +1255,6 @@ let fuzz_cmd =
       "Session seed (decimal or 0x-hex). Per-case seeds derive from it \
        through one splitmix64 stream, so the same seed and budget \
        reproduce the same cases, findings and shrunk counterexamples."
-    in
-    let seed_conv =
-      let parse s =
-        match Int64.of_string_opt s with
-        | Some n -> Ok n
-        | None ->
-          Error (`Msg (Printf.sprintf "invalid seed %S, expected an integer" s))
-      in
-      Arg.conv (parse, fun ppf n -> Fmt.pf ppf "0x%Lx" n)
     in
     Arg.(value & opt seed_conv 2004L & info [ "seed" ] ~docv:"SEED" ~doc)
   in

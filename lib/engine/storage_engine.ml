@@ -32,7 +32,6 @@ let new_key (type a) () : a key =
 type t = {
   jobs : int;
   lint : bool;
-  seed : int64;
   stats : bool;
   cache : bool;
   cache_bound : int option;
@@ -42,12 +41,11 @@ type t = {
   slots : (int, binding) Hashtbl.t;
 }
 
-(* Same fixed constant as the historical Risk.monte_carlo default, so an
-   engine-less call and a default engine agree bit for bit. *)
+(* The historical Risk.monte_carlo constant. *)
 let default_seed = 0xCA5CADEL
 
-let create ?(jobs = 1) ?(lint = true) ?(seed = default_seed) ?(stats = false)
-    ?(cache = true) ?cache_bound ?chunk () =
+let create ?(jobs = 1) ?(lint = true) ?(stats = false) ?(cache = true)
+    ?cache_bound ?chunk () =
   if jobs < 1 then invalid_arg "Engine.create: jobs must be >= 1";
   (match cache_bound with
   | Some n when n < 1 -> invalid_arg "Engine.create: cache_bound must be >= 1"
@@ -59,7 +57,6 @@ let create ?(jobs = 1) ?(lint = true) ?(seed = default_seed) ?(stats = false)
   {
     jobs;
     lint;
-    seed;
     stats;
     cache;
     cache_bound;
@@ -106,7 +103,6 @@ let of_cli ?chunk ?(env = Sys.getenv_opt) ~jobs ~stats () =
 
 let jobs t = t.jobs
 let lint t = t.lint
-let seed t = t.seed
 let stats t = t.stats
 let cache t = t.cache
 let cache_bound t = t.cache_bound
@@ -134,8 +130,8 @@ let shutdown t =
   in
   Option.iter Storage_parallel.Pool.shutdown p
 
-let with_engine ?jobs ?lint ?seed ?stats f =
-  let t = create ?jobs ?lint ?seed ?stats () in
+let with_engine ?jobs ?lint ?stats f =
+  let t = create ?jobs ?lint ?stats () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 let map t f xs =

@@ -3,8 +3,8 @@
     The framework's outer loops — design-space search, sensitivity sweeps,
     portfolio evaluation, Monte-Carlo risk, failure-phase sweeps — share
     the same execution machinery: a {!Storage_parallel.Pool} of domains,
-    a memoized evaluation cache, the static lint pre-filter policy, the
-    {!Storage_obs} stats switch and a PRNG seed for stochastic stages.
+    a memoized evaluation cache, the static lint pre-filter policy and
+    the {!Storage_obs} stats switch.
     Threading those as per-call [?jobs]/[?cache]/[?lint] optional
     arguments does not scale past a handful of entry points (every new
     loop re-grows the triple); an [Engine.t] owns them once and is passed
@@ -20,7 +20,7 @@
       [Eval_cache.of_engine] — without this module depending on them.
       Slots are created on first use under the engine's mutex and live
       until the engine is garbage collected.
-    - Lint policy, stats flag and seed are immutable configuration.
+    - Lint policy and stats flag are immutable configuration.
 
     Engines are cheap to create; [create ()] is the serial default used
     by every entry point when no engine is passed. All operations are
@@ -31,7 +31,6 @@ type t
 val create :
   ?jobs:int ->
   ?lint:bool ->
-  ?seed:int64 ->
   ?stats:bool ->
   ?cache:bool ->
   ?cache_bound:int ->
@@ -39,8 +38,8 @@ val create :
   unit ->
   t
 (** [create ()] is a serial engine: [jobs = 1], lint pre-filtering on,
-    the framework's fixed default seed, stats off, caching on with an
-    unbounded cache policy, auto-sized parallel chunks. Raises
+    stats off, caching on with an unbounded cache policy, auto-sized
+    parallel chunks. Raises
     [Invalid_argument] when [jobs < 1], [cache_bound < 1] or
     [chunk < 1]. [~stats:true] additionally turns the global
     {!Storage_obs} registry on. [~cache:false] turns the evaluation
@@ -76,7 +75,7 @@ val of_cli :
     wins over the environment. *)
 
 val with_engine :
-  ?jobs:int -> ?lint:bool -> ?seed:int64 -> ?stats:bool -> (t -> 'a) -> 'a
+  ?jobs:int -> ?lint:bool -> ?stats:bool -> (t -> 'a) -> 'a
 (** [with_engine f] runs [f] with a fresh engine and shuts it down on the
     way out (including on exceptions). *)
 
@@ -85,9 +84,9 @@ val lint : t -> bool
 (** Whether search/portfolio loops should statically pre-filter
     candidates with the design linter before evaluating them. *)
 
-val seed : t -> int64
-(** Seed for stochastic stages (Monte-Carlo risk). Fixed default, so
-    results are reproducible unless the caller opts into another seed. *)
+val default_seed : int64
+(** The seed stochastic stages (Monte-Carlo risk, the solvers) use when
+    the caller passes none, so their results are reproducible. *)
 
 val stats : t -> bool
 

@@ -162,14 +162,8 @@ let monte_carlo_with ~map ~seed ~samples design weighted_list ~horizon_years =
     max = Money.usd draws.(samples - 1);
   }
 
-let monte_carlo ?engine ?seed ?(samples = 10_000) design weighted_list
-    ~horizon_years =
-  let seed =
-    match (seed, engine) with
-    | Some s, _ -> s
-    | None, Some e -> Storage_engine.seed e
-    | None, None -> 0xCA5CADEL
-  in
+let monte_carlo ?engine ?(seed = Storage_engine.default_seed)
+    ?(samples = 10_000) design weighted_list ~horizon_years =
   let map f xs =
     match engine with
     | None -> List.map f xs

@@ -79,10 +79,9 @@ val monte_carlo :
     multiplicative method's acceptance threshold underflows near
     [lambda ~ 745].
 
-    The [?engine] supplies the domains and, when [?seed] is not given,
-    the seed ({!Storage_engine.seed}; its default is this function's
-    historical default, so engine-less and default-engine runs agree bit
-    for bit). Each sample draws from its own generator seeded off the
+    The [?engine] supplies the domains; [?seed] defaults to
+    {!Storage_engine.default_seed}, so engine-less and engine runs agree
+    bit for bit. Each sample draws from its own generator seeded off the
     master seed, so for a fixed seed the distribution is bit-identical
     for every [jobs] value; more jobs only spread the sampling across
     domains. Raises [Invalid_argument] on an empty scenario list,

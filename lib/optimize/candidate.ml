@@ -77,13 +77,14 @@ let scaled_space ~scale =
       mirror_links = [ 1; 2; 3; 4; 6; 8; 10 ];
     }
 
-(* --- shared level construction ---
+(* --- level construction ---
 
-   [enumerate] and the solver's point decoder must produce structurally
-   identical designs for the same grid coordinates (the testkit oracle
-   compares their optima, and a shared engine cache should hit across
-   both), so every level — and every name fragment — is built by exactly
-   one function. *)
+   Every level and name fragment is built by exactly one function, for
+   the [axes] tables the point decoder reads. [enumerate] is that decoder
+   run over every point, so the solvers and the exhaustive search build
+   structurally identical designs for the same grid cell (the testkit
+   oracle compares their optima, and a shared engine cache hits across
+   both). *)
 
 let primary_level kit =
   {
@@ -150,63 +151,6 @@ let mirror_level kit links =
     link = Some (kit.wan links);
   }
 
-(* Assemble + the enumerate-time filter: a level stack that violates the
-   hierarchy conventions, or a design the linter would reject, yields
-   [None] — the same acceptance predicate everywhere a grid point becomes
-   a design. *)
-let assemble ?(background = []) kit ~name levels =
-  match Hierarchy.make levels with
-  | Error _ -> None
-  | Ok hierarchy ->
-    let design =
-      Design.make ~name ~workload:kit.workload ~hierarchy
-        ~business:kit.business ~background ()
-    in
-    if Design.validate design = Ok () then Some design else None
-
-(* The inner loop of [tape_designs] runs once per grid point, so anything
-   that varies along only one axis — schedules, hierarchy-level records,
-   name fragments — is precomputed per axis value and shared across every
-   combination it appears in. Besides the construction time, the sharing
-   keeps long-lived design accumulators (Pareto fronts, top-k sets) from
-   retaining a private copy of each schedule per design. The axis tables
-   are rebuilt at most once per traversal of the returned sequence, inside
-   the first forced cell, preserving [enumerate]'s laziness. *)
-let tape_designs kit space =
-  fun () ->
-    let primary_level = primary_level kit in
-    let backups = List.map (backup_level kit space) space.backup_accumulations in
-    let vaults = List.map (vault_level kit space) space.vault_accumulations in
-    let ( let* ) xs f = Seq.concat_map f (List.to_seq xs) in
-    (let* pit_kind = space.pit_techniques in
-     let* pit_acc = space.pit_accumulations in
-     let* pit_ret = space.pit_retentions in
-     let pit_level, pit_fragment = pit_parts kit pit_kind pit_acc pit_ret in
-     let pit_name = pit_fragment ^ ", backup/" in
-     let* backup_level, backup_label = backups in
-     let backup_name = pit_name ^ backup_label ^ ", vault/" in
-     Seq.filter_map
-       (fun (vault_level, vault_label) ->
-         assemble kit
-           ~name:(backup_name ^ vault_label)
-           [ primary_level; pit_level; backup_level; vault_level ])
-       (List.to_seq vaults))
-      ()
-
-let mirror_designs kit space =
-  fun () ->
-    let primary_level = primary_level kit in
-    Seq.filter_map
-      (fun links ->
-        assemble kit
-          ~name:("asyncB mirror x" ^ string_of_int links)
-          [ primary_level; mirror_level kit links ])
-      (List.to_seq space.mirror_links)
-      ()
-
-let enumerate kit space =
-  Seq.append (tape_designs kit space) (mirror_designs kit space)
-
 (* --- the grid as an indexed coordinate space --- *)
 
 type point =
@@ -227,111 +171,125 @@ let tape_count space =
 let mirror_count space = List.length space.mirror_links
 let point_count space = tape_count space + mirror_count space
 
-(* Mixed-radix decode in [enumerate]'s order: the tape family first
-   (pit kind outermost, vault innermost), then the mirrors. *)
-let point_of_index space i =
+(* Mixed-radix decode: the tape family first (pit kind outermost, vault
+   innermost), then the mirrors. The axis lengths are read once per
+   decoder, not once per index. *)
+let decoder space =
+  let _, na, nr, nb, nv = tape_dims space in
   let tapes = tape_count space in
-  if i < 0 || i >= tapes + mirror_count space then
-    invalid_arg "Candidate.point_of_index: index out of range";
-  if i < tapes then begin
-    let _, na, nr, nb, nv = tape_dims space in
-    let vault = i mod nv in
-    let i = i / nv in
-    let backup = i mod nb in
-    let i = i / nb in
-    let pit_ret = i mod nr in
-    let i = i / nr in
-    let pit_acc = i mod na in
-    let pit = i / na in
-    Tape { pit; pit_acc; pit_ret; backup; vault }
-  end
-  else Mirror { links = i - tapes }
+  let count = tapes + mirror_count space in
+  fun i ->
+    if i < 0 || i >= count then
+      invalid_arg "Candidate.point_of_index: index out of range";
+    if i < tapes then begin
+      let vault = i mod nv in
+      let i = i / nv in
+      let backup = i mod nb in
+      let i = i / nb in
+      let pit_ret = i mod nr in
+      let i = i / nr in
+      let pit_acc = i mod na in
+      let pit = i / na in
+      Tape { pit; pit_acc; pit_ret; backup; vault }
+    end
+    else Mirror { links = i - tapes }
 
-let points space =
-  Seq.map (point_of_index space) (Seq.init (point_count space) Fun.id)
+let point_of_index space i = decoder space i
 
+let points space = Seq.map (decoder space) (Seq.init (point_count space) Fun.id)
+
+(* Every level record, schedule and name fragment that varies along the
+   axes is built once per [axes] and shared by every cell it appears in —
+   each PiT level by all its backup x vault cells. Besides the
+   construction time, the sharing keeps long-lived design accumulators
+   (Pareto fronts, top-k sets) from retaining a private copy of each
+   schedule per design. *)
 type axes = {
   akit : kit;
   background : (string * Storage_device.Demand.labeled list) list;
   aprimary : Hierarchy.level;
-  pit_kinds : [ `Split_mirror | `Snapshot ] array;
-  pit_accs : Duration.t array;
-  pit_rets : int array;
+  pits : (Hierarchy.level * string) array array array;
+      (* [pits.(pit).(pit_acc).(pit_ret)] *)
   abackups : (Hierarchy.level * string) array;
   avaults : (Hierarchy.level * string) array;
   amirrors : int array;
 }
 
 let axes ?(background = []) kit space =
+  let table f xs = Array.of_list (List.map f xs) in
   {
     akit = kit;
     background;
     aprimary = primary_level kit;
-    pit_kinds = Array.of_list space.pit_techniques;
-    pit_accs = Array.of_list space.pit_accumulations;
-    pit_rets = Array.of_list space.pit_retentions;
-    abackups =
-      Array.of_list (List.map (backup_level kit space) space.backup_accumulations);
-    avaults =
-      Array.of_list (List.map (vault_level kit space) space.vault_accumulations);
+    pits =
+      table
+        (fun kind ->
+          table
+            (fun acc -> table (pit_parts kit kind acc) space.pit_retentions)
+            space.pit_accumulations)
+        space.pit_techniques;
+    abackups = table (backup_level kit space) space.backup_accumulations;
+    avaults = table (vault_level kit space) space.vault_accumulations;
     amirrors = Array.of_list space.mirror_links;
   }
 
 let in_range a i = i >= 0 && i < Array.length a
 
+let pit_cell t ~pit ~pit_acc ~pit_ret =
+  if
+    in_range t.pits pit
+    && in_range t.pits.(pit) pit_acc
+    && in_range t.pits.(pit).(pit_acc) pit_ret
+  then Some t.pits.(pit).(pit_acc).(pit_ret)
+  else None
+
+let build t ~name levels =
+  match Hierarchy.make levels with
+  | Error _ -> None
+  | Ok hierarchy ->
+    Some
+      (Design.make ~name ~workload:t.akit.workload ~hierarchy
+         ~business:t.akit.business ~background:t.background ())
+
+(* The one place a grid cell becomes a design. A level stack that
+   violates the hierarchy conventions, or a design the linter would
+   reject, yields [None]. *)
+let assemble t ~name levels =
+  match build t ~name levels with
+  | Some design as cell when Design.validate design = Ok () -> cell
+  | Some _ | None -> None
+
 let design_of_point t = function
-  | Tape { pit; pit_acc; pit_ret; backup; vault } ->
-    if
-      in_range t.pit_kinds pit && in_range t.pit_accs pit_acc
-      && in_range t.pit_rets pit_ret && in_range t.abackups backup
-      && in_range t.avaults vault
-    then begin
-      let pit_level, pit_fragment =
-        pit_parts t.akit t.pit_kinds.(pit) t.pit_accs.(pit_acc)
-          t.pit_rets.(pit_ret)
-      in
+  | Tape { pit; pit_acc; pit_ret; backup; vault } -> (
+    match pit_cell t ~pit ~pit_acc ~pit_ret with
+    | Some (pit_level, pit_fragment)
+      when in_range t.abackups backup && in_range t.avaults vault ->
       let backup_level, backup_label = t.abackups.(backup) in
       let vault_level, vault_label = t.avaults.(vault) in
-      assemble ~background:t.background t.akit
+      assemble t
         ~name:(pit_fragment ^ ", backup/" ^ backup_label ^ ", vault/" ^ vault_label)
         [ t.aprimary; pit_level; backup_level; vault_level ]
-    end
-    else None
+    | Some _ | None -> None)
   | Mirror { links } ->
     if in_range t.amirrors links then
-      assemble ~background:t.background t.akit
+      assemble t
         ~name:("asyncB mirror x" ^ string_of_int t.amirrors.(links))
         [ t.aprimary; mirror_level t.akit t.amirrors.(links) ]
     else None
 
+(* The axis tables are built inside the first forced cell, once per
+   traversal, so an unforced grid costs nothing. *)
+let enumerate kit space () =
+  Seq.filter_map (design_of_point (axes kit space)) (points space) ()
+
 let tape_prefix t ~pit ~pit_acc ~pit_ret ?backup () =
-  if
-    not
-      (in_range t.pit_kinds pit && in_range t.pit_accs pit_acc
-      && in_range t.pit_rets pit_ret)
-  then None
-  else begin
-    let pit_level, pit_fragment =
-      pit_parts t.akit t.pit_kinds.(pit) t.pit_accs.(pit_acc) t.pit_rets.(pit_ret)
-    in
-    let levels, name =
-      match backup with
-      | None -> ([ t.aprimary; pit_level ], "prefix " ^ pit_fragment)
-      | Some b ->
-        if not (in_range t.abackups b) then ([], "")
-        else begin
-          let backup_level, backup_label = t.abackups.(b) in
-          ( [ t.aprimary; pit_level; backup_level ],
-            "prefix " ^ pit_fragment ^ ", backup/" ^ backup_label )
-        end
-    in
-    if levels = [] then None
-    else begin
-      match Hierarchy.make levels with
-      | Error _ -> None
-      | Ok hierarchy ->
-        Some
-          (Design.make ~name ~workload:t.akit.workload ~hierarchy
-             ~business:t.akit.business ~background:t.background ())
-    end
-  end
+  let ( let* ) = Option.bind in
+  let* pit_level, pit_fragment = pit_cell t ~pit ~pit_acc ~pit_ret in
+  match backup with
+  | None -> build t ~name:("prefix " ^ pit_fragment) [ t.aprimary; pit_level ]
+  | Some b when in_range t.abackups b ->
+    let backup_level, backup_label = t.abackups.(b) in
+    build t
+      ~name:("prefix " ^ pit_fragment ^ ", backup/" ^ backup_label)
+      [ t.aprimary; pit_level; backup_level ]
+  | Some _ -> None

@@ -48,24 +48,15 @@ val scaled_space : scale:int -> space
     {!default_space}; [scale = 7] is on the order of 10^5 candidates —
     sized for streaming search, not for materializing. *)
 
-val enumerate : kit -> space -> Design.t Seq.t
-(** All structurally valid candidate designs, lazily: the tape-based
-    family (PiT x backup x vault policies) followed by the mirror family
-    (one per link count). Design names encode their parameters. Each
-    element is built (and validated) only when forced, so a grid of a
-    million candidates costs no memory until — and no more than a
-    window's worth while — it is consumed; the sequence is persistent and
-    re-enumerates on re-traversal. *)
-
 (** {1 The grid as a coordinate space}
 
-    The solver layer ({!Solver}) navigates the grid by coordinates rather
-    than by enumeration: a {!point} names one combination of axis indices,
-    and neighborhood moves are small index perturbations. Decoding a point
-    runs the very same construction code as {!enumerate}, so a solver that
-    lands on grid cell [i] builds a design structurally identical to the
-    [i]-th enumerated candidate — optima are comparable across the two
-    paths, and a shared engine cache hits across both. *)
+    A {!point} names one combination of axis indices. The solver layer
+    ({!Solver}) navigates the grid by points — neighborhood moves are
+    small index perturbations — and {!enumerate} is the same decoder run
+    over every point, so a solver that lands on grid cell [i] builds a
+    design structurally identical to the [i]-th enumerated candidate:
+    optima are comparable across the two paths, and a shared engine
+    cache hits across both. *)
 
 type point =
   | Tape of { pit : int; pit_acc : int; pit_ret : int; backup : int; vault : int }
@@ -89,18 +80,19 @@ val point_count : space -> int
     {!enumerate}. *)
 
 val point_of_index : space -> int -> point
-(** The [i]-th point in {!enumerate}'s order (tape family in row-major
-    pit-kind/pit-acc/pit-ret/backup/vault order, then mirrors). Raises
+(** The [i]-th point: the tape family in row-major
+    pit-kind/pit-acc/pit-ret/backup/vault order, then the mirrors. Raises
     [Invalid_argument] outside [0, point_count)]. *)
 
 val points : space -> point Seq.t
-(** All points, lazily, in {!enumerate}'s order. *)
+(** All points, lazily, in {!point_of_index} order. *)
 
 type axes
-(** Per-axis level tables precomputed once per [(kit, space)] — the
-    decoder the solver evaluates points through. May carry background
-    demands (see {!axes}) so a portfolio member's candidates are priced
-    under its neighbors' load. *)
+(** Per-axis level tables precomputed once per [(kit, space)] — one PiT
+    level per (kind, accumulation, retention), shared by all its backup x
+    vault cells — the decoder points are evaluated through. May carry
+    background demands (see {!axes}) so a portfolio member's candidates
+    are priced under its neighbors' load. *)
 
 val axes :
   ?background:(string * Storage_device.Demand.labeled list) list ->
@@ -111,10 +103,21 @@ val axes :
     {!Storage_model.Design.make}); default none, matching {!enumerate}. *)
 
 val design_of_point : axes -> point -> Design.t option
-(** Decode one grid cell; [None] when the combination is structurally
-    invalid or lint-rejected — exactly the candidates {!enumerate} would
-    have skipped. Out-of-range indices are [None], never an exception, so
-    solver moves may probe freely. *)
+(** Decode one grid cell — the only place a cell becomes a design; [None]
+    when the combination is structurally invalid or lint-rejected.
+    Out-of-range indices are [None], never an exception, so solver moves
+    may probe freely. *)
+
+val enumerate : kit -> space -> Design.t Seq.t
+(** All structurally valid candidate designs, lazily:
+    [Seq.filter_map (design_of_point (axes kit space)) (points space)] —
+    the tape-based family (PiT x backup x vault policies) followed by the
+    mirror family (one per link count). Design names encode their
+    parameters. Each element is built (and validated) only when forced,
+    so a grid of a million candidates costs no memory until — and no
+    more than a window's worth while — it is consumed; the sequence is
+    persistent and re-enumerates (axis tables included) on
+    re-traversal. *)
 
 val tape_prefix :
   axes -> pit:int -> pit_acc:int -> pit_ret:int -> ?backup:int -> unit ->

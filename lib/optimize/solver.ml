@@ -230,13 +230,13 @@ let run_bnb ~engine ~record_pruned ~axes ~space scenarios =
 
 (* --- dispatch --- *)
 
-let run_in ~engine ?(budget = default_budget) ?seed ?(record_pruned = false)
+let run_in ~engine ?(budget = default_budget) ?(seed = Engine.default_seed)
+    ?(record_pruned = false)
     ?background ~method_ kit space scenarios =
   if scenarios = [] then invalid_arg "Solver.run: no scenarios";
   if budget < 1 then invalid_arg "Solver.run: budget must be >= 1";
   let grid_points = Candidate.point_count space in
   if grid_points = 0 then invalid_arg "Solver.run: empty candidate space";
-  let seed = match seed with Some s -> s | None -> Engine.seed engine in
   Storage_obs.Timer.time t_solver @@ fun () ->
   let axes = Candidate.axes ?background kit space in
   let best, stats, pruned =
@@ -338,8 +338,8 @@ let background_for kit chosen ~self =
          if extra = [] then None
          else Some (dev.Storage_device.Device.name, extra))
 
-let solve_portfolio ?engine ?budget ?seed ?(rounds = 2) ~method_ ~kit ~space
-    ~members scenarios =
+let solve_portfolio ?engine ?budget ?(seed = Engine.default_seed) ?(rounds = 2)
+    ~method_ ~kit ~space ~members scenarios =
   if members = [] then invalid_arg "Solver.solve_portfolio: no members";
   if rounds < 1 then invalid_arg "Solver.solve_portfolio: rounds must be >= 1";
   let labels = List.map (fun m -> m.label) members in
@@ -351,7 +351,6 @@ let solve_portfolio ?engine ?budget ?seed ?(rounds = 2) ~method_ ~kit ~space
   Fun.protect
     ~finally:(fun () -> if owned then Engine.shutdown engine)
   @@ fun () ->
-  let seed = match seed with Some s -> s | None -> Engine.seed engine in
   let master = Storage_workload.Prng.create ~seed in
   let kit_for m =
     { kit with Candidate.workload = m.workload; business = m.business }

@@ -66,7 +66,8 @@ val run :
   result
 (** Search the grid for the cheapest feasible design. [budget] (default
     {!default_budget}) bounds annealing proposals and is recorded (but
-    not binding) for grid/bnb; [seed] defaults to the engine's seed;
+    not binding) for grid/bnb; [seed] defaults to
+    {!Storage_engine.default_seed};
     [background] prices every candidate under externally-imposed device
     load (see {!Candidate.axes}). A transient engine is created (and
     shut down) when none is passed. Raises [Invalid_argument] on an

@@ -1,5 +1,5 @@
-open Storage_units
 open Storage_model
+module Optimize_request = Storage_presets.Optimize_request
 
 (* Audited SA007 suppression: the daemon's lock/unlock pairs follow the
    queue-and-condition protocol (Condition.wait must run with the lock
@@ -90,73 +90,33 @@ let handle_lint (req : Http.request) =
     Http.ok_json
       (json_body (Storage_lint.to_json ~design:design.Design.name found))
 
+(* Query parsing and the service's caps only: the search and its text
+   are [Optimize_request]'s, the same code `ssdep optimize` prints. *)
 let handle_optimize t (req : Http.request) =
-  let float_param name =
-    match Http.query_param req name with
-    | None -> Ok None
-    | Some raw -> (
-      match float_of_string_opt raw with
-      | Some v when v > 0. -> Ok (Some v)
-      | Some _ | None ->
-        Error (Printf.sprintf "%s must be a positive number, got %S" name raw))
-  in
-  let int_param ~max name default =
+  let param name parse default =
     match Http.query_param req name with
     | None -> Ok default
-    | Some raw -> (
-      match int_of_string_opt raw with
-      | Some v when v >= 1 && v <= max -> Ok v
-      | Some _ | None ->
-        Error (Printf.sprintf "%s must be an integer in [1, %d], got %S" name
-                 max raw))
+    | Some raw -> Result.map_error (Printf.sprintf "%s: %s" name) (parse raw)
+  in
+  let objective raw = Result.map Option.some (Optimize_request.hours raw) in
+  let count ~max raw =
+    match int_of_string_opt raw with
+    | Some v when v >= 1 && v <= max -> Ok v
+    | Some _ | None ->
+      Error (Printf.sprintf "%S is not an integer in [1, %d]" raw max)
   in
   let ( let* ) r f = match r with Error e -> Http.error 400 e | Ok v -> f v in
-  let* rto = float_param "rto" in
-  let* rpo = float_param "rpo" in
+  let* rto = param "rto" objective None in
+  let* rpo = param "rpo" objective None in
   let* top_k =
-    match Http.query_param req "top_k" with
-    | None -> Ok None
-    | Some _ -> Result.map Option.some (int_param ~max:1000 "top_k" 10)
+    param "top_k" (fun raw -> Result.map Option.some (count ~max:1000 raw)) None
   in
   (* The grid is O(scale^3) designs; a service must bound what one
      request can make it chew. *)
-  let* grid_scale = int_param ~max:4 "grid_scale" 1 in
-  let business =
-    Business.make
-      ~outage_penalty_rate:(Money_rate.usd_per_hour 50_000.)
-      ~loss_penalty_rate:(Money_rate.usd_per_hour 50_000.)
-      ?recovery_time_objective:(Option.map Duration.hours rto)
-      ?recovery_point_objective:(Option.map Duration.hours rpo)
-      ()
-  in
-  let kit = Storage_presets.Whatif.search_kit ~business () in
-  let space = Storage_presets.Whatif.search_space ~scale:grid_scale () in
-  let candidates = Storage_optimize.Candidate.enumerate kit space in
-  let scenarios =
-    [
-      Storage_presets.Baseline.scenario_array;
-      Storage_presets.Baseline.scenario_site;
-    ]
-  in
-  let result =
-    Storage_optimize.Search.run ~engine:t.engine ?top_k candidates scenarios
-  in
-  let body =
-    Fmt.str "%a@." Storage_optimize.Search.pp result
-    ^
-    match top_k with
-    | None -> ""
-    | Some k ->
-      Fmt.str "top %d feasible (of %d):@."
-        (min k result.Storage_optimize.Search.feasible_count)
-        result.Storage_optimize.Search.feasible_count
-      ^ String.concat ""
-          (List.mapi
-             (fun i s ->
-               Fmt.str "  %2d. %a@." (i + 1) Storage_optimize.Objective.pp s)
-             result.Storage_optimize.Search.feasible)
-  in
-  Http.ok_text body
+  let* grid_scale = param "grid_scale" (count ~max:4) 1 in
+  Http.ok_text
+    (Optimize_request.listing ~engine:t.engine
+       { Optimize_request.rto; rpo; top_k; grid_scale })
 
 let handle_stats () = Http.ok_json (json_body (Storage_obs.snapshot ()))
 

@@ -69,7 +69,12 @@ let design rng =
   let rec attempt tries =
     if tries = 0 then choose rng (Seeded.pool ())
     else begin
-      let kit = { Seeded.kit with Candidate.workload = workload rng } in
+      let kit =
+        {
+          (Storage_presets.Whatif.search_kit ()) with
+          Candidate.workload = workload rng;
+        }
+      in
       match List.of_seq (Candidate.enumerate kit (space rng)) with
       | [] -> attempt (tries - 1)
       | designs -> choose rng designs

@@ -568,9 +568,9 @@ let solver_exhaustive_equivalence =
       (fun ctx d scenarios ->
         let kit =
           {
-            Seeded.kit with
+            (Storage_presets.Whatif.search_kit ~business:d.Design.business ())
+            with
             Candidate.workload = d.Design.workload;
-            business = d.Design.business;
           }
         in
         let scenarios = List.map snd scenarios in

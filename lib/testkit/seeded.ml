@@ -12,25 +12,6 @@ open Storage_model
 open Storage_optimize
 open Storage_presets
 
-let business =
-  Business.make
-    ~outage_penalty_rate:(Money_rate.usd_per_hour 50_000.)
-    ~loss_penalty_rate:(Money_rate.usd_per_hour 50_000.)
-    ()
-
-let kit =
-  {
-    Candidate.workload = Cello.workload;
-    business;
-    primary = Baseline.disk_array;
-    tape_library = Baseline.tape_library;
-    vault = Baseline.vault;
-    remote_array = Baseline.remote_array;
-    san = Baseline.san;
-    shipment = Baseline.air_shipment;
-    wan = (fun links -> Baseline.oc3 ~links);
-  }
-
 let pool_space =
   {
     Candidate.pit_techniques = [ `Split_mirror; `Snapshot ];
@@ -55,10 +36,12 @@ let lint_space =
     mirror_links = [ 1; 4 ];
   }
 
-let pool_memo = lazy (List.of_seq (Candidate.enumerate kit pool_space))
+let grid space = List.of_seq (Candidate.enumerate (Whatif.search_kit ()) space)
+
+let pool_memo = lazy (grid pool_space)
 let pool () = Lazy.force pool_memo
-let pool_again () = List.of_seq (Candidate.enumerate kit pool_space)
-let lint_pool_memo = lazy (List.of_seq (Candidate.enumerate kit lint_space))
+let pool_again () = grid pool_space
+let lint_pool_memo = lazy (grid lint_space)
 let lint_pool () = Lazy.force lint_pool_memo
 
 let draw ~seed ~n pool =

@@ -10,12 +10,6 @@ open Storage_optimize
     produced for the same seed, so pre-existing regressions keep
     reproducing bit for bit. *)
 
-val business : Business.t
-(** The case study's $50,000/hr outage and loss penalties. *)
-
-val kit : Candidate.kit
-(** Cello workload on the baseline preset hardware. *)
-
 val pool_space : Candidate.space
 (** A moderate valid-design grid (the random-design suites' pool). *)
 
@@ -24,7 +18,7 @@ val lint_space : Candidate.space
     feasibility frontier. *)
 
 val pool : unit -> Design.t list
-(** [Candidate.enumerate kit pool_space], memoized. *)
+(** [Candidate.enumerate (Whatif.search_kit ()) pool_space], memoized. *)
 
 val pool_again : unit -> Design.t list
 (** A structurally identical but physically fresh enumeration — used by

@@ -230,6 +230,10 @@ let malformed_cases =
     ( "bad optimize parameter",
       "GET /optimize?grid_scale=banana HTTP/1.1\r\n\r\n",
       400 );
+    ("infinite objective", "GET /optimize?rto=inf HTTP/1.1\r\n\r\n", 400);
+    ( "objective overflowing a duration",
+      "GET /optimize?rto=1e308 HTTP/1.1\r\n\r\n",
+      400 );
   ]
 
 (* The worker-loop exception barrier: handler exceptions become a 500,
@@ -367,6 +371,14 @@ let find_ssdep () =
   in
   List.find_opt Sys.file_exists candidates
 
+(* What the CLI prints for [args]; a non-zero exit fails the test. *)
+let cli_output bin args =
+  let ic = Unix.open_process_args_in bin (Array.of_list (bin :: args)) in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> out
+  | _ -> Alcotest.failf "ssdep %s failed" (String.concat " " args)
+
 let test_real_binary_drains_on_sigterm () =
   match find_ssdep () with
   | None -> Alcotest.fail "ssdep binary not found (SSDEP_BIN unset?)"
@@ -419,6 +431,24 @@ let test_real_binary_drains_on_sigterm () =
               "daemon response byte-identical to `ssdep evaluate --json`"
               true
               (String.equal cli_out body));
+        (* /optimize answers what `ssdep optimize` prints with the same
+           objectives, byte for byte. *)
+        List.iter
+          (fun (query, args) ->
+            let status, body =
+              request ~port ~meth:"GET" ~path:("/optimize" ^ query) ""
+            in
+            Alcotest.(check (option int)) ("/optimize" ^ query) (Some 200)
+              status;
+            Alcotest.(check string)
+              ("/optimize" ^ query ^ " byte-identical to `ssdep optimize`")
+              (cli_output bin ("optimize" :: args))
+              body)
+          [
+            ("?rto=12&rpo=1&top_k=3",
+             [ "--rto"; "12"; "--rpo"; "1"; "--top-k"; "3" ]);
+            ("", []);
+          ];
         (* SIGTERM: graceful drain, clean exit, the drain banner. *)
         Unix.kill pid Sys.sigterm;
         let rest = In_channel.input_all ic in
