@@ -14,10 +14,9 @@
      dune exec bench/main.exe solver          # solver-vs-grid parity bench
 
    The parallel mode times the design-space search over a few hundred
-   generated candidates — serial versus 2/4/8-domain Pool evaluation, and
-   an iterative three-pass what-if session serial-uncached versus the full
-   engine (domains + shared Eval_cache) — and writes the measurements to
-   BENCH_parallel.json. Wall-clock (Unix.gettimeofday), best of three.
+   generated candidates — serial versus 2/4/8-domain Pool evaluation — and
+   writes the measurements to BENCH_parallel.json. Wall-clock
+   (Unix.gettimeofday), best of three.
 
    The stream mode checks the streaming search's memory contract — a
    10^5-candidate grid must peak (live words after forced major
@@ -393,8 +392,8 @@ let parallel_bench () =
   let module Search = Storage_optimize.Search in
   let module Engine = Storage_optimize.Engine in
   (* Record engine statistics throughout, so the benchmark artifact keeps
-     the cache hit rates, per-stage evaluate timings and per-domain task
-     counts behind each wall-clock number. *)
+     the per-stage evaluate timings and per-domain task counts behind each
+     wall-clock number. *)
   Storage_obs.enable ();
   let candidates =
     List.of_seq
@@ -408,8 +407,8 @@ let parallel_bench () =
     "Multicore engine benchmark: %d candidates x %d scenarios (%d core(s) \
      available)\n"
     n (List.length scenarios) cores;
-  (* 1. One sweep of the whole space, serial vs 2/4/8 domains. Each run
-     gets a fresh engine so nothing is cached across measurements. *)
+  (* One sweep of the whole space, serial vs 2/4/8 domains, each run on a
+     fresh engine. *)
   let search ~jobs cs =
     Engine.with_engine ~jobs (fun engine ->
         Search.run ~engine (List.to_seq cs) scenarios)
@@ -430,58 +429,6 @@ let parallel_bench () =
         (jobs, t, undersubscribed))
       [ 2; 4; 8 ]
   in
-  (* 2. An iterative what-if session (§4.2): four overlapping passes — the
-     broad sweep, a re-run after adding longer-haul mirror candidates, a
-     re-ranking of the snapshot family, and a full re-rank once the analyst
-     has narrowed the objective. Serial-uncached pays full evaluation price
-     every pass; one engine held across the session (domains sized to the
-     hardware, its slot cache shared) re-evaluates only what is new. *)
-  let extra =
-    List.of_seq
-      (Storage_optimize.Candidate.enumerate (Whatif.search_kit ())
-         { parallel_space with
-           Storage_optimize.Candidate.pit_techniques = [];
-           mirror_links = [ 12; 16; 20; 24 ] })
-  in
-  let is_snap (d : Design.t) =
-    String.length d.Design.name >= 4 && String.sub d.Design.name 0 4 = "snap"
-  in
-  let passes =
-    [ candidates; candidates @ extra; List.filter is_snap candidates;
-      candidates ]
-  in
-  let engine_jobs = min 4 (Storage_parallel.Pool.default_jobs ()) in
-  let session ~jobs ~share_cache () =
-    Engine.with_engine ~jobs (fun engine ->
-        List.iter
-          (fun cs ->
-            (* A fresh cache per pass simulates the pre-engine behaviour;
-               sharing leaves the engine's slot cache in place. *)
-            if not share_cache then Eval_cache.attach engine (Eval_cache.create ());
-            ignore
-              (Sys.opaque_identity
-                 (Search.run ~engine (List.to_seq cs) scenarios)))
-          passes)
-  in
-  let session_serial = time_best_of (session ~jobs:1 ~share_cache:false) in
-  let session_engine =
-    time_best_of (session ~jobs:engine_jobs ~share_cache:true)
-  in
-  (* Re-run once more to report the cache's hit/miss profile. *)
-  let cache = Eval_cache.create () in
-  Engine.with_engine (fun engine ->
-      Eval_cache.attach engine cache;
-      List.iter
-        (fun cs -> ignore (Search.run ~engine (List.to_seq cs) scenarios))
-        passes);
-  Printf.printf "  what-if session (4 passes), serial uncached: %8.1f ms\n"
-    (session_serial *. 1e3);
-  Printf.printf
-    "  what-if session (4 passes), engine (%d domain(s) + cache): %8.1f ms  \
-     (%.2fx, %d hits / %d misses)\n"
-    engine_jobs (session_engine *. 1e3)
-    (session_serial /. session_engine)
-    (Eval_cache.hits cache) (Eval_cache.misses cache);
   let json =
     J.Obj
       [
@@ -507,17 +454,6 @@ let parallel_bench () =
                          ])
                      by_jobs) );
             ] );
-        ( "whatif_session",
-          J.Obj
-            [
-              ("passes", J.Int (List.length passes));
-              ("engine_jobs", J.Int engine_jobs);
-              ("serial_uncached_seconds", J.Float session_serial);
-              ("engine_cached_seconds", J.Float session_engine);
-              ("speedup", J.Float (session_serial /. session_engine));
-              ("cache_hits", J.Int (Eval_cache.hits cache));
-              ("cache_misses", J.Int (Eval_cache.misses cache));
-            ] );
         ("stats", Storage_obs.snapshot ());
       ]
   in
@@ -531,8 +467,8 @@ let parallel_bench () =
 (* The memory story behind the streaming search: a grid of ~10^5
    candidates evaluated through [Search.run ~top_k] must peak within 2x
    of a ~10^3-candidate run (working set = one pool window + the slim
-   frontier + k survivors + the bounded cache, not the grid), while the
-   materialized path retains every summary.
+   frontier + k survivors, not the grid), while the materialized path
+   retains every summary.
 
    Peak is measured as the maximum of [Gc.stat().live_words] right
    after a forced major collection, sampled every 1024 candidates as
@@ -586,26 +522,19 @@ let stream_bench () =
     (result, dt, !peak)
   in
   let stream ~jobs cs =
-    let engine = Engine.create ~jobs ~cache_bound:512 () in
-    Fun.protect
-      ~finally:(fun () -> Engine.shutdown engine)
-      (fun () -> Search.run ~engine ~top_k:10 (monitored cs) scenarios)
+    Engine.with_engine ~jobs (fun engine ->
+        Search.run ~engine ~top_k:10 (monitored cs) scenarios)
   in
-  (* Headline throughput: serial, cache off (a one-shot sweep over an
-     all-distinct grid cannot hit the cache, so fingerprinting and memo
-     bookkeeping are pure overhead there), and unmonitored — the
-     [Gc.full_major] sampling above costs more than the evaluations. *)
+  (* Headline throughput: serial and unmonitored — the [Gc.full_major]
+     sampling above costs more than the evaluations. *)
   let t_throughput =
     time_best_of ~repeats:2 (fun () ->
-        let engine = Engine.create ~cache:false () in
-        Fun.protect
-          ~finally:(fun () -> Engine.shutdown engine)
-          (fun () -> Search.run ~engine ~top_k:10 large scenarios))
+        Engine.with_engine (fun engine ->
+            Search.run ~engine ~top_k:10 large scenarios))
   in
   let throughput = float_of_int n_large /. t_throughput in
   Printf.printf
-    "  throughput, %d candidates, serial, cache off: %8.1f ms  (%.0f \
-     candidates/s)\n"
+    "  throughput, %d candidates, serial: %8.1f ms  (%.0f candidates/s)\n"
     n_large (t_throughput *. 1e3) throughput;
   let r_small, t_small, peak_small =
     measure (Printf.sprintf "streaming, %d candidates, serial" n_small)
@@ -668,7 +597,6 @@ let stream_bench () =
               ("candidates", J.Int n_large);
               ("seconds", J.Float t_throughput);
               ("candidates_per_sec", J.Float throughput);
-              ("cache", J.Bool false);
             ] );
         ( "runs",
           J.List
@@ -798,10 +726,7 @@ let solver_bench ~smoke () =
      %d job(s)\n"
     b.Baselines.name points (List.length scenarios) b.Baselines.solver_seed
     jobs;
-  let engine = Engine.create ~jobs ~cache:false () in
-  Fun.protect
-    ~finally:(fun () -> Engine.shutdown engine)
-    (fun () ->
+  Engine.with_engine ~jobs (fun engine ->
       let timed method_ ?budget () =
         let t0 = Unix.gettimeofday () in
         let r =
@@ -1117,11 +1042,9 @@ let check_bench ~smoke () =
     "Perf-regression check, %s tier: %d candidates x %d scenarios, %d \
      core(s)\n"
     b.Baselines.name n (List.length scenarios) cores;
-  let search ~cache ~jobs cs =
-    let engine = Engine.create ~jobs ~cache ~cache_bound:512 () in
-    Fun.protect
-      ~finally:(fun () -> Engine.shutdown engine)
-      (fun () -> Search.run ~engine ~top_k:10 cs scenarios)
+  let search ~jobs cs =
+    Engine.with_engine ~jobs (fun engine ->
+        Search.run ~engine ~top_k:10 cs scenarios)
   in
   let gates = ref [] in
   let gate name ~measured ~threshold ~ok ~unit_ =
@@ -1153,13 +1076,11 @@ let check_bench ~smoke () =
       :: !gates;
     true
   in
-  (* Gate 1 — serial streaming throughput, cache off: the configuration a
-     one-shot sweep over an all-distinct grid runs in, so regressions in
-     enumeration, the evaluation stages or the search loop itself all
-     land here. *)
+  (* Gate 1 — serial streaming throughput: regressions in enumeration,
+     the evaluation stages or the search loop itself all land here. *)
   let t_serial =
     time_best_of ~repeats:(if smoke then 3 else 2) (fun () ->
-        search ~cache:false ~jobs:1 (grid ()))
+        search ~jobs:1 (grid ()))
   in
   let cps = float_of_int n /. t_serial in
   let ok_throughput =
@@ -1178,7 +1099,7 @@ let check_bench ~smoke () =
     else begin
       let t_par =
         time_best_of ~repeats:(if smoke then 3 else 2) (fun () ->
-            search ~cache:false ~jobs:b.Baselines.jobs (grid ()))
+            search ~jobs:b.Baselines.jobs (grid ()))
       in
       let speedup = t_serial /. t_par in
       gate "parallel-speedup" ~measured:speedup
@@ -1187,10 +1108,10 @@ let check_bench ~smoke () =
         ~unit_:"x"
     end
   in
-  (* Gate 3 — peak live words of the monitored bounded-cache serial run:
-     the O(window + frontier + cache bound) memory contract. An O(grid)
-     leak — materializing summaries, an unbounded memo — blows through
-     the ceiling by an order of magnitude. *)
+  (* Gate 3 — peak live words of the monitored serial run: the
+     O(window + frontier) memory contract. An O(grid) leak — materializing
+     summaries, an unbounded memo — blows through the ceiling by an order
+     of magnitude. *)
   let peak = ref 0 in
   let sample () =
     Gc.full_major ();
@@ -1201,7 +1122,7 @@ let check_bench ~smoke () =
     Seq.mapi (fun i d -> if i mod 1024 = 0 then sample (); d) cs
   in
   sample ();
-  let r = search ~cache:true ~jobs:1 (monitored (grid ())) in
+  let r = search ~jobs:1 (monitored (grid ())) in
   sample ();
   ignore (Sys.opaque_identity r);
   let ok_peak =
@@ -1245,10 +1166,7 @@ let check_bench ~smoke () =
     let space =
       Storage_optimize.Candidate.scaled_space ~scale:b.Baselines.grid_scale
     in
-    let engine = Engine.create ~jobs:1 ~cache:false () in
-    Fun.protect
-      ~finally:(fun () -> Engine.shutdown engine)
-      (fun () ->
+    Engine.with_engine ~jobs:1 (fun engine ->
         let solve method_ ?budget () =
           Solver.run ~engine ?budget ~seed:b.Baselines.solver_seed ~method_
             (Whatif.search_kit ()) space scenarios

@@ -33,8 +33,6 @@ type t = {
   jobs : int;
   lint : bool;
   stats : bool;
-  cache : bool;
-  cache_bound : int option;
   chunk : int option;
   lock : Mutex.t;
   mutable pool : Storage_parallel.Pool.t option;
@@ -44,12 +42,8 @@ type t = {
 (* The historical Risk.monte_carlo constant. *)
 let default_seed = 0xCA5CADEL
 
-let create ?(jobs = 1) ?(lint = true) ?(stats = false) ?(cache = true)
-    ?cache_bound ?chunk () =
+let create ?(jobs = 1) ?(lint = true) ?(stats = false) ?chunk () =
   if jobs < 1 then invalid_arg "Engine.create: jobs must be >= 1";
-  (match cache_bound with
-  | Some n when n < 1 -> invalid_arg "Engine.create: cache_bound must be >= 1"
-  | _ -> ());
   (match chunk with
   | Some c when c < 1 -> invalid_arg "Engine.create: chunk must be >= 1"
   | _ -> ());
@@ -58,8 +52,6 @@ let create ?(jobs = 1) ?(lint = true) ?(stats = false) ?(cache = true)
     jobs;
     lint;
     stats;
-    cache;
-    cache_bound;
     chunk;
     lock = Mutex.create ();
     pool = None;
@@ -78,9 +70,6 @@ let parse_jobs s =
 
 let jobs_env_var = "SSDEP_JOBS"
 
-(* Unattended front ends share one bound: large enough that the CLI's
-   design grids (hundreds of candidates x a few scenarios) never evict,
-   small enough that streaming a million-design grid stays bounded. *)
 let of_cli ?chunk ?(env = Sys.getenv_opt) ~jobs ~stats () =
   let resolved =
     match jobs with
@@ -97,15 +86,11 @@ let of_cli ?chunk ?(env = Sys.getenv_opt) ~jobs ~stats () =
         | Ok n -> Ok n
         | Error e -> Error (Printf.sprintf "%s: %s" jobs_env_var e)))
   in
-  Result.map
-    (fun jobs -> create ~jobs ~stats ~cache_bound:8192 ?chunk ())
-    resolved
+  Result.map (fun jobs -> create ~jobs ~stats ?chunk ()) resolved
 
 let jobs t = t.jobs
 let lint t = t.lint
 let stats t = t.stats
-let cache t = t.cache
-let cache_bound t = t.cache_bound
 let chunk t = t.chunk
 
 let locked t f = Mutex.protect t.lock f
@@ -160,6 +145,3 @@ let slot t key ~default =
         let v = default () in
         Hashtbl.replace t.slots key.uid (key.inj v);
         v)
-
-let set_slot t key v =
-  locked t (fun () -> Hashtbl.replace t.slots key.uid (key.inj v))

@@ -3,12 +3,10 @@
     The framework's outer loops — design-space search, sensitivity sweeps,
     portfolio evaluation, Monte-Carlo risk, failure-phase sweeps — share
     the same execution machinery: a {!Storage_parallel.Pool} of domains,
-    a memoized evaluation cache, the static lint pre-filter policy and
-    the {!Storage_obs} stats switch.
-    Threading those as per-call [?jobs]/[?cache]/[?lint] optional
-    arguments does not scale past a handful of entry points (every new
-    loop re-grows the triple); an [Engine.t] owns them once and is passed
-    whole.
+    the static lint pre-filter policy and the {!Storage_obs} stats switch.
+    Threading those as per-call [?jobs]/[?lint] optional arguments does
+    not scale past a handful of entry points (every new loop re-grows
+    the list); an [Engine.t] owns them once and is passed whole.
 
     Ownership and lifecycle:
     - The engine owns its domain pool. The pool is created lazily on the
@@ -16,10 +14,10 @@
       a domain) and is reused across every subsequent batch until
       {!shutdown}.
     - The engine owns one {e slot} per typed key (see {!new_key}):
-      higher layers stash their caches there — e.g.
-      [Eval_cache.of_engine] — without this module depending on them.
-      Slots are created on first use under the engine's mutex and live
-      until the engine is garbage collected.
+      higher layers stash state there — e.g. [Eval_cache.of_engine] —
+      without this module depending on them. Slots are created on first
+      use under the engine's mutex and live until the engine is garbage
+      collected.
     - Lint policy and stats flag are immutable configuration.
 
     Engines are cheap to create; [create ()] is the serial default used
@@ -28,25 +26,11 @@
 
 type t
 
-val create :
-  ?jobs:int ->
-  ?lint:bool ->
-  ?stats:bool ->
-  ?cache:bool ->
-  ?cache_bound:int ->
-  ?chunk:int ->
-  unit ->
-  t
+val create : ?jobs:int -> ?lint:bool -> ?stats:bool -> ?chunk:int -> unit -> t
 (** [create ()] is a serial engine: [jobs = 1], lint pre-filtering on,
-    stats off, caching on with an unbounded cache policy, auto-sized
-    parallel chunks. Raises
-    [Invalid_argument] when [jobs < 1], [cache_bound < 1] or
-    [chunk < 1]. [~stats:true] additionally turns the global
-    {!Storage_obs} registry on. [~cache:false] turns the evaluation
-    memo-cache off entirely — one-shot sweeps over all-distinct grids
-    get no hits from it, so they skip both the cache bookkeeping and the
-    design fingerprinting that exists only to key it (see
-    {!Storage_model.Design.fingerprint}). *)
+    stats off, auto-sized parallel chunks. Raises [Invalid_argument]
+    when [jobs < 1] or [chunk < 1]. [~stats:true] additionally turns the
+    global {!Storage_obs} registry on. *)
 
 val parse_jobs : string -> (int, string) result
 (** Validates one spelling of a jobs count: a positive decimal integer.
@@ -65,14 +49,12 @@ val of_cli :
   unit ->
   (t, string) result
 (** The one construction point for command-line front ends: routes
-    [--jobs], [--chunk] and [--stats] into an engine with a bounded
-    evaluation-cache policy suitable for unattended runs (see
-    {!cache_bound}). [jobs = None] means "not given on the command
-    line": the {!jobs_env_var} environment variable (read through [env],
-    default [Sys.getenv_opt]) supplies the default, and a malformed
-    value there is an [Error] naming the variable — a configuration
-    error, never a silent serial fallback. An explicit [jobs = Some n]
-    wins over the environment. *)
+    [--jobs], [--chunk] and [--stats] into an engine. [jobs = None]
+    means "not given on the command line": the {!jobs_env_var}
+    environment variable (read through [env], default [Sys.getenv_opt])
+    supplies the default, and a malformed value there is an [Error]
+    naming the variable — a configuration error, never a silent serial
+    fallback. An explicit [jobs = Some n] wins over the environment. *)
 
 val with_engine :
   ?jobs:int -> ?lint:bool -> ?stats:bool -> (t -> 'a) -> 'a
@@ -89,19 +71,6 @@ val default_seed : int64
     the caller passes none, so their results are reproducible. *)
 
 val stats : t -> bool
-
-val cache : t -> bool
-(** Whether evaluation loops should memoize (design, scenario) results
-    at all. [false] is the right setting for one-shot sweeps whose
-    candidates are all distinct: the cache cannot hit, so maintaining it
-    (and fingerprinting every design to key it) is pure overhead. *)
-
-val cache_bound : t -> int option
-(** Advisory bound for caches attached to this engine: [Some n] caps an
-    engine-owned evaluation cache at [n] entries (FIFO eviction) so that
-    streaming over a million-design grid keeps cache memory O(bound);
-    [None] (the [create] default) leaves it unbounded. [of_cli] engines
-    are bounded. Irrelevant when {!cache} is [false]. *)
 
 val chunk : t -> int option
 (** Forced scheduling granularity for parallel maps: [Some c] makes
@@ -127,11 +96,11 @@ val shutdown : t -> unit
 
 (** {1 Typed slots}
 
-    An engine carries arbitrary state for higher layers (caches,
-    memo tables) without depending on their types: each layer mints a
+    An engine carries arbitrary state for higher layers (such as a
+    session cache) without depending on their types: each layer mints a
     ['a key] once at module-init time and gets its own slot per engine.
     This inverts the dependency — [lib/engine] sits {e below} the model
-    layer, yet an engine can own the model's evaluation cache. *)
+    layer, yet an engine can own the model's state. *)
 
 type 'a key
 
@@ -143,7 +112,3 @@ val new_key : unit -> 'a key
 val slot : t -> 'a key -> default:(unit -> 'a) -> 'a
 (** [slot e k ~default] returns the value stored under [k], creating it
     with [default ()] (under the engine mutex) on first use. *)
-
-val set_slot : t -> 'a key -> 'a -> unit
-(** Replaces the slot value — e.g. to attach a pre-warmed or
-    specially-bounded cache before a run. *)

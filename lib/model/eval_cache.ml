@@ -13,10 +13,7 @@ let key design scenario =
 let engine_key : t Storage_engine.key = Storage_engine.new_key ()
 
 let of_engine e =
-  Storage_engine.slot e engine_key ~default:(fun () ->
-      create ?max_entries:(Storage_engine.cache_bound e) ())
-
-let attach e t = Storage_engine.set_slot e engine_key t
+  Storage_engine.slot e engine_key ~default:(fun () -> create ())
 
 let run t design scenario =
   Memo.find_or_add t (key design scenario) (fun () ->
@@ -36,4 +33,3 @@ let length t = Memo.length t
 let hits t = Memo.hits t
 let misses t = Memo.misses t
 let evicted t = Memo.evicted t
-let clear t = Memo.clear t

@@ -1,12 +1,13 @@
 (** Memoized evaluation, keyed by canonical (design, scenario) fingerprints.
 
-    {!Evaluate.run} is a pure function, and the outer exploration loops —
-    design-space search, sensitivity sweeps, iterative what-if sessions
-    (§4.2), portfolio evaluation — routinely revisit identical (design,
-    scenario) pairs. A cache evaluates each pair once and shares the
-    report, across calls and across the domains of a
-    {!Storage_parallel.Pool} (the underlying {!Storage_parallel.Memo} is
-    thread-safe).
+    {!Evaluate.run} is a pure function, so a cache can evaluate each
+    (design, scenario) pair once and share the report, across calls and
+    across the domains of a {!Storage_parallel.Pool} (the underlying
+    {!Storage_parallel.Memo} is thread-safe). It pays only where the
+    same pairs recur and the key is cheaper than the evaluation — e.g. a
+    service answering the same design bodies over and over. The
+    library's optimize loops evaluate directly: keying a freshly built
+    design costs about as much as evaluating it.
 
     Keys are {!Design.fingerprint} + {!Scenario.fingerprint}: purely
     structural, so it never matters how or where a design was built. A
@@ -20,15 +21,10 @@ val create : ?max_entries:int -> unit -> t
     {!Storage_parallel.Memo.create}); the default is unbounded. *)
 
 val of_engine : Storage_engine.t -> t
-(** The engine's evaluation cache: created on first use (honouring the
-    engine's {!Storage_engine.cache_bound} policy) and stored in an
-    engine slot, so every loop run on the same engine shares one cache.
-    This is how [?engine] entry points resolve their cache — the engine
-    itself has no compile-time knowledge of this module. *)
-
-val attach : Storage_engine.t -> t -> unit
-(** Makes [t] the engine's cache — e.g. a pre-warmed cache from an
-    earlier session, or one with a custom [max_entries] bound. *)
+(** The engine's session cache: unbounded, created on first use and
+    stored in an engine slot, so every call on the same engine shares
+    it. Only the optimize layer's [Objective.summarize ~engine] consults
+    it. *)
 
 val key : Design.t -> Scenario.t -> string
 (** The cache key: both fingerprints, joined. *)
@@ -47,5 +43,3 @@ val misses : t -> int
 
 val evicted : t -> int
 (** Reports evicted by the [max_entries] bound; [0] when unbounded. *)
-
-val clear : t -> unit

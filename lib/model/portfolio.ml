@@ -148,19 +148,14 @@ let lint_members t =
     t.members
 
 let evaluate ?engine t scenario =
-  match engine with
-  | None ->
-    List.map
-      (fun (m : Design.t) -> (m.Design.name, Evaluate.run m scenario))
-      (lint_members t)
-  | Some e ->
-    let members =
-      if Storage_engine.lint e then lint_members t else t.members
-    in
-    let cache = Eval_cache.of_engine e in
-    Storage_engine.map e
-      (fun (m : Design.t) -> (m.Design.name, Eval_cache.run cache m scenario))
-      members
+  let map, members =
+    match engine with
+    | None -> (List.map, lint_members t)
+    | Some e ->
+      ( Storage_engine.map e,
+        if Storage_engine.lint e then lint_members t else t.members )
+  in
+  map (fun (m : Design.t) -> (m.Design.name, Evaluate.run m scenario)) members
 
 let pp ppf t =
   let per_member, total = outlays t in

@@ -52,9 +52,8 @@ val evaluate :
     demands), which is the conservative reading of a shared-infrastructure
     disaster. Results are in member order whatever the engine's [jobs].
 
-    The [?engine] supplies parallelism, the shared evaluation cache
-    ({!Eval_cache.of_engine}) and the lint policy. Without an engine the
-    evaluation is serial, uncached, lint on — byte-identical to the
+    The [?engine] supplies parallelism and the lint policy. Without an
+    engine the evaluation is serial, lint on — byte-identical to the
     default engine's results.
 
     When the engine's lint policy is on (the default), members that fail

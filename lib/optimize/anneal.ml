@@ -146,7 +146,7 @@ let run ~engine ~budget ~seed ~space ~axes scenarios =
     in
     let designs = List.filter_map (fun (_, _, d) -> d) batch in
     let summaries =
-      Engine.map engine (fun d -> Objective.summarize ~engine d scenarios) designs
+      Engine.map engine (fun d -> Objective.summarize d scenarios) designs
     in
     evaluations := !evaluations + List.length designs;
     let remaining = ref summaries in

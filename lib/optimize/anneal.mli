@@ -28,7 +28,7 @@ type outcome = {
   best : Objective.summary option;
       (** Cheapest feasible summary seen; ties keep the first in
           (round, chain) order. [None] when nothing feasible was found. *)
-  proposals : int;  (** Budget consumed (grid-cell visits, cache hits included). *)
+  proposals : int;  (** Budget consumed: grid-cell visits, revisits included. *)
   evaluations : int;  (** [Objective.summarize] calls (valid decodes only). *)
   accepted : int;  (** Accepted moves across the annealing chains. *)
 }
@@ -48,5 +48,4 @@ val run :
   Scenario.t list ->
   outcome
 (** Raises [Invalid_argument] when [budget < 1] or the space is empty.
-    Evaluations share the engine's cache; re-visited cells cost a
-    lookup. *)
+    Every valid proposal is evaluated, re-visited cells included. *)

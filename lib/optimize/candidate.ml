@@ -83,8 +83,7 @@ let scaled_space ~scale =
    the [axes] tables the point decoder reads. [enumerate] is that decoder
    run over every point, so the solvers and the exhaustive search build
    structurally identical designs for the same grid cell (the testkit
-   oracle compares their optima, and a shared engine cache hits across
-   both). *)
+   oracle compares their optima). *)
 
 let primary_level kit =
   {

@@ -54,9 +54,8 @@ val scaled_space : scale:int -> space
     ({!Solver}) navigates the grid by points — neighborhood moves are
     small index perturbations — and {!enumerate} is the same decoder run
     over every point, so a solver that lands on grid cell [i] builds a
-    design structurally identical to the [i]-th enumerated candidate:
-    optima are comparable across the two paths, and a shared engine
-    cache hits across both. *)
+    design structurally identical to the [i]-th enumerated candidate, so
+    optima are comparable across the two paths. *)
 
 type point =
   | Tape of { pit : int; pit_acc : int; pit_ret : int; backup : int; vault : int }

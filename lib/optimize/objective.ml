@@ -57,11 +57,6 @@ let summarize ?engine design scenarios =
   let reports =
     match engine with
     | None -> Evaluate.run_all design scenarios
-    | Some e when not (Storage_engine.cache e) ->
-      (* Cache disabled: evaluate directly. Besides the table bookkeeping
-         this skips keying entirely, so the design is never fingerprinted
-         — the fingerprint exists only to name cache entries. *)
-      Evaluate.run_all design scenarios
     | Some e -> Eval_cache.run_all (Eval_cache.of_engine e) design scenarios
   in
   summarize_reports design reports

@@ -23,9 +23,10 @@ type summary = {
 
 val summarize :
   ?engine:Storage_engine.t -> Design.t -> Scenario.t list -> summary
-(** Raises [Invalid_argument] on an empty scenario list. With an
-    [?engine], the per-(design, scenario) evaluations go through the
-    engine's shared {!Eval_cache}; the summary is identical with or
-    without it. *)
+(** Raises [Invalid_argument] on an empty scenario list. Without
+    [?engine] it evaluates directly, as every optimize loop calls it.
+    With an [?engine], the per-(design, scenario) evaluations go through
+    the engine's session cache ({!Eval_cache.of_engine}); the summary is
+    identical either way. *)
 
 val pp : summary Fmt.t

@@ -11,9 +11,9 @@ type result = {
   feasible_count : int;
 }
 
-(* Search throughput: (design, scenario) evaluations requested (cache hits
-   included) and the wall-clock of whole searches. The derived gauge is
-   the north-star number: evaluations per second of search time. *)
+(* Search throughput: (design, scenario) evaluations and the wall-clock of
+   whole searches. The derived gauge is the north-star number: evaluations
+   per second of search time. *)
 let t_search = Storage_obs.Timer.make "search.run"
 let obs_evaluations = Storage_obs.Counter.make "search.evaluations"
 
@@ -86,14 +86,10 @@ let run ?engine ?top_k candidates scenarios =
     let nscenarios = List.length scenarios in
     (* Evaluation streams through the engine's pool in bounded windows;
        the fold below is the only consumer, so the live set is one
-       window of summaries plus the accumulators. Every evaluation goes
-       through the engine's memo-cache: duplicated candidates cost one
-       evaluation, and an iterative what-if session that re-runs the
-       search on the same engine with an overlapping grid pays only for
-       the new designs. *)
+       window of summaries plus the accumulators. *)
     let summaries =
       Engine.map_seq engine
-        (fun d -> Objective.summarize ~engine d scenarios)
+        (fun d -> Objective.summarize d scenarios)
         candidates
     in
     let keep_all = top_k = None in
@@ -117,16 +113,7 @@ let run ?engine ?top_k candidates scenarios =
           design = Design.strip s.Objective.design }
     in
     let rehydrate s =
-      if keep_all then s
-      else begin
-        let s = Objective.summarize ~engine s.Objective.design scenarios in
-        (* When every scenario hits the cache the stripped design is never
-           re-evaluated, leaving its memos empty; force them so surviving
-           designs are indistinguishable — marshaled bytes included — from
-           ones summarized directly. *)
-        ignore (Design.validate s.Objective.design);
-        s
-      end
+      if keep_all then s else Objective.summarize s.Objective.design scenarios
     in
     let evaluated_rev = ref [] in
     let feasible_acc = ref [] in

@@ -30,11 +30,10 @@ val run :
   Scenario.t list ->
   result
 (** [run candidates scenarios] consumes the candidate sequence once,
-    streaming: each element is lint-checked, evaluated through the
-    engine's shared {!Eval_cache} (on the engine's domains, in bounded
-    windows — see {!Storage_engine.map_seq}), and folded into the
-    result. Raises [Invalid_argument] on an empty candidate sequence or
-    scenario list.
+    streaming: each element is lint-checked, evaluated (on the engine's
+    domains, in bounded windows — see {!Storage_engine.map_seq}), and
+    folded into the result. Raises [Invalid_argument] on an empty
+    candidate sequence or scenario list.
 
     Memory: without [~top_k] the full [evaluated]/[feasible] lists are
     returned, so memory is O(grid) as before. With [~top_k:k] only the
@@ -58,11 +57,9 @@ val run :
     same (input-derived) order and every summary is identical to a
     serial run's — evaluation is pure, and the streaming map preserves
     input order. Without [?engine] the search runs on a fresh serial
-    engine (evaluations still share that run's cache, so duplicate
-    candidates are evaluated once); pass an engine to add domains and to
-    share the cache across the searches of an iterative what-if
-    session — re-visited candidates cost a lookup, not an evaluation.
-    The cache never changes any metric. *)
+    engine; pass an engine to add domains. Every candidate is evaluated,
+    duplicates included: keying a freshly built design for a cache
+    costs about as much as evaluating it. *)
 
 val run_materialized : Design.t list -> Scenario.t list -> result
 (** The materialized reference loop the streaming path is

@@ -27,14 +27,10 @@ let sweep ?engine build ~values scenario =
   if values = [] then invalid_arg "Sensitivity.sweep: no values";
   Storage_obs.Counter.add obs_points (List.length values);
   Storage_obs.Timer.time t_sweep @@ fun () ->
-  match engine with
-  | None ->
-    List.map (fun v -> point_of_report v (Evaluate.run (build v) scenario)) values
-  | Some e ->
-    let cache = Eval_cache.of_engine e in
-    Storage_engine.map e
-      (fun v -> point_of_report v (Eval_cache.run cache (build v) scenario))
-      values
+  let map =
+    match engine with None -> List.map | Some e -> Storage_engine.map e
+  in
+  map (fun v -> point_of_report v (Evaluate.run (build v) scenario)) values
 
 let crossover ?engine build_a ~values scenario ~metric ~against =
   if values = [] then invalid_arg "Sensitivity.crossover: no values";

@@ -28,9 +28,7 @@ val sweep :
     for each [v], in order. Raises [Invalid_argument] on an empty value
     list. The [?engine] supplies domains ([build] must therefore be
     pure, as the enumeration constructors are; point order and values
-    are unaffected) and the shared evaluation cache — e.g. across the
-    two families of {!crossover} or across repeated sweeps of a what-if
-    session. Without an engine the sweep is serial and uncached, with
+    are unaffected). Without an engine the sweep is serial, with
     identical points. *)
 
 val crossover :

@@ -36,8 +36,8 @@ type result = {
 let default_budget = 2048
 
 (* Solver throughput and pruning effectiveness, alongside the search.*
-   family: evaluations requested (cache hits included), grid cells cut
-   before evaluation, bound probes paid to cut them. *)
+   family: evaluations, grid cells cut before evaluation, bound probes
+   paid to cut them. *)
 let t_solver = Storage_obs.Timer.make "solver.run"
 let obs_evaluations = Storage_obs.Counter.make "solver.evaluations"
 let obs_accepted = Storage_obs.Counter.make "solver.moves.accepted"
@@ -110,7 +110,7 @@ let run_bnb ~engine ~record_pruned ~axes ~space scenarios =
     let decoded = List.filter_map (Candidate.design_of_point axes) pts in
     considered := !considered + List.length pts;
     let summaries =
-      Engine.map engine (fun d -> Objective.summarize ~engine d scenarios) decoded
+      Engine.map engine (fun d -> Objective.summarize d scenarios) decoded
     in
     evaluations := !evaluations + List.length decoded;
     List.iter update summaries
@@ -136,7 +136,7 @@ let run_bnb ~engine ~record_pruned ~axes ~space scenarios =
       match Candidate.design_of_point axes (Candidate.Mirror { links = i }) with
       | None -> mirrors (i + 1)
       | Some d ->
-        let s = Objective.summarize ~engine d scenarios in
+        let s = Objective.summarize d scenarios in
         incr evaluations;
         update s;
         let cut =
@@ -426,9 +426,7 @@ let solve_portfolio ?engine ?budget ?(seed = Engine.default_seed) ?(rounds = 2)
           (Portfolio.overcommitted p)
       in
       let summaries =
-        Engine.map engine
-          (fun d -> Objective.summarize ~engine d scenarios)
-          loaded
+        Engine.map engine (fun d -> Objective.summarize d scenarios) loaded
       in
       let _, outlays = Portfolio.outlays p in
       let penalties =

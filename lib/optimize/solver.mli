@@ -17,7 +17,7 @@ open Storage_model
       bisection, {!Bound.frontier}) and a monotone outlays lower bound.
 
     All methods evaluate through one {!Storage_engine.t} (shared pool,
-    shared cache, [solver.*] observability counters) and fold results in
+    [solver.*] observability counters) and fold results in
     deterministic order, so reports are byte-identical across [--jobs]
     and [--chunk]. The [solver-exhaustive-equivalence] testkit oracle
     holds all three to exhaustive search on seeded small grids. *)
@@ -28,7 +28,7 @@ val method_name : method_ -> string
 val method_of_string : string -> (method_, string) Stdlib.result
 
 type stats = {
-  evaluations : int;  (** [Objective.summarize] calls (cache hits included). *)
+  evaluations : int;  (** [Objective.summarize] calls. *)
   considered : int;  (** Grid cells visited (invalid decodes included). *)
   accepted : int;  (** Annealing moves accepted (0 for grid/bnb). *)
   pruned_cost : int;  (** Cells cut by the outlays lower bound (bnb). *)

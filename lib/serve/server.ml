@@ -53,6 +53,11 @@ let obs_request_time = Storage_obs.Timer.make "serve.request_seconds"
 
 (* --- request handlers --- *)
 
+(* Reports each /evaluate cache shard keeps (FIFO eviction beyond), so
+   request bodies from outside cannot grow the daemon's memory without
+   bound. *)
+let shard_entries = 8192
+
 let shard_for t design =
   let n = Array.length t.caches in
   t.caches.(Hashtbl.hash (Design.fingerprint design) mod n)
@@ -248,14 +253,13 @@ let start ?(config = default_config) engine =
     | Unix.ADDR_INET (_, p) -> p
     | Unix.ADDR_UNIX _ -> assert false
   in
-  let cache_bound = Storage_engine.cache_bound engine in
   let t =
     {
       cfg = config;
       engine;
       caches =
         Array.init config.shards (fun _ ->
-            Eval_cache.create ?max_entries:cache_bound ());
+            Eval_cache.create ~max_entries:shard_entries ());
       listen_fd;
       bound_port;
       stop_flag = Atomic.make false;

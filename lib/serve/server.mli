@@ -5,7 +5,8 @@
     above all — evaluation caching across every request, so a repeated
     design answers from the {!Eval_cache} instead of re-walking the
     model. The cache is sharded by design fingerprint to keep concurrent
-    requests off one mutex.
+    requests off one mutex; each shard keeps at most 8,192 reports,
+    evicting the oldest first.
 
     Concurrency and back-pressure: an acceptor domain takes connections
     off the listening socket and hands them to a {e bounded} admission

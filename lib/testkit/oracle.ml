@@ -135,7 +135,8 @@ let parallel_invariance =
         if not (String.equal (bytes_of serial_summary) (bytes_of par_summary))
         then Fail "summarize differs between serial and parallel engines"
         else begin
-          (* Duplicates exercise the cache dedup under parallelism. *)
+          (* The same design three times: duplicates in one parallel
+             window. *)
           let grid () = List.to_seq [ d; d; d ] in
           let serial = Search.run (grid ()) scs in
           let par = Search.run ~engine:ctx.aux (grid ()) scs in

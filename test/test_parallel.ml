@@ -130,6 +130,18 @@ let test_shutdown_idempotent () =
   Pool.shutdown p;
   Pool.shutdown p
 
+(* A domain that has not run a task yet still shows in the snapshot, as
+   0. No other test creates a 9-domain pool, so only this one can have
+   registered index 8. *)
+let test_domain_counters_registered_on_create () =
+  let p = Pool.create ~jobs:9 in
+  Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
+  match Storage_obs.snapshot () with
+  | Storage_report.Json.Obj fields ->
+    Alcotest.(check bool) "pool.domain.8.tasks listed" true
+      (List.mem_assoc "pool.domain.8.tasks" fields)
+  | _ -> Alcotest.fail "snapshot must be a JSON object"
+
 (* Tasks enqueued while stats are disabled carry [enqueued_at = 0.]. If
    recording turns on before they drain, the queue-wait histogram must
    skip them — naively measuring against timestamp 0 would record an
@@ -411,10 +423,9 @@ let test_search_chunk_invariance () =
     [ 1; 7; 512 * 4; n + 1 ]
 
 let test_search_shared_cache_equals_fresh () =
-  (* The engine's session cache carried across searches changes nothing
-     but time. *)
+  (* Searches sharing one engine agree with each other and with a search
+     on a fresh engine. *)
   Engine.with_engine ~jobs:2 (fun engine ->
-      let cache = Eval_cache.of_engine engine in
       let first = Search.run ~engine (List.to_seq seeded_candidates) scenarios in
       let second =
         Search.run ~engine (List.to_seq seeded_candidates) scenarios
@@ -423,13 +434,10 @@ let test_search_shared_cache_equals_fresh () =
         Engine.with_engine ~jobs:1 (fun e ->
             Search.run ~engine:e (List.to_seq seeded_candidates) scenarios)
       in
-      check_same_bytes "warm cache, same result" first.Search.evaluated
+      check_same_bytes "second pass, same result" first.Search.evaluated
         second.Search.evaluated;
-      check_same_bytes "cached vs uncached" fresh.Search.evaluated
-        first.Search.evaluated;
-      Alcotest.(check bool) "second pass all hits" true
-        (Eval_cache.misses cache > 0
-        && Eval_cache.hits cache > Eval_cache.misses cache))
+      check_same_bytes "shared vs fresh engine" fresh.Search.evaluated
+        first.Search.evaluated)
 
 let test_cache_reports_identical () =
   let cache = Eval_cache.create () in
@@ -516,6 +524,8 @@ let suite =
         t "pool survives a failed batch" test_pool_survives_batch_failure;
         t "pool reused across many batches" test_pool_reuse_many_batches;
         t "shutdown is idempotent" test_shutdown_idempotent;
+        t "every domain's task counter registered on create"
+          test_domain_counters_registered_on_create;
         t "queue-wait skips tasks enqueued before stats were on"
           test_queue_wait_skips_pre_enable_tasks;
       ] );
