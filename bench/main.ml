@@ -950,7 +950,7 @@ let cold_single_shot ~ssdep_bin () =
 
 let start_serve_daemon () =
   let module Server = Storage_serve.Server in
-  let engine = Storage_optimize.Engine.create ~stats:true () in
+  let engine = Storage_optimize.Engine.create () in
   let server =
     Server.start
       ~config:{ Server.default_config with Server.port = 0 }

@@ -160,18 +160,6 @@ let jobs_arg =
   Arg.(
     value & opt (some jobs_conv) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-let chunk_arg =
-  let doc =
-    "Force the parallel scheduling granularity: deal contiguous batches \
-     of $(docv) evaluations per pool task (default: auto-sized from the \
-     streaming window and $(b,--jobs)). Results are identical whatever \
-     the value; only dispatch overhead changes. Ignored when serial."
-  in
-  Arg.(
-    value
-    & opt (some positive_int_conv) None
-    & info [ "chunk" ] ~docv:"N" ~doc)
-
 (* --- engine statistics (observability layer) --- *)
 
 let stats_arg =
@@ -218,10 +206,10 @@ let with_stats stats stats_json body =
    SSDEP_JOBS) and --stats flow through [Engine.of_cli], and the command
    body receives a ready engine that is shut down on the way out. A
    malformed SSDEP_JOBS surfaces here as a configuration error. *)
-let with_engine ?chunk ~jobs ~stats ~stats_json body =
+let with_engine ~jobs ~stats ~stats_json body =
   with_stats stats stats_json @@ fun () ->
   match
-    Storage_optimize.Engine.of_cli ?chunk ~jobs
+    Storage_optimize.Engine.of_cli ~jobs
       ~stats:(stats || stats_json <> None)
       ()
   with
@@ -511,9 +499,9 @@ let simulate_cmd =
     in
     Arg.(value & opt non_negative_int_conv 0 & info [ "trace" ] ~docv:"N" ~doc)
   in
-  let run design scope target_age warmup sweep outage trace chunk jobs stats
+  let run design scope target_age warmup sweep outage trace jobs stats
       stats_json =
-    with_engine ?chunk ~jobs ~stats ~stats_json @@ fun engine ->
+    with_engine ~jobs ~stats ~stats_json @@ fun engine ->
     match find_design design with
     | Error e -> Error e
     | Ok d -> (
@@ -582,7 +570,7 @@ let simulate_cmd =
   let term =
     Term.(
       const run $ design_arg $ scope_arg $ target_age_arg $ warmup $ sweep
-      $ outage $ trace $ chunk_arg $ jobs_arg $ stats_arg $ stats_json_arg)
+      $ outage $ trace $ jobs_arg $ stats_arg $ stats_json_arg)
   in
   let info =
     Cmd.info "simulate"
@@ -676,8 +664,8 @@ let optimize_cmd =
     Arg.(value & opt_all file [] & info [ "portfolio" ] ~docv:"FILE" ~doc)
   in
   let run rto rpo top_k grid_scale max_candidates solver budget seed portfolio
-      json chunk jobs stats stats_json =
-    with_engine ?chunk ~jobs ~stats ~stats_json @@ fun engine ->
+      json jobs stats stats_json =
+    with_engine ~jobs ~stats ~stats_json @@ fun engine ->
     let module Solver = Storage_optimize.Solver in
     let request = { Optimize_request.rto; rpo; top_k; grid_scale } in
     let kit, space, scenarios = Optimize_request.problem request in
@@ -755,8 +743,8 @@ let optimize_cmd =
   let term =
     Term.(
       const run $ rto $ rpo $ top_k $ grid_scale $ max_candidates $ solver_arg
-      $ budget_arg $ seed_arg $ portfolio_arg $ json_arg $ chunk_arg
-      $ jobs_arg $ stats_arg $ stats_json_arg)
+      $ budget_arg $ seed_arg $ portfolio_arg $ json_arg $ jobs_arg
+      $ stats_arg $ stats_json_arg)
   in
   let info =
     Cmd.info "optimize"
@@ -878,7 +866,10 @@ let risk_cmd =
     let doc =
       "Also sample a Monte-Carlo cost distribution over this many years."
     in
-    Arg.(value & opt (some float) None & info [ "monte-carlo" ] ~docv:"YEARS" ~doc)
+    Arg.(
+      value
+      & opt (some years_conv) None
+      & info [ "monte-carlo" ] ~docv:"YEARS" ~doc)
   in
   let run design object_freq array_freq site_freq horizon =
     match find_design design with
@@ -894,14 +885,24 @@ let risk_cmd =
             frequency_per_year = site_freq };
         ]
       in
-      Fmt.pr "%a@." Risk.pp (Risk.assess d weighted);
-      (match horizon with
-      | Some years when years > 0. ->
-        Fmt.pr "%a@." Risk.pp_distribution
-          (Risk.monte_carlo d weighted ~horizon_years:years)
-      | Some _ -> ()
-      | None -> ());
-      Ok ()
+      let distribution =
+        match horizon with
+        | Some years when years > 0. -> (
+          (* Money is finite by construction, so a horizon long enough
+             for the sampled costs to overflow fails inside the sampler. *)
+          try Ok (Some (Risk.monte_carlo d weighted ~horizon_years:years))
+          with Invalid_argument _ ->
+            Error
+              (Printf.sprintf
+                 "--monte-carlo: the costs sampled over %g years overflow"
+                 years))
+        | Some _ | None -> Ok None
+      in
+      Result.map
+        (fun dist ->
+          Fmt.pr "%a@." Risk.pp (Risk.assess d weighted);
+          Option.iter (Fmt.pr "%a@." Risk.pp_distribution) dist)
+        distribution
   in
   let term =
     Term.(
@@ -961,33 +962,9 @@ let fleet_cmd =
     let doc = "Correlated site disasters per site per year." in
     Arg.(value & opt float 0.002 & info [ "site-per-year" ] ~docv:"RATE" ~doc)
   in
-  let sweep_arg =
-    let doc =
-      "Instead of one design, sweep the m-of-n erasure-coding parameters: \
-       a comma-separated list of $(i,m):$(i,n) pairs (fragments needed : \
-       fragments stored), e.g. $(b,6:9,9:12,12:16)."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "erasure-sweep" ] ~docv:"PAIRS" ~doc)
-  in
-  let parse_sweep s =
-    let pair p =
-      match String.split_on_char ':' p with
-      | [ m; n ] -> (
-        match (int_of_string_opt (String.trim m), int_of_string_opt (String.trim n)) with
-        | Some m, Some n when 1 <= m && m <= n -> Ok (m, n)
-        | _ -> Error (Printf.sprintf "invalid pair %S, expected m:n with 1 <= m <= n" p))
-      | _ -> Error (Printf.sprintf "invalid pair %S, expected m:n" p)
-    in
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | p :: rest -> ( match pair p with Ok x -> go (x :: acc) rest | Error e -> Error e)
-    in
-    go [] (String.split_on_char ',' s)
-  in
-  let run design trials horizon seed afr building site sweep json jobs chunk
-      stats stats_json =
-    with_engine ?chunk ~jobs ~stats ~stats_json @@ fun engine ->
+  let run design trials horizon seed afr building site json jobs stats
+      stats_json =
+    with_engine ~jobs ~stats ~stats_json @@ fun engine ->
     match
       try
         Ok
@@ -1000,46 +977,24 @@ let fleet_cmd =
     with
     | Error e -> Error e
     | Ok config -> (
-      match sweep with
-      | Some pairs -> (
-        match parse_sweep pairs with
-        | Error e -> Error e
-        | Ok pairs ->
-          let results =
-            Fleet.erasure_sweep ~engine ~config
-              ~make:(fun ~fragments ~required ->
-                Whatif.erasure_coded ~fragments ~required ~links:10)
-              pairs
-          in
-          if json then
-            print_endline
-              (Storage_report.Json.to_string_pretty
-                 (Storage_report.Json.List
-                    (List.map (fun (_, _, r) -> Fleet.to_json r) results)))
-          else
-            List.iter
-              (fun (_, _, r) -> Fmt.pr "%a@.@." Fleet.pp r)
-              results;
-          Ok ())
-      | None -> (
-        match List.assoc_opt design fleet_designs with
-        | None ->
-          Error
-            (Printf.sprintf "unknown design %S; available: %s" design
-               (String.concat ", " (List.map fst fleet_designs)))
-        | Some d ->
-          let report = Fleet.run ~engine ~config d in
-          if json then
-            print_endline
-              (Storage_report.Json.to_string_pretty (Fleet.to_json report))
-          else Fmt.pr "%a@." Fleet.pp report;
-          Ok ()))
+      match List.assoc_opt design fleet_designs with
+      | None ->
+        Error
+          (Printf.sprintf "unknown design %S; available: %s" design
+             (String.concat ", " (List.map fst fleet_designs)))
+      | Some d ->
+        let report = Fleet.run ~engine ~config d in
+        if json then
+          print_endline
+            (Storage_report.Json.to_string_pretty (Fleet.to_json report))
+        else Fmt.pr "%a@." Fleet.pp report;
+        Ok ())
   in
   let term =
     Term.(
       const run $ design_arg $ trials_arg $ horizon_arg $ seed_arg $ afr_arg
-      $ building_arg $ site_arg $ sweep_arg $ json_arg $ jobs_arg $ chunk_arg
-      $ stats_arg $ stats_json_arg)
+      $ building_arg $ site_arg $ json_arg $ jobs_arg $ stats_arg
+      $ stats_json_arg)
   in
   let info =
     Cmd.info "fleet"
@@ -1311,8 +1266,8 @@ let fuzz_cmd =
     Fmt.pr "ssdep fuzz: %s@." msg;
     exit_with 2
   in
-  let run seed budget corpus replay oracle_names list_oracles chunk jobs
-      stats stats_json =
+  let run seed budget corpus replay oracle_names list_oracles jobs stats
+      stats_json =
     if list_oracles then begin
       List.iter
         (fun (o : K.Oracle.t) ->
@@ -1335,7 +1290,7 @@ let fuzz_cmd =
                   (Printf.sprintf "unknown oracle %S (try --list-oracles)" n))
             names
       in
-      with_engine ?chunk ~jobs ~stats ~stats_json @@ fun engine ->
+      with_engine ~jobs ~stats ~stats_json @@ fun engine ->
       match replay with
       | Some path -> (
         match K.Fuzz.replay ~engine path with
@@ -1366,7 +1321,7 @@ let fuzz_cmd =
   let term =
     Term.(
       const run $ seed_arg $ budget_arg $ corpus_arg $ replay_arg $ oracle_arg
-      $ list_arg $ chunk_arg $ jobs_arg $ stats_arg $ stats_json_arg)
+      $ list_arg $ jobs_arg $ stats_arg $ stats_json_arg)
   in
   let info =
     Cmd.info "fuzz"
@@ -1404,11 +1359,6 @@ let serve_cmd =
            Server.default_config.Server.queue_capacity
          & info [ "queue" ] ~docv:"N" ~doc)
   in
-  let shards =
-    let doc = "Evaluation-cache shards (keyed by design fingerprint)." in
-    Arg.(value & opt positive_int_conv Server.default_config.Server.shards
-         & info [ "shards" ] ~docv:"N" ~doc)
-  in
   let max_body =
     let doc = "Request-body byte limit (413 beyond it)." in
     Arg.(value & opt positive_int_conv Server.default_config.Server.max_body
@@ -1419,12 +1369,10 @@ let serve_cmd =
     Arg.(value & opt float Server.default_config.Server.timeout
          & info [ "timeout" ] ~docv:"SECONDS" ~doc)
   in
-  let run port workers queue shards max_body timeout chunk jobs =
-    if timeout <= 0. then
-      config_error "serve: --timeout must be a positive number of seconds";
+  let run port workers queue max_body timeout jobs =
     (* The daemon's /stats endpoint is its observability story, so the
        engine always records ([Server.start] turns the registry on). *)
-    match Storage_optimize.Engine.of_cli ?chunk ~jobs ~stats:true () with
+    match Storage_optimize.Engine.of_cli ~jobs ~stats:true () with
     | Error msg -> config_error msg
     | Ok engine ->
       Fun.protect
@@ -1435,7 +1383,6 @@ let serve_cmd =
           Server.port;
           workers;
           queue_capacity = queue;
-          shards;
           max_body;
           timeout;
         }
@@ -1469,8 +1416,7 @@ let serve_cmd =
   in
   let term =
     Term.(
-      const run $ port $ workers $ queue $ shards $ max_body $ timeout
-      $ chunk_arg $ jobs_arg)
+      const run $ port $ workers $ queue $ max_body $ timeout $ jobs_arg)
   in
   let info =
     Cmd.info "serve"

@@ -31,9 +31,6 @@ let new_key (type a) () : a key =
 
 type t = {
   jobs : int;
-  lint : bool;
-  stats : bool;
-  chunk : int option;
   lock : Mutex.t;
   mutable pool : Storage_parallel.Pool.t option;
   slots : (int, binding) Hashtbl.t;
@@ -42,21 +39,9 @@ type t = {
 (* The historical Risk.monte_carlo constant. *)
 let default_seed = 0xCA5CADEL
 
-let create ?(jobs = 1) ?(lint = true) ?(stats = false) ?chunk () =
+let create ?(jobs = 1) () =
   if jobs < 1 then invalid_arg "Engine.create: jobs must be >= 1";
-  (match chunk with
-  | Some c when c < 1 -> invalid_arg "Engine.create: chunk must be >= 1"
-  | _ -> ());
-  if stats then Storage_obs.enable ();
-  {
-    jobs;
-    lint;
-    stats;
-    chunk;
-    lock = Mutex.create ();
-    pool = None;
-    slots = Hashtbl.create 8;
-  }
+  { jobs; lock = Mutex.create (); pool = None; slots = Hashtbl.create 8 }
 
 (* One validation path for every spelling of a jobs count — the --jobs
    option converter in bin/ and the SSDEP_JOBS environment variable both
@@ -70,7 +55,7 @@ let parse_jobs s =
 
 let jobs_env_var = "SSDEP_JOBS"
 
-let of_cli ?chunk ?(env = Sys.getenv_opt) ~jobs ~stats () =
+let of_cli ?(env = Sys.getenv_opt) ~jobs ~stats () =
   let resolved =
     match jobs with
     | Some n -> Ok n
@@ -86,12 +71,13 @@ let of_cli ?chunk ?(env = Sys.getenv_opt) ~jobs ~stats () =
         | Ok n -> Ok n
         | Error e -> Error (Printf.sprintf "%s: %s" jobs_env_var e)))
   in
-  Result.map (fun jobs -> create ~jobs ~stats ?chunk ()) resolved
+  Result.map
+    (fun jobs ->
+      if stats then Storage_obs.enable ();
+      create ~jobs ())
+    resolved
 
 let jobs t = t.jobs
-let lint t = t.lint
-let stats t = t.stats
-let chunk t = t.chunk
 
 let locked t f = Mutex.protect t.lock f
 
@@ -115,8 +101,8 @@ let shutdown t =
   in
   Option.iter Storage_parallel.Pool.shutdown p
 
-let with_engine ?jobs ?lint ?stats f =
-  let t = create ?jobs ?lint ?stats () in
+let with_engine ?jobs f =
+  let t = create ?jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 let map t f xs =
@@ -127,9 +113,7 @@ let map t f xs =
 let map_seq ?window ?chunk t f xs =
   match pool t with
   | None -> Seq.map f xs
-  | Some p ->
-    let chunk = match chunk with Some _ -> chunk | None -> t.chunk in
-    Storage_parallel.Pool.map_seq ?window ?chunk p f xs
+  | Some p -> Storage_parallel.Pool.map_seq ?window ?chunk p f xs
 
 let slot t key ~default =
   locked t (fun () ->

@@ -1,12 +1,12 @@
 (** A first-class execution context for the evaluation loops.
 
     The framework's outer loops — design-space search, sensitivity sweeps,
-    portfolio evaluation, Monte-Carlo risk, failure-phase sweeps — share
-    the same execution machinery: a {!Storage_parallel.Pool} of domains,
-    the static lint pre-filter policy and the {!Storage_obs} stats switch.
-    Threading those as per-call [?jobs]/[?lint] optional arguments does
-    not scale past a handful of entry points (every new loop re-grows
-    the list); an [Engine.t] owns them once and is passed whole.
+    portfolio evaluation, fleet and Monte-Carlo risk, failure-phase
+    sweeps — share the same execution machinery: a
+    {!Storage_parallel.Pool} of domains. Threading a per-call [?jobs]
+    optional argument through every entry point does not scale (every
+    new loop re-grows the list); an [Engine.t] owns the pool once and is
+    passed whole.
 
     Ownership and lifecycle:
     - The engine owns its domain pool. The pool is created lazily on the
@@ -18,7 +18,6 @@
       without this module depending on them. Slots are created on first
       use under the engine's mutex and live until the engine is garbage
       collected.
-    - Lint policy and stats flag are immutable configuration.
 
     Engines are cheap to create; [create ()] is the serial default used
     by every entry point when no engine is passed. All operations are
@@ -26,11 +25,9 @@
 
 type t
 
-val create : ?jobs:int -> ?lint:bool -> ?stats:bool -> ?chunk:int -> unit -> t
-(** [create ()] is a serial engine: [jobs = 1], lint pre-filtering on,
-    stats off, auto-sized parallel chunks. Raises [Invalid_argument]
-    when [jobs < 1] or [chunk < 1]. [~stats:true] additionally turns the
-    global {!Storage_obs} registry on. *)
+val create : ?jobs:int -> unit -> t
+(** [create ()] is a serial engine: [jobs = 1]. Raises
+    [Invalid_argument] when [jobs < 1]. *)
 
 val parse_jobs : string -> (int, string) result
 (** Validates one spelling of a jobs count: a positive decimal integer.
@@ -42,41 +39,29 @@ val jobs_env_var : string
 (** ["SSDEP_JOBS"]. *)
 
 val of_cli :
-  ?chunk:int ->
   ?env:(string -> string option) ->
   jobs:int option ->
   stats:bool ->
   unit ->
   (t, string) result
 (** The one construction point for command-line front ends: routes
-    [--jobs], [--chunk] and [--stats] into an engine. [jobs = None]
+    [--jobs] into an engine, and [~stats:true] ([--stats]) turns the
+    global {!Storage_obs} registry on. [jobs = None]
     means "not given on the command line": the {!jobs_env_var}
     environment variable (read through [env], default [Sys.getenv_opt])
     supplies the default, and a malformed value there is an [Error]
     naming the variable — a configuration error, never a silent serial
     fallback. An explicit [jobs = Some n] wins over the environment. *)
 
-val with_engine :
-  ?jobs:int -> ?lint:bool -> ?stats:bool -> (t -> 'a) -> 'a
+val with_engine : ?jobs:int -> (t -> 'a) -> 'a
 (** [with_engine f] runs [f] with a fresh engine and shuts it down on the
     way out (including on exceptions). *)
 
 val jobs : t -> int
-val lint : t -> bool
-(** Whether search/portfolio loops should statically pre-filter
-    candidates with the design linter before evaluating them. *)
 
 val default_seed : int64
 (** The seed stochastic stages (Monte-Carlo risk, the solvers) use when
     the caller passes none, so their results are reproducible. *)
-
-val stats : t -> bool
-
-val chunk : t -> int option
-(** Forced scheduling granularity for parallel maps: [Some c] makes
-    every {!map_seq} batch deal contiguous [c]-element tasks to the
-    domains; [None] (the default) auto-sizes chunks from the window and
-    the pool size. *)
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map e f xs] is [List.map f xs] computed on the engine's pool
@@ -86,9 +71,9 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
 val map_seq :
   ?window:int -> ?chunk:int -> t -> ('a -> 'b) -> 'a Seq.t -> 'b Seq.t
 (** Streaming map over the engine's pool: see
-    {!Storage_parallel.Pool.map_seq}. [?chunk] overrides the engine's
-    configured {!chunk} for this call. [jobs = 1] short-circuits to
-    [Seq.map]. *)
+    {!Storage_parallel.Pool.map_seq}, which auto-sizes chunks from the
+    window and the pool size unless [?chunk] forces a granularity.
+    [jobs = 1] short-circuits to [Seq.map]. *)
 
 val shutdown : t -> unit
 (** Stops and joins the engine's pool domains, if any were spawned.

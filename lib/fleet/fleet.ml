@@ -12,23 +12,19 @@ module Sim = Storage_sim.Sim
 (* --- failure model --- *)
 
 type rates = {
-  device_afr : (string * float) list;
   default_afr : float;
   building_burst_per_year : float;
   site_burst_per_year : float;
 }
 
-let check_rate ~who r =
-  if r < 0. || not (Float.is_finite r) then
-    invalid_arg (Printf.sprintf "Fleet.%s: negative or non-finite rate" who)
-
-let rates ?(device_afr = []) ?(default_afr = 0.02)
-    ?(building_burst_per_year = 0.005) ?(site_burst_per_year = 0.002) () =
-  List.iter (fun (_, r) -> check_rate ~who:"rates" r) device_afr;
-  check_rate ~who:"rates" default_afr;
-  check_rate ~who:"rates" building_burst_per_year;
-  check_rate ~who:"rates" site_burst_per_year;
-  { device_afr; default_afr; building_burst_per_year; site_burst_per_year }
+let rates ?(default_afr = 0.02) ?(building_burst_per_year = 0.005)
+    ?(site_burst_per_year = 0.002) () =
+  List.iter
+    (fun r ->
+      if r < 0. || not (Float.is_finite r) then
+        invalid_arg "Fleet.rates: negative or non-finite rate")
+    [ default_afr; building_burst_per_year; site_burst_per_year ];
+  { default_afr; building_burst_per_year; site_burst_per_year }
 
 let default_rates = rates ()
 
@@ -49,11 +45,6 @@ let config ?(trials = 1000) ?(horizon_years = 5.) ?(seed = 0xCA5CADEL)
 let default_config = config ()
 
 (* --- trace sampling --- *)
-
-let afr_of rates (d : Device.t) =
-  match List.assoc_opt d.Device.name rates.device_afr with
-  | Some r -> r
-  | None -> rates.default_afr
 
 (* Arrival offsets of one Poisson process over the horizon, in years. *)
 let arrivals rng ~per_year ~horizon_years =
@@ -87,7 +78,7 @@ let sample_events ?(rates = default_rates) ~horizon ~seed design =
   let device_events =
     List.concat_map
       (fun (d : Device.t) ->
-        events_for (Location.Device d.Device.name) (afr_of rates d))
+        events_for (Location.Device d.Device.name) rates.default_afr)
       devices
   in
   let buildings =
@@ -532,13 +523,10 @@ let run ?engine ?(config = default_config) design =
   let seeds =
     List.init config.trials (fun i -> (i, Prng.next_int64 master))
   in
+  (* Coarse chunks: trials are cheap when the sampled trace is empty,
+     so fine-grained dealing would be all dispatch overhead. *)
   let chunk =
-    match Engine.chunk engine with
-    | Some c -> c
-    | None ->
-      (* Coarse chunks: trials are cheap when the sampled trace is empty,
-         so fine-grained dealing would be all dispatch overhead. *)
-      Int.max 1 (config.trials / Int.max 1 (Engine.jobs engine * 8))
+    Int.max 1 (config.trials / Int.max 1 (Engine.jobs engine * 8))
   in
   let trials =
     Engine.map_seq ~chunk engine
@@ -549,14 +537,6 @@ let run ?engine ?(config = default_config) design =
     |> List.of_seq
   in
   aggregate design config trials
-
-let erasure_sweep ?engine ?(config = default_config) ~make pairs =
-  List.map
-    (fun (required, fragments) ->
-      if required < 1 || fragments < required then
-        invalid_arg "Fleet.erasure_sweep: need 1 <= required <= fragments";
-      (required, fragments, run ?engine ~config (make ~fragments ~required)))
-    pairs
 
 (* --- rendering --- *)
 

@@ -27,9 +27,8 @@ open Storage_model
 (** {1 Failure model} *)
 
 type rates = {
-  device_afr : (string * float) list;
-      (** per-device-name annualized failure rate overrides *)
-  default_afr : float;  (** AFR for devices not listed (default 0.02) *)
+  default_afr : float;
+      (** annualized failure rate of every device (default 0.02) *)
   building_burst_per_year : float;
       (** rate of correlated whole-building failures, per distinct
           building in the design (default 0.005) *)
@@ -39,7 +38,6 @@ type rates = {
 }
 
 val rates :
-  ?device_afr:(string * float) list ->
   ?default_afr:float ->
   ?building_burst_per_year:float ->
   ?site_burst_per_year:float ->
@@ -80,8 +78,8 @@ val sample_events :
   Design.t ->
   Scenario.event list
 (** The failure trace one trial executes: a Poisson process per device
-    (rate = its AFR) merged with one per distinct building and site (the
-    correlated bursts), sorted by offset. Deterministic in [seed]. *)
+    (rate [default_afr]) merged with one per distinct building and site
+    (the correlated bursts), sorted by offset. Deterministic in [seed]. *)
 
 val single_event_measured :
   Design.t -> Scenario.event -> Storage_sim.Sim.measured
@@ -151,17 +149,6 @@ val run : ?engine:Storage_engine.t -> ?config:config -> Design.t -> report
     engine's domains and aggregates them in trial order, so for a fixed
     seed the report — and its JSON rendering — is byte-identical across
     runs and across [jobs] values. *)
-
-val erasure_sweep :
-  ?engine:Storage_engine.t ->
-  ?config:config ->
-  make:(fragments:int -> required:int -> Design.t) ->
-  (int * int) list ->
-  (int * int * report) list
-(** [(required, fragments)] pairs, each built with [make] and evaluated
-    with {!run}: the (m, k) sweep over the m-of-n erasure-coding
-    technique. Raises [Invalid_argument] unless
-    [1 <= required <= fragments]. *)
 
 (** {1 Rendering} *)
 

@@ -70,11 +70,36 @@ let validate levels =
                      primary.device.Device.name)
               rest
           in
+          (* §3.2.3 sizes a backup's bandwidth as its copy size over
+             propW: a zero window would demand an infinite rate. *)
+          let zero_window i l =
+            let zero (w : Schedule.windows) =
+              Duration.is_zero w.Schedule.propagation
+            in
+            match l.technique with
+            | Technique.Backup s when zero s.Schedule.full -> Some (i, "full")
+            | Technique.Backup { Schedule.secondary = Some (_, w); _ }
+              when zero w ->
+              Some (i, "incremental")
+            | _ -> None
+          in
+          let check_backup_windows () =
+            match List.find_mapi zero_window rest with
+            | Some (i, which) ->
+              err
+                "level %d (backup): the %s propagation window must be \
+                 positive"
+                (i + 1) which
+            | None -> Ok ()
+          in
           if not colocation_ok then
             err
               "split mirrors and virtual snapshots must be hosted on the \
                primary device"
-          else check_pairs rest
+          else
+            match check_pairs rest with
+            | Ok () -> check_backup_windows ()
+            | Error _ as e -> e
         end
       end)
     | _ -> err "level 0 must be a primary copy")

@@ -30,7 +30,9 @@ val make : level list -> (t, string) result
     - accumulation windows do not shrink below the previous cycle period
       ([accW_{i+1} >= cyclePer_i]);
     - colocated techniques (split mirror, virtual snapshot) are hosted on
-      the primary device. *)
+      the primary device;
+    - a backup's full and incremental propagation windows are positive
+      (§3.2.3 sizes its bandwidth as copy size over [propW]). *)
 
 val make_exn : level list -> t
 (** Raises [Invalid_argument] with the validation message. *)

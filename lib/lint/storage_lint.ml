@@ -15,15 +15,6 @@ let near_full_threshold = 0.9
 
 let rules : (string * Diagnostic.severity * string) list =
   [
-    ("SSDEP-E001", Error, "level 0 must be the only primary copy");
-    ("SSDEP-E002", Error, "every level above 0 needs a schedule");
-    ("SSDEP-E003", Error, "retention count must not decrease with level");
-    ( "SSDEP-E004",
-      Error,
-      "accumulation window shorter than the upstream cycle period" );
-    ( "SSDEP-E005",
-      Error,
-      "colocated technique must be hosted on the primary device" );
     ("SSDEP-E010", Error, "device capacity overcommitted");
     ("SSDEP-E011", Error, "device bandwidth overcommitted");
     ("SSDEP-E012", Error, "technique requires an interconnect");
@@ -58,90 +49,10 @@ let rules : (string * Diagnostic.severity * string) list =
     ("SSDEP-I002", Info, "retention too shallow to guarantee any RP range");
   ]
 
-(* --- structural conventions over a raw level list (§3.2.1) ---
-
-   These mirror [Hierarchy.validate] (which guards the constructor and
-   therefore cannot be expressed on an already-built [Hierarchy.t]), but
-   report every violation instead of the first, with structured
-   locations. *)
+(* --- design-wide static rules --- *)
 
 let level_loc j (l : Hierarchy.level) =
   Diagnostic.Level { index = j; technique = Technique.name l.technique }
-
-let check_levels (levels : Hierarchy.level list) =
-  match levels with
-  | [] ->
-    [
-      err ~code:"SSDEP-E001" Error Design_wide
-        "hierarchy must have at least a primary level";
-    ]
-  | primary :: rest ->
-    let ds = ref [] in
-    let add d = ds := d :: !ds in
-    (match primary.technique with
-    | Technique.Primary_copy _ -> ()
-    | _ ->
-      add
-        (err ~code:"SSDEP-E001" Error (level_loc 0 primary)
-           "level 0 must be a primary copy"));
-    List.iteri
-      (fun i (l : Hierarchy.level) ->
-        let j = i + 1 in
-        (match l.technique with
-        | Technique.Primary_copy _ ->
-          add
-            (err ~code:"SSDEP-E001" Error (level_loc j l)
-               "only level 0 may be a primary copy")
-        | _ -> ());
-        if Technique.schedule l.technique = None then
-          add
-            (err ~code:"SSDEP-E002" Error (level_loc j l)
-               "every level above 0 must have a schedule");
-        if
-          Technique.colocated_with_primary l.technique
-          && not
-               (String.equal l.device.Device.name
-                  primary.device.Device.name)
-        then
-          add
-            (err ~code:"SSDEP-E005" Error (level_loc j l)
-               "%s must be hosted on the primary device %s, not %s"
-               (Technique.name l.technique) primary.device.Device.name
-               l.device.Device.name))
-      rest;
-    (* Conventions on consecutive secondary levels; skipped where a
-       schedule is missing (already an E002). *)
-    let rec pairs j = function
-      | (a : Hierarchy.level) :: (b :: _ as tl) ->
-        (match (Technique.schedule a.technique, Technique.schedule b.technique)
-        with
-        | Some sa, Some sb ->
-          if sb.Schedule.retention_count < sa.Schedule.retention_count then
-            add
-              (err ~code:"SSDEP-E003" Error (level_loc (j + 1) b)
-                 "retention count %d is below level %d's %d (§3.2.1 \
-                  convention 2)"
-                 sb.Schedule.retention_count j sa.Schedule.retention_count);
-          if
-            Duration.compare sb.Schedule.full.Schedule.accumulation
-              (Schedule.cycle_period sa)
-            < 0
-          then
-            add
-              (err ~code:"SSDEP-E004" Error (level_loc (j + 1) b)
-                 "accumulation window %s is shorter than level %d's cycle \
-                  period %s"
-                 (Duration.to_string sb.Schedule.full.Schedule.accumulation)
-                 j
-                 (Duration.to_string (Schedule.cycle_period sa)))
-        | _ -> ());
-        pairs (j + 1) tl
-      | [] | [ _ ] -> ()
-    in
-    pairs 1 rest;
-    List.rev !ds
-
-(* --- design-wide static rules --- *)
 
 let finite f = Float.is_finite f
 let nonneg_finite f = Float.is_finite f && f >= 0.

@@ -1,4 +1,3 @@
-open Storage_hierarchy
 open Storage_model
 
 (** Static design analysis ([ssdep lint]).
@@ -12,8 +11,13 @@ open Storage_model
     [SSDEP-W0xx] warnings, [SSDEP-I0xx] advisories) and structured
     {!Diagnostic.t} findings, rendered as a human table or JSON.
 
+    The hierarchy's structural conventions (§3.2.1, and §3.2.3's
+    positive backup propagation windows) are not among them: every
+    front end builds hierarchies through [Hierarchy.make], which rejects
+    a violation before there is a design to lint.
+
     Two callers: the [ssdep lint] CLI (human/CI feedback, exit codes), and
-    the design-space search, which uses {!prune} to reject statically
+    the design-space search, which uses {!accepts} to reject statically
     invalid candidates before paying for {!Evaluate.run}
     (see {!Storage_optimize.Search.run}).
 
@@ -28,15 +32,6 @@ module Diagnostic = Diagnostic
 val rules : (string * Diagnostic.severity * string) list
 (** The rule registry: code, severity, one-line description. Stable codes,
     documented rule by rule (with paper references) in DESIGN.md. *)
-
-val check_levels : Hierarchy.level list -> Diagnostic.t list
-(** Structural conventions (§3.2.1) over a {e raw} level list, before
-    {!Hierarchy.make}: primary-copy placement (E001), missing schedules
-    (E002), decreasing retention counts (E003), accumulation windows
-    shorter than the upstream cycle period (E004), colocation (E005).
-    Unlike [Hierarchy.validate] — which guards the constructor and stops
-    at the first violation — this reports all of them. A list accepted by
-    [Hierarchy.make] produces no diagnostics here. *)
 
 val check_design : Design.t -> Diagnostic.t list
 (** The scenario-independent rules: device over/near-commitment

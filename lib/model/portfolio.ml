@@ -148,14 +148,12 @@ let lint_members t =
     t.members
 
 let evaluate ?engine t scenario =
-  let map, members =
-    match engine with
-    | None -> (List.map, lint_members t)
-    | Some e ->
-      ( Storage_engine.map e,
-        if Storage_engine.lint e then lint_members t else t.members )
+  let map =
+    match engine with None -> List.map | Some e -> Storage_engine.map e
   in
-  map (fun (m : Design.t) -> (m.Design.name, Evaluate.run m scenario)) members
+  map
+    (fun (m : Design.t) -> (m.Design.name, Evaluate.run m scenario))
+    (lint_members t)
 
 let pp ppf t =
   let per_member, total = outlays t in

@@ -52,17 +52,14 @@ val evaluate :
     demands), which is the conservative reading of a shared-infrastructure
     disaster. Results are in member order whatever the engine's [jobs].
 
-    The [?engine] supplies parallelism and the lint policy. Without an
-    engine the evaluation is serial, lint on — byte-identical to the
-    default engine's results.
+    The [?engine] supplies parallelism. Without an engine the evaluation
+    is serial — byte-identical to the default engine's results.
 
-    When the engine's lint policy is on (the default), members that fail
-    {!Design.validate} (typically overcommitted by the combined
-    background load) are skipped instead of evaluated into a report full
-    of validation errors; each skip increments the shared [lint.pruned]
-    {!Storage_obs} counter. Such members still show up in
+    Members that fail {!Design.validate} (typically overcommitted by the
+    combined background load) are skipped instead of evaluated into a
+    report full of validation errors; each skip increments the shared
+    [lint.pruned] {!Storage_obs} counter. Such members still show up in
     {!overcommitted}, which is the right place to diagnose a
-    consolidation that does not fit. Pass an engine created with
-    [~lint:false] to get a (failed) report for every member. *)
+    consolidation that does not fit. *)
 
 val pp : t Fmt.t

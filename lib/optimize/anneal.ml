@@ -138,7 +138,7 @@ let run ~engine ~budget ~seed ~space ~axes scenarios =
     (* Each live chain contributes one proposal per round; the batch of
        decoded designs crosses the engine's pool as one [map], and every
        subsequent update folds in chain order — the report is a pure
-       function of (seed, budget), independent of --jobs and --chunk. *)
+       function of (seed, budget), independent of --jobs. *)
     let batch =
       List.init width (fun i ->
           let p = propose space count pool.(i) ~round:!round in

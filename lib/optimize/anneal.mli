@@ -13,7 +13,7 @@ open Storage_model
 
     - {b jobs-invariance}: proposals, acceptance and the running best are
       folded in (round, chain) order, so the outcome is a pure function
-      of (seed, budget) — byte-identical across [--jobs] and [--chunk];
+      of (seed, budget) — byte-identical across [--jobs];
     - {b monotone budget}: chain evolution and the temperature schedule
       depend only on the round index, so a budget-B run evaluates a
       strict prefix of a budget-B' > B run — a larger budget never

@@ -73,15 +73,13 @@ let run ?engine ?top_k candidates scenarios =
        saved). The surviving results are identical to a run over a
        hand-filtered candidate list. *)
     let candidates =
-      if Engine.lint engine then
-        Seq.filter
-          (fun d ->
-            Storage_lint.accepts d
-            ||
-            (Storage_obs.Counter.incr obs_pruned;
-             false))
-          candidates
-      else candidates
+      Seq.filter
+        (fun d ->
+          Storage_lint.accepts d
+          ||
+          (Storage_obs.Counter.incr obs_pruned;
+           false))
+        candidates
     in
     let nscenarios = List.length scenarios in
     (* Evaluation streams through the engine's pool in bounded windows;

@@ -43,15 +43,14 @@ val run :
     [[]] in that mode; [considered]/[feasible_count] still report the
     totals. Raises [Invalid_argument] when [top_k < 1].
 
-    The engine's lint policy (default on) statically pre-filters the
-    stream with [Storage_lint]: candidates carrying a lint {e error}
-    (overcommitted devices, unsustainable links — exactly the conditions
-    that make {!Evaluate.run} attach validation errors) are dropped
-    before any evaluation, each incrementing the [lint.pruned]
-    {!Storage_obs} counter. The result is identical to running over a
-    hand-filtered grid; an engine with [~lint:false] scores statically
-    invalid designs anyway (they come back infeasible). If every
-    candidate is pruned the result is empty rather than an error.
+    The stream is statically pre-filtered with {!Storage_lint.accepts}:
+    candidates carrying a lint {e error} (overcommitted devices,
+    unsustainable links — exactly the conditions that make
+    {!Evaluate.run} attach validation errors) are dropped before any
+    evaluation, each incrementing the [lint.pruned] {!Storage_obs}
+    counter. The result is identical to running over a hand-filtered
+    grid. If every candidate is pruned the result is empty rather than
+    an error.
 
     Whatever the engine's [jobs], every list of the result is in the
     same (input-derived) order and every summary is identical to a

@@ -18,9 +18,9 @@ open Storage_model
 
     All methods evaluate through one {!Storage_engine.t} (shared pool,
     [solver.*] observability counters) and fold results in
-    deterministic order, so reports are byte-identical across [--jobs]
-    and [--chunk]. The [solver-exhaustive-equivalence] testkit oracle
-    holds all three to exhaustive search on seeded small grids. *)
+    deterministic order, so reports are byte-identical across [--jobs].
+    The [solver-exhaustive-equivalence] testkit oracle holds all three
+    to exhaustive search on seeded small grids. *)
 
 type method_ = Grid | Anneal | Bnb
 

@@ -12,7 +12,6 @@ type config = {
   port : int;
   workers : int;
   queue_capacity : int;
-  shards : int;
   max_body : int;
   timeout : float;
 }
@@ -22,7 +21,6 @@ let default_config =
     port = 8080;
     workers = 4;
     queue_capacity = 64;
-    shards = 8;
     max_body = 1 lsl 20;
     timeout = 10.;
   }
@@ -52,6 +50,10 @@ let obs_errors = Storage_obs.Counter.make "serve.errors"
 let obs_request_time = Storage_obs.Timer.make "serve.request_seconds"
 
 (* --- request handlers --- *)
+
+(* /evaluate cache shards, selected by design fingerprint to keep
+   concurrent requests off one mutex. *)
+let shards = 8
 
 (* Reports each /evaluate cache shard keeps (FIFO eviction beyond), so
    request bodies from outside cannot grow the daemon's memory without
@@ -190,9 +192,11 @@ let handler_loop t =
   in
   loop ()
 
+let set_timeouts fd timeout =
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
+  Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout
+
 let admit t fd =
-  Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.cfg.timeout;
-  Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.cfg.timeout;
   Mutex.lock t.lock;
   if Queue.length t.conns >= t.cfg.queue_capacity then begin
     Mutex.unlock t.lock;
@@ -217,7 +221,14 @@ let acceptor_loop t =
       | [], _, _ -> ()
       | _ :: _, _, _ -> (
         match Unix.accept ~cloexec:true t.listen_fd with
-        | fd, _ -> admit t fd
+        | fd, _ -> (
+          (* [start] already applied the timeout to the listening socket,
+             so this cannot fail for the value itself; a connection the
+             kernel will not configure is dropped, never the acceptor. *)
+          match set_timeouts fd t.cfg.timeout with
+          | () -> admit t fd
+          | exception Unix.Unix_error _ -> (
+            try Unix.close fd with Unix.Unix_error _ -> ()))
         | exception Unix.Unix_error _ -> ())
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
       loop ()
@@ -231,13 +242,28 @@ let start ?(config = default_config) engine =
   if config.workers < 1 then invalid_arg "Server.start: workers must be >= 1";
   if config.queue_capacity < 1 then
     invalid_arg "Server.start: queue_capacity must be >= 1";
-  if config.shards < 1 then invalid_arg "Server.start: shards must be >= 1";
   if config.max_body < 1 then invalid_arg "Server.start: max_body must be >= 1";
-  if config.timeout <= 0. then invalid_arg "Server.start: timeout must be > 0";
+  let listen_fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  (* The kernel holds a timeout as a timeval: apply this one to the
+     listening socket and read it back, so a value it refuses (NaN,
+     infinite, 2^31 s or more) or rounds to zero (no timeout at all)
+     fails here, before any client connects. *)
+  let timeout_held =
+    match set_timeouts listen_fd config.timeout with
+    | () -> Unix.getsockopt_float listen_fd Unix.SO_RCVTIMEO > 0.
+    | exception Unix.Unix_error _ -> false
+  in
+  if not timeout_held then begin
+    (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+    invalid_arg
+      (Printf.sprintf
+         "Server.start: timeout must be at least a microsecond and below \
+          2^31 seconds, got %s"
+         (Float.to_string config.timeout))
+  end;
   (* A service whose /stats endpoint is the observability story records
      by default. *)
   Storage_obs.enable ();
-  let listen_fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   (match
      Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
      Unix.bind listen_fd
@@ -258,7 +284,7 @@ let start ?(config = default_config) engine =
       cfg = config;
       engine;
       caches =
-        Array.init config.shards (fun _ ->
+        Array.init shards (fun _ ->
             Eval_cache.create ~max_entries:shard_entries ());
       listen_fd;
       bound_port;

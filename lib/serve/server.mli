@@ -4,9 +4,9 @@
     daemon amortizes engine construction, domain-pool spawning and —
     above all — evaluation caching across every request, so a repeated
     design answers from the {!Eval_cache} instead of re-walking the
-    model. The cache is sharded by design fingerprint to keep concurrent
-    requests off one mutex; each shard keeps at most 8,192 reports,
-    evicting the oldest first.
+    model. The cache is split into 8 shards by design fingerprint to
+    keep concurrent requests off one mutex; each shard keeps at most
+    8,192 reports, evicting the oldest first.
 
     Concurrency and back-pressure: an acceptor domain takes connections
     off the listening socket and hands them to a {e bounded} admission
@@ -38,15 +38,14 @@ type config = {
   workers : int;  (** handler domains draining the admission queue *)
   queue_capacity : int;
       (** admission-queue bound; beyond it clients get 429 *)
-  shards : int;  (** evaluation-cache shards (by design fingerprint) *)
   max_body : int;  (** request-body byte limit (413 beyond) *)
   timeout : float;
       (** per-connection kernel read/write timeout, seconds *)
 }
 
 val default_config : config
-(** Port 8080, 4 workers, a 64-connection queue, 8 cache shards, 1 MiB
-    bodies, 10 s timeouts. *)
+(** Port 8080, 4 workers, a 64-connection queue, 1 MiB bodies, 10 s
+    timeouts. *)
 
 type t
 
@@ -63,9 +62,10 @@ val start : ?config:config -> Storage_engine.t -> t
 (** Binds [127.0.0.1:port], spawns the acceptor and worker domains and
     returns immediately. The engine must outlive the server; {!stop}
     does not shut it down (the caller owns it). Raises
-    [Invalid_argument] on a non-positive [workers], [queue_capacity],
-    [shards], [max_body] or [timeout], and lets [Unix.Unix_error]
-    escape when the port cannot be bound. *)
+    [Invalid_argument] on a non-positive [workers], [queue_capacity] or
+    [max_body], and on a [timeout] the socket layer cannot hold: NaN,
+    below a microsecond, or 2{^31} seconds and more. Lets
+    [Unix.Unix_error] escape when the port cannot be bound. *)
 
 val port : t -> int
 (** The bound port — the ephemeral one when [config.port = 0]. *)

@@ -145,39 +145,6 @@ let parallel_invariance =
         end);
   }
 
-(* --- chunked-parallel == serial across chunk sizes --- *)
-
-let chunk_invariance =
-  {
-    name = "chunk-invariance";
-    doc =
-      "Search.run over a replicated grid is byte-identical to serial for \
-       forced chunk sizes 1, 7, the pool window and one past the grid";
-    check =
-      (fun ctx d scenarios ->
-        let scs = List.map snd scenarios in
-        (* Enough copies that chunk sizes 1 and 7 produce several tasks
-           per batch; the cache dedup keeps the evaluation cost at one
-           design. *)
-        let copies = 12 in
-        let grid () = List.to_seq (List.init copies (fun _ -> d)) in
-        let serial = Search.run (grid ()) scs in
-        let jobs = Engine.jobs ctx.aux in
-        first_failure
-          (fun chunk ->
-            let engine = Engine.create ~jobs ~chunk () in
-            let par =
-              Fun.protect
-                ~finally:(fun () -> Engine.shutdown engine)
-                (fun () -> Search.run ~engine (grid ()) scs)
-            in
-            if String.equal (bytes_of serial) (bytes_of par) then Pass
-            else
-              failf
-                "chunk %d: chunked-parallel search differs from serial" chunk)
-          [ 1; 7; 512 * jobs; copies + 1 ]);
-  }
-
 (* --- analytic model vs discrete-event simulation --- *)
 
 let analytic_vs_sim =
@@ -626,7 +593,6 @@ let defaults =
     cache_invariance;
     stream_vs_materialized;
     parallel_invariance;
-    chunk_invariance;
     monotone_shorter_window;
     monotone_bandwidth;
     monotone_cost;

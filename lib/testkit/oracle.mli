@@ -27,9 +27,9 @@ type t = {
 val defaults : t list
 (** The production registry, cheapest first: [lint-coincidence],
     [cache-invariance], [stream-vs-materialized], [parallel-invariance],
-    [chunk-invariance], [monotone-shorter-window], [monotone-bandwidth],
-    [monotone-cost], [analytic-vs-sim], [fleet-degenerate],
-    [fleet-jobs-invariance]. *)
+    [monotone-shorter-window], [monotone-bandwidth], [monotone-cost],
+    [analytic-vs-sim], [fleet-degenerate], [fleet-jobs-invariance],
+    [solver-exhaustive-equivalence]. *)
 
 val all : t list
 (** {!defaults} plus [self-test-fail], which fails on every case and

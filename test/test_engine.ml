@@ -20,8 +20,6 @@ let check_same_bytes msg a b =
 let test_create_defaults () =
   let e = Engine.create () in
   Alcotest.(check int) "jobs" 1 (Engine.jobs e);
-  Alcotest.(check bool) "lint" true (Engine.lint e);
-  Alcotest.(check bool) "stats" false (Engine.stats e);
   Engine.shutdown e
 
 let test_create_invalid () =

@@ -224,12 +224,7 @@ let test_fleet_validation () =
   check_raises_invalid "non-positive horizon" (fun () ->
       ignore (Fleet.config ~horizon_years:0. ()));
   check_raises_invalid "negative rate" (fun () ->
-      ignore (Fleet.rates ~default_afr:(-0.1) ()));
-  check_raises_invalid "erasure sweep: required > fragments" (fun () ->
-      ignore
-        (Fleet.erasure_sweep
-           ~make:(fun ~fragments:_ ~required:_ -> Baseline.design)
-           [ (9, 6) ]))
+      ignore (Fleet.rates ~default_afr:(-0.1) ()))
 
 let test_sample_events_deterministic_and_sorted () =
   let horizon = Duration.scale (5. *. 365.25) (Duration.days 1.) in

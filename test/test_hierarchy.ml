@@ -83,6 +83,38 @@ let test_colocated_must_share_device () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "split mirror off the primary array accepted"
 
+(* §3.2.3 sizes a backup's bandwidth as copy size over propW, so a zero
+   window (the default when [prop] is omitted) is rejected, naming the
+   level, for the full and for the incremental representation. *)
+let test_backup_propagation_must_be_positive () =
+  let backup schedule =
+    level (Technique.Backup schedule) Baseline.tape_library (Some Baseline.san)
+  in
+  let rejects name schedule expected =
+    match Hierarchy.make [ primary_level; sm_level; backup schedule ] with
+    | Error e -> Alcotest.(check string) name expected e
+    | Ok _ -> Alcotest.failf "%s: zero propagation window accepted" name
+  in
+  rejects "full window"
+    (Schedule.simple ~acc:(Duration.weeks 1.) ~hold:(Duration.hours 1.)
+       ~retention_count:4 ())
+    "level 2 (backup): the full propagation window must be positive";
+  let incremental prop =
+    Schedule.make
+      ~full:
+        (Schedule.windows ~acc:(Duration.weeks 1.) ~prop:(Duration.hours 48.)
+           ())
+      ~secondary:
+        (Schedule.Cumulative, Schedule.windows ~acc:(Duration.days 1.) ?prop ())
+      ~cycle_count:6 ~retention_count:4 ()
+  in
+  rejects "incremental window" (incremental None)
+    "level 2 (backup): the incremental propagation window must be positive";
+  let positive = incremental (Some (Duration.hours 12.)) in
+  match Hierarchy.make [ primary_level; sm_level; backup positive ] with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "positive windows rejected: %s" e
+
 let test_warnings_baseline_hold () =
   (* Baseline vault hold (4 wk + 12 hr) exceeds the backup retention
      window (4 wk): tapes sit 12 extra hours; warned, not an error. *)
@@ -223,5 +255,7 @@ let suite =
         Alcotest.test_case "accessors" `Quick test_accessors;
         qcheck prop_worst_ge_best;
         qcheck prop_range_newest_is_worst_lag;
+        Alcotest.test_case "backup propagation windows positive" `Quick
+          test_backup_propagation_must_be_positive;
       ] );
   ]

@@ -104,22 +104,6 @@ let array_failure = scenario "array-failure" (Scenario.now (Location.Device "arr
 
 let fixtures : (string * (unit -> Diag.t list)) list =
   [
-    ("SSDEP-E001", fun () -> Lint.check_levels [ split (arr ()) ]);
-    ( "SSDEP-E002",
-      fun () -> Lint.check_levels [ prim (arr ()); prim (arr ()) ] );
-    ( "SSDEP-E003",
-      fun () ->
-        Lint.check_levels
-          [ prim (arr ()); split ~ret:4 (arr ()); backup ~ret:2 (tape ()) san ]
-    );
-    ( "SSDEP-E004",
-      fun () ->
-        Lint.check_levels
-          [ prim (arr ()); split ~acc:12. (arr ());
-            backup ~acc:6. (tape ()) san ] );
-    ( "SSDEP-E005",
-      fun () -> Lint.check_levels [ prim (arr ()); split (arr ~name:"other" ()) ]
-    );
     ( "SSDEP-E010",
       fun () ->
         Lint.check_design
@@ -269,40 +253,6 @@ let test_clean_design () =
     (codes (Lint.check ~scenarios:[ array_failure ] d));
   Alcotest.(check bool) "accepted" true (Lint.accepts d)
 
-let test_check_levels_matches_constructor () =
-  let raw_of (code, _) =
-    match code with
-    | "SSDEP-E001" -> Some [ split (arr ()) ]
-    | "SSDEP-E002" -> Some [ prim (arr ()); prim (arr ()) ]
-    | "SSDEP-E003" ->
-      Some [ prim (arr ()); split ~ret:4 (arr ()); backup ~ret:2 (tape ()) san ]
-    | "SSDEP-E005" -> Some [ prim (arr ()); split (arr ~name:"other" ()) ]
-    | _ -> None
-  in
-  let invalid = List.filter_map raw_of fixtures in
-  let valid =
-    [
-      [ prim (arr ()) ];
-      [ prim (arr ()); split (arr ()) ];
-      [ prim (arr ()); split (arr ()); backup (tape ()) san ];
-      Hierarchy.levels Baseline.design.Design.hierarchy;
-    ]
-  in
-  List.iter
-    (fun levels ->
-      Alcotest.(check bool) "constructor rejects" true
-        (Result.is_error (Hierarchy.make levels));
-      Alcotest.(check bool) "lint rejects" false
-        (Lint.check_levels levels = []))
-    invalid;
-  List.iter
-    (fun levels ->
-      Alcotest.(check bool) "constructor accepts" true
-        (Result.is_ok (Hierarchy.make levels));
-      Alcotest.(check (list string))
-        "lint accepts" [] (codes (Lint.check_levels levels)))
-    valid
-
 let baseline_scenarios =
   [
     scenario "user-error" Baseline.scenario_object;
@@ -424,32 +374,19 @@ let test_search_prunes () =
   Storage_obs.disable ();
   Alcotest.(check int) "lint.pruned counted" 1
     (Storage_obs.Counter.value (Storage_obs.Counter.make "lint.pruned"));
-  let no_lint candidates =
-    Storage_engine.with_engine ~lint:false (fun engine ->
-        Search.run ~engine (List.to_seq candidates) scenarios)
+  let hand_filtered =
+    Storage_engine.with_engine (fun engine ->
+        Search.run ~engine (List.to_seq good) scenarios)
   in
-  let hand_filtered = no_lint good in
   Alcotest.(check (list (triple string (float 1e-9) bool)))
     "results identical to a hand-filtered run"
     (List.map summary_key hand_filtered.Search.evaluated)
-    (List.map summary_key pruned.Search.evaluated);
-  (* Without the filter the invalid candidate is scored (and comes back
-     infeasible) instead of being dropped. *)
-  let unfiltered = no_lint seeded in
-  Alcotest.(check int) "unfiltered evaluates all" 3
-    (List.length unfiltered.Search.evaluated);
-  let bad =
-    List.find
-      (fun s -> s.Objective.design.Design.name = "overcommitted")
-      unfiltered.Search.evaluated
-  in
-  Alcotest.(check bool) "invalid candidate is infeasible" false
-    bad.Objective.feasible
+    (List.map summary_key pruned.Search.evaluated)
 
 let test_portfolio_prunes () =
   (* Two members that fit alone but overcommit the shared array together:
-     the default evaluation skips them (they are diagnosable via
-     [overcommitted]), [~lint:false] scores them into failed reports. *)
+     the evaluation skips them (they are diagnosable via
+     [overcommitted]). *)
   let member name =
     design ~name ~workload:(wl ~cap:(Size.gib 900.) ()) [ prim (arr ()) ]
   in
@@ -462,17 +399,7 @@ let test_portfolio_prunes () =
   Storage_obs.disable ();
   Alcotest.(check int) "overcommitted members skipped" 0 (List.length skipped);
   Alcotest.(check int) "skips counted" 2
-    (Storage_obs.Counter.value (Storage_obs.Counter.make "lint.pruned"));
-  let forced =
-    Storage_engine.with_engine ~lint:false (fun engine ->
-        Portfolio.evaluate ~engine p Baseline.scenario_object)
-  in
-  Alcotest.(check int) "lint:false evaluates everyone" 2 (List.length forced);
-  List.iter
-    (fun (_, r) ->
-      Alcotest.(check bool) "forced reports carry errors" false
-        (r.Evaluate.errors = []))
-    forced
+    (Storage_obs.Counter.value (Storage_obs.Counter.make "lint.pruned"))
 
 let test_exit_codes () =
   let errd = [ Diag.make ~code:"SSDEP-E010" Diag.Error Diag.Design_wide "x" ] in
@@ -511,8 +438,6 @@ let suite =
           test_fixtures_fire;
         Alcotest.test_case "clean design has no findings" `Quick
           test_clean_design;
-        Alcotest.test_case "check_levels matches Hierarchy.make" `Quick
-          test_check_levels_matches_constructor;
         Alcotest.test_case "presets lint clean" `Quick test_presets_lint_clean;
         Alcotest.test_case "search pre-filter" `Quick test_search_prunes;
         Alcotest.test_case "portfolio pre-filter" `Quick test_portfolio_prunes;

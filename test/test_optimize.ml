@@ -368,11 +368,11 @@ let test_points_decode_as_enumerate () =
     [ small_space; bisection_space ]
 
 (* Annealing determinism: the report is a pure function of (seed, budget)
-   — byte-identical across --jobs and --chunk. *)
+   — byte-identical across --jobs. *)
 let test_anneal_jobs_invariance () =
   let k = kit (business ()) in
-  let run jobs chunk =
-    let engine = Storage_engine.create ~jobs ~chunk () in
+  let run jobs =
+    let engine = Storage_engine.create ~jobs () in
     Fun.protect
       ~finally:(fun () -> Storage_engine.shutdown engine)
       (fun () ->
@@ -385,10 +385,9 @@ let test_anneal_jobs_invariance () =
             best_cost r,
             r.Solver.stats ))
   in
-  let serial = run 1 1 in
-  Alcotest.(check bool) "jobs 4 = serial" true (String.equal serial (run 4 16));
-  Alcotest.(check bool) "jobs 2, chunk 3 = serial" true
-    (String.equal serial (run 2 3))
+  let serial = run 1 in
+  Alcotest.(check bool) "jobs 4 = serial" true (String.equal serial (run 4));
+  Alcotest.(check bool) "jobs 2 = serial" true (String.equal serial (run 2))
 
 let test_anneal_monotone_budget () =
   let k = kit (business ()) in

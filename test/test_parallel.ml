@@ -396,32 +396,6 @@ let test_search_parallel_equals_serial () =
   check_same_bytes "frontier" serial.Search.frontier par.Search.frontier;
   check_same_bytes "best" serial.Search.best par.Search.best
 
-let test_search_chunk_invariance () =
-  (* The ISSUE-6 contract behind the chunk-invariance oracle: forced
-     scheduling granularities {1, 7, the window, > n} over the 200
-     seeded designs are all byte-identical to the serial run. *)
-  let serial =
-    Engine.with_engine ~jobs:1 (fun engine ->
-        Search.run ~engine (List.to_seq seeded_candidates) scenarios)
-  in
-  let n = List.length seeded_candidates in
-  List.iter
-    (fun chunk ->
-      let chunked =
-        let engine = Engine.create ~jobs:4 ~chunk () in
-        Fun.protect
-          ~finally:(fun () -> Engine.shutdown engine)
-          (fun () ->
-            Search.run ~engine (List.to_seq seeded_candidates) scenarios)
-      in
-      let label = Printf.sprintf "chunk=%d" chunk in
-      check_same_bytes (label ^ " evaluated") serial.Search.evaluated
-        chunked.Search.evaluated;
-      check_same_bytes (label ^ " frontier") serial.Search.frontier
-        chunked.Search.frontier;
-      check_same_bytes (label ^ " best") serial.Search.best chunked.Search.best)
-    [ 1; 7; 512 * 4; n + 1 ]
-
 let test_search_shared_cache_equals_fresh () =
   (* Searches sharing one engine agree with each other and with a search
      on a fresh engine. *)
@@ -554,8 +528,6 @@ let suite =
           test_scenario_fingerprint_distinct;
         t "search: 4 domains byte-identical to serial (200 seeded designs)"
           test_search_parallel_equals_serial;
-        t "search: chunk sizes {1,7,window,>n} byte-identical to serial"
-          test_search_chunk_invariance;
         t "search: shared session cache changes nothing"
           test_search_shared_cache_equals_fresh;
         t "eval cache returns the very report evaluation would"

@@ -86,7 +86,6 @@ let small_config =
     Server.port = 0;
     workers = 2;
     queue_capacity = 8;
-    shards = 4;
     max_body = 64 * 1024;
     timeout = 5.;
   }
@@ -201,6 +200,26 @@ let test_concurrent_clients_identical () =
 
 (* --- protocol robustness --- *)
 
+(* A design whose backup level leaves [prop] at its zero default:
+   §3.2.3 would size its bandwidth as copy size / 0. *)
+let zero_window_design =
+  String.concat "\n"
+    [
+      "[workload]"; "name = tiny"; "data_capacity = 100 GiB";
+      "avg_access_rate = 1 MiB/s"; "avg_update_rate = 500 KiB/s";
+      "burst_multiplier = 4"; "batch = 1min: 400 KiB/s, 12hr: 200 KiB/s";
+      "[device box]"; "location = r/s/b"; "capacity_slots = 16 x 100 GiB";
+      "bandwidth_slots = 8 x 50 MiB/s"; "enclosure_bandwidth = 300 MiB/s";
+      "[level 0]"; "technique = primary"; "device = box"; "[level 1]";
+      "technique = backup"; "device = box"; "acc = 1wk"; "retention = 2";
+      "[business]"; "outage_penalty = $1k/hr"; "loss_penalty = $1k/hr";
+      "[scenario oops]"; "scope = object"; "";
+    ]
+
+let post path body =
+  Printf.sprintf "POST %s HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" path
+    (String.length body) body
+
 (* Every payload here is wrong in a different way; each must come back
    as a well-formed HTTP error — never a hang, never a dead server. *)
 let malformed_cases =
@@ -233,6 +252,12 @@ let malformed_cases =
     ("infinite objective", "GET /optimize?rto=inf HTTP/1.1\r\n\r\n", 400);
     ( "objective overflowing a duration",
       "GET /optimize?rto=1e308 HTTP/1.1\r\n\r\n",
+      400 );
+    ( "zero backup propagation window (/evaluate)",
+      post "/evaluate" zero_window_design,
+      400 );
+    ( "zero backup propagation window (/lint)",
+      post "/lint" zero_window_design,
       400 );
   ]
 
@@ -308,6 +333,24 @@ let test_fuzzed_requests () =
   let status, _ = request ~port ~meth:"GET" ~path:"/healthz" "" in
   Alcotest.(check (option int)) "alive after fuzz" (Some 200) status
 
+(* The kernel keeps socket timeouts as a timeval: a value it cannot
+   hold fails at start-up, before any client connects, instead of
+   killing the acceptor on the first connection. *)
+let test_unholdable_timeouts_rejected () =
+  let engine = Storage_engine.create () in
+  List.iter
+    (fun timeout ->
+      Helpers.check_raises_invalid (Printf.sprintf "timeout %g" timeout)
+        (fun () ->
+          Server.stop
+            (Server.start ~config:{ small_config with Server.timeout } engine)))
+    [ Float.nan; Float.infinity; 2147483648.; 1e-9 ];
+  (* The largest value the socket layer holds still serves. *)
+  with_server ~config:{ small_config with Server.timeout = 2147483647. }
+  @@ fun port ->
+  let status, _ = request ~port ~meth:"GET" ~path:"/healthz" "" in
+  Alcotest.(check (option int)) "2^31 - 1 s serves" (Some 200) status
+
 (* --- back-pressure --- *)
 
 let test_back_pressure_rejects_with_429 () =
@@ -320,7 +363,6 @@ let test_back_pressure_rejects_with_429 () =
       Server.port = 0;
       workers = 1;
       queue_capacity = 1;
-      shards = 1;
       max_body = 64 * 1024;
       timeout = 2.;
     }
@@ -463,6 +505,50 @@ let test_real_binary_drains_on_sigterm () =
         Alcotest.(check bool) "drain banner printed" true
           (Helpers.contains rest "drained"))
 
+(* `serve --timeout` values the socket layer cannot hold are
+   configuration errors: one line and exit 2, before the banner. *)
+let test_real_binary_rejects_unholdable_timeout () =
+  match find_ssdep () with
+  | None -> Alcotest.fail "ssdep binary not found (SSDEP_BIN unset?)"
+  | Some bin ->
+    List.iter
+      (fun value ->
+        let out_read, out_write = Unix.pipe ~cloexec:false () in
+        let err_read, err_write = Unix.pipe ~cloexec:false () in
+        let pid =
+          Unix.create_process bin
+            [| bin; "serve"; "--port"; "0"; "--timeout"; value |]
+            Unix.stdin out_write err_write
+        in
+        Unix.close out_write;
+        Unix.close err_write;
+        let out = Unix.in_channel_of_descr out_read in
+        let err = Unix.in_channel_of_descr err_read in
+        Fun.protect
+          ~finally:(fun () ->
+            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+            (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+            close_in_noerr out;
+            close_in_noerr err)
+          (fun () ->
+            (* A daemon that started prints its banner and keeps running:
+               read one line, not to end of file. *)
+            (match In_channel.input_line out with
+            | None -> ()
+            | Some line ->
+              Alcotest.failf "--timeout %s: daemon started (%S)" value line);
+            let stderr_lines =
+              String.split_on_char '\n' (String.trim (In_channel.input_all err))
+            in
+            Alcotest.(check int)
+              ("--timeout " ^ value ^ ": one error line")
+              1
+              (List.length stderr_lines);
+            match Unix.waitpid [] pid with
+            | _, Unix.WEXITED 2 -> ()
+            | _, _ -> Alcotest.failf "--timeout %s: expected exit 2" value))
+      [ "inf"; "nan"; "2147483648" ]
+
 let suite =
   [
     ( "serve.endpoints",
@@ -484,10 +570,14 @@ let suite =
           test_fuzzed_requests;
         t "bounded admission queue answers 429"
           test_back_pressure_rejects_with_429;
+        t "timeouts the socket layer cannot hold fail at start"
+          test_unholdable_timeouts_rejected;
       ] );
     ( "serve.binary",
       [
         t "real daemon: CLI identity and SIGTERM drain"
           test_real_binary_drains_on_sigterm;
+        t "real daemon: --timeout it cannot hold exits 2 before listening"
+          test_real_binary_rejects_unholdable_timeout;
       ] );
   ]
