@@ -2,11 +2,11 @@
 
    These are FLOORS and CEILINGS, not expected values: they are set with
    generous headroom below/above the numbers measured on the development
-   machine (recorded in BENCH_stream.json / BENCH_parallel.json) so that
-   ordinary machine-to-machine variance passes, while a structural
-   regression — per-task dispatch overhead back on the hot path, a
-   Marshal round-trip per cache key, O(grid) retention in the streaming
-   search — fails loudly. The 2025 parallel regression this harness
+   machine (the values the CHECK lines print, recorded in
+   BENCH_check.json) so that ordinary machine-to-machine variance passes,
+   while a structural regression — per-task dispatch overhead back on the
+   hot path, a Marshal round-trip per cache key, O(grid) retention in the
+   streaming search — fails loudly. The 2025 parallel regression this harness
    exists to catch was a 6x slowdown; anything of that class lands well
    past these margins.
 
@@ -65,9 +65,9 @@ let smoke =
     solver_seed = 0xB0B5L;
   }
 
-(* The 131k-candidate sweep of BENCH_stream.json (scale 8): the nightly
-   gate. Dev-machine measurements at commit time: ~90k candidates/s
-   serial, ~120k peak live words. *)
+(* The 131k-candidate grid of `bench/main.exe stream` (scale 8): the
+   nightly gate. Dev-machine measurements at commit time: ~90k
+   candidates/s serial, ~120k peak live words. *)
 let full =
   {
     name = "full";

@@ -1,28 +1,24 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation from the framework's own outputs, then times the evaluation
-   hot paths with Bechamel (one Test.make per experiment).
+(* Paper-artifact and gate driver: regenerates every table and figure of
+   the paper's evaluation from the framework's own outputs, checks the
+   simulator against the model, and runs the deterministic benchmarks and
+   the perf-regression gate. Timing the hot paths in calibrated units is
+   perfbench's job (perfbench/README.md); this driver keeps only the wall
+   clock its gates need.
 
    Usage:
      dune exec bench/main.exe                 # all artifacts + micro-benches
-     dune exec bench/main.exe table5          # one artifact
+     dune exec bench/main.exe table5 [...]    # named artifacts
      dune exec bench/main.exe validate        # simulator-vs-model check
-     dune exec bench/main.exe pareto          # design-space search ablation
+     dune exec bench/main.exe pareto          # design-space search listing
+     dune exec bench/main.exe ablate          # the seven ablations
      dune exec bench/main.exe micro           # micro-benchmarks only
-     dune exec bench/main.exe parallel        # multicore engine benchmark
-     dune exec bench/main.exe stream          # streaming-pipeline memory bench
-     dune exec bench/main.exe serve           # evaluation-service load gen
-     dune exec bench/main.exe solver          # solver-vs-grid parity bench
+     dune exec bench/main.exe stream          # streaming-search memory contract
+     dune exec bench/main.exe fleet           # fleet reports, jobs-invariance
+     dune exec bench/main.exe solver [smoke]  # solver-vs-grid parity
+     dune exec bench/main.exe --check [--smoke]  # perf-regression gate
 
-   The parallel mode times the design-space search over a few hundred
-   generated candidates — serial versus 2/4/8-domain Pool evaluation — and
-   writes the measurements to BENCH_parallel.json. Wall-clock
-   (Unix.gettimeofday), best of three.
-
-   The stream mode checks the streaming search's memory contract — a
-   10^5-candidate grid must peak (live words after forced major
-   collections) within 2x of a 10^3-candidate run, with frontier and
-   best byte-identical to the materialized legacy loop — and writes
-   BENCH_stream.json. *)
+   The stream, fleet, solver and --check modes write BENCH_<mode>.json
+   into the working directory. An unknown mode or artifact exits 2. *)
 
 open Bechamel
 open Toolkit
@@ -32,27 +28,9 @@ open Storage_presets
 
 (* --- artifact regeneration --- *)
 
-let artifacts : (string * (unit -> string)) list =
-  [
-    ("table2", Paper_tables.table2);
-    ("table3", Paper_tables.table3);
-    ("table4", Paper_tables.table4);
-    ("figure1", Paper_tables.figure1);
-    ("figure2", Paper_tables.figure2);
-    ("table5", Paper_tables.table5);
-    ("table6", Paper_tables.table6);
-    ("figure3", Paper_tables.figure3);
-    ("figure4", Paper_tables.figure4);
-    ("figure5", Paper_tables.figure5);
-    ("table7", Paper_tables.table7);
-  ]
-
-let print_artifact name =
-  match List.assoc_opt name artifacts with
-  | Some render ->
-    print_endline (render ());
-    print_newline ()
-  | None -> Printf.eprintf "unknown artifact %s\n" name
+let print_artifact render =
+  print_endline (render ());
+  print_newline ()
 
 (* --- simulator-vs-model validation --- *)
 
@@ -356,24 +334,15 @@ let ablate () =
   ablate_growth ();
   ablate_tail_risk ()
 
-(* --- multicore evaluation-engine benchmark --- *)
+(* --- shared measurements --- *)
 
-(* A widened grid: a few hundred candidates, the scale §4.2's automated
-   what-if exploration is about. *)
-let parallel_space =
-  {
-    Storage_optimize.Candidate.default_space with
-    Storage_optimize.Candidate.pit_accumulations =
-      [ Duration.hours 2.; Duration.hours 6.; Duration.hours 12.;
-        Duration.hours 24. ];
-    pit_retentions = [ 2; 3; 4 ];
-    backup_accumulations =
-      [ Duration.hours 12.; Duration.hours 24.; Duration.hours 48.;
-        Duration.weeks 1. ];
-    vault_accumulations =
-      [ Duration.weeks 1.; Duration.weeks 2.; Duration.weeks 4. ];
-    mirror_links = [ 1; 2; 3; 4; 6; 8; 10 ];
-  }
+(* The hardware failures every search below is scored against. *)
+let scenarios = [ Baseline.scenario_array; Baseline.scenario_site ]
+
+(* The valid candidates of [Candidate.scaled_space ~scale], streamed. *)
+let grid scale =
+  Storage_optimize.Candidate.enumerate (Whatif.search_kit ())
+    (Storage_optimize.Candidate.scaled_space ~scale)
 
 let time_best_of ?(repeats = 3) f =
   let rec go best n =
@@ -387,80 +356,32 @@ let time_best_of ?(repeats = 3) f =
   in
   go infinity repeats
 
-let parallel_bench () =
-  let module J = Storage_report.Json in
-  let module Search = Storage_optimize.Search in
-  let module Engine = Storage_optimize.Engine in
-  (* Record engine statistics throughout, so the benchmark artifact keeps
-     the per-stage evaluate timings and per-domain task counts behind each
-     wall-clock number. *)
-  Storage_obs.enable ();
-  let candidates =
-    List.of_seq
-      (Storage_optimize.Candidate.enumerate (Whatif.search_kit ())
-         parallel_space)
+(* [peak_live_words run cs] is [run cs] and the peak of
+   [Gc.stat().live_words] right after a forced major collection, sampled
+   before the run, every 1024 candidates as [cs] streams by, and once
+   more with the result still live, which is what exposes a materialized
+   run's O(grid) retention. [Gc.top_heap_words] would be the obvious
+   candidate but is useless here: it is monotonic over the process
+   lifetime and, on OCaml 5.1, tracks the allocator's sawtooth high-water
+   mark — the runtime has no heap compaction, so the number reflects
+   allocation churn and fragmentation, not the working set. *)
+let peak_live_words run cs =
+  let peak = ref 0 in
+  let sample () =
+    Gc.full_major ();
+    peak := Int.max !peak (Gc.stat ()).Gc.live_words
   in
-  let scenarios = Baseline.scenarios in
-  let n = List.length candidates in
-  let cores = Storage_parallel.Pool.default_jobs () in
-  Printf.printf
-    "Multicore engine benchmark: %d candidates x %d scenarios (%d core(s) \
-     available)\n"
-    n (List.length scenarios) cores;
-  (* One sweep of the whole space, serial vs 2/4/8 domains, each run on a
-     fresh engine. *)
-  let search ~jobs cs =
-    Engine.with_engine ~jobs (fun engine ->
-        Search.run ~engine (List.to_seq cs) scenarios)
+  sample ();
+  let result =
+    run (Seq.mapi (fun i d -> if i mod 1024 = 0 then sample (); d) cs)
   in
-  let serial_s = time_best_of (fun () -> search ~jobs:1 candidates) in
-  Printf.printf "  search, serial:          %8.1f ms\n" (serial_s *. 1e3);
-  let by_jobs =
-    List.map
-      (fun jobs ->
-        let t = time_best_of (fun () -> search ~jobs candidates) in
-        (* Honesty marker: a speedup measured with more domains than the
-           machine recommends says nothing about scaling — the domains
-           time-share the cores. *)
-        let undersubscribed = jobs > cores in
-        Printf.printf "  search, %d domains:       %8.1f ms  (%.2fx)%s\n" jobs
-          (t *. 1e3) (serial_s /. t)
-          (if undersubscribed then "  [more domains than cores]" else "");
-        (jobs, t, undersubscribed))
-      [ 2; 4; 8 ]
-  in
-  let json =
-    J.Obj
-      [
-        ("mode", J.String "parallel");
-        ("cores", J.Int cores);
-        ("recommended_domain_count", J.Int cores);
-        ("candidates", J.Int n);
-        ("scenarios", J.Int (List.length scenarios));
-        ( "single_sweep",
-          J.Obj
-            [
-              ("serial_seconds", J.Float serial_s);
-              ( "by_jobs",
-                J.List
-                  (List.map
-                     (fun (jobs, t, undersubscribed) ->
-                       J.Obj
-                         [
-                           ("jobs", J.Int jobs);
-                           ("seconds", J.Float t);
-                           ("speedup", J.Float (serial_s /. t));
-                           ("undersubscribed", J.Bool undersubscribed);
-                         ])
-                     by_jobs) );
-            ] );
-        ("stats", Storage_obs.snapshot ());
-      ]
-  in
-  Out_channel.with_open_text "BENCH_parallel.json" (fun oc ->
-      output_string oc (J.to_string_pretty json);
-      output_char oc '\n');
-  print_endline "  wrote BENCH_parallel.json"
+  sample ();
+  (result, !peak)
+
+(* The top-10 streaming search the stream mode and gates 1-3 measure. *)
+let search ~jobs cs =
+  Storage_optimize.Engine.with_engine ~jobs (fun engine ->
+      Storage_optimize.Search.run ~engine ~top_k:10 cs scenarios)
 
 (* --- streaming-pipeline benchmark --- *)
 
@@ -468,26 +389,10 @@ let parallel_bench () =
    candidates evaluated through [Search.run ~top_k] must peak within 2x
    of a ~10^3-candidate run (working set = one pool window + the slim
    frontier + k survivors, not the grid), while the materialized path
-   retains every summary.
-
-   Peak is measured as the maximum of [Gc.stat().live_words] right
-   after a forced major collection, sampled every 1024 candidates as
-   the grid streams by (plus once after each run with the result still
-   live, which is what exposes the materialized path's O(grid)
-   retention). [Gc.top_heap_words] would be the obvious candidate but
-   is useless here: it is monotonic over the process lifetime and, on
-   OCaml 5.1, tracks the allocator's sawtooth high-water mark — the
-   runtime has no heap compaction, so the number reflects allocation
-   churn and fragmentation, not the working set. *)
+   retains every summary. Peaks are {!peak_live_words}. *)
 let stream_bench () =
   let module J = Storage_report.Json in
   let module Search = Storage_optimize.Search in
-  let module Engine = Storage_optimize.Engine in
-  let scenarios = [ Baseline.scenario_array; Baseline.scenario_site ] in
-  let grid scale =
-    Storage_optimize.Candidate.enumerate (Whatif.search_kit ())
-      (Storage_optimize.Candidate.scaled_space ~scale)
-  in
   (* Smallest scale clearing 10^5 candidates after validity filtering. *)
   let large_scale =
     let rec find s = if Seq.length (grid s) >= 100_000 then s else find (s + 1) in
@@ -499,61 +404,30 @@ let stream_bench () =
   Printf.printf
     "Streaming pipeline benchmark: %d vs %d candidates x %d scenarios\n"
     n_small n_large (List.length scenarios);
-  let peak = ref 0 in
-  let sample () =
-    Gc.full_major ();
-    let live = (Gc.stat ()).Gc.live_words in
-    if live > !peak then peak := live
+  let measure name run cs =
+    let result, peak = peak_live_words run cs in
+    Printf.printf "  %-42s peak live %7d kwords\n" name (peak / 1000);
+    (result, peak)
   in
-  let monitored cs =
-    Seq.mapi (fun i d -> if i mod 1024 = 0 then sample (); d) cs
-  in
-  let measure name f =
-    peak := 0;
-    sample ();
-    let t0 = Unix.gettimeofday () in
-    let result = f () in
-    let dt = Unix.gettimeofday () -. t0 in
-    (* [result] is still live across this sample, so a materialized run
-       pays for everything it retained. *)
-    sample ();
-    Printf.printf "  %-42s %8.1f ms   peak live %7d kwords\n" name (dt *. 1e3)
-      (!peak / 1000);
-    (result, dt, !peak)
-  in
-  let stream ~jobs cs =
-    Engine.with_engine ~jobs (fun engine ->
-        Search.run ~engine ~top_k:10 (monitored cs) scenarios)
-  in
-  (* Headline throughput: serial and unmonitored — the [Gc.full_major]
-     sampling above costs more than the evaluations. *)
-  let t_throughput =
-    time_best_of ~repeats:2 (fun () ->
-        Engine.with_engine (fun engine ->
-            Search.run ~engine ~top_k:10 large scenarios))
-  in
-  let throughput = float_of_int n_large /. t_throughput in
-  Printf.printf
-    "  throughput, %d candidates, serial: %8.1f ms  (%.0f candidates/s)\n"
-    n_large (t_throughput *. 1e3) throughput;
-  let r_small, t_small, peak_small =
+  let r_small, peak_small =
     measure (Printf.sprintf "streaming, %d candidates, serial" n_small)
-      (fun () -> stream ~jobs:1 small)
+      (search ~jobs:1) small
   in
-  let r_large, t_large, peak_large =
+  let _, peak_large =
     measure (Printf.sprintf "streaming, %d candidates, serial" n_large)
-      (fun () -> stream ~jobs:1 large)
+      (search ~jobs:1) large
   in
-  let r_large4, t_large4, peak_large4 =
+  let _, peak_large4 =
     measure (Printf.sprintf "streaming, %d candidates, 4 domains" n_large)
-      (fun () -> stream ~jobs:4 large)
+      (search ~jobs:4) large
   in
   (* The materialized oracle on the small grid: byte-identical frontier
      and best, O(grid) retention. (Running it over the large grid would
      materialize every summary — the cost the streaming path removes.) *)
-  let r_mat, t_mat, peak_mat =
+  let r_mat, peak_mat =
     measure (Printf.sprintf "materialized, %d candidates, serial" n_small)
-      (fun () -> Search.run_materialized (List.of_seq small) scenarios)
+      (fun cs -> Search.run_materialized (List.of_seq cs) scenarios)
+      small
   in
   let bytes x = Marshal.to_string x [ Marshal.No_sharing ] in
   let identical =
@@ -565,23 +439,13 @@ let stream_bench () =
   Printf.printf "  large-grid peak within 2x of small-grid peak: %b (%.2fx)\n"
     within_2x
     (float_of_int peak_large /. float_of_int peak_small);
-  (* Wall-clock only; on a single-core host the multi-domain run is
-     expected to be slower, not faster. *)
-  let cores = Storage_parallel.Pool.default_jobs () in
-  Printf.printf "  4-domain large-grid wall-clock ratio: %.2fx%s\n"
-    (t_large /. t_large4)
-    (if 4 > cores then "  [more domains than cores]" else "");
-  ignore r_large;
-  ignore r_large4;
-  let run name candidates jobs seconds peak =
+  let run name candidates jobs peak =
     J.Obj
       [
         ("run", J.String name);
         ("candidates", J.Int candidates);
         ("jobs", J.Int jobs);
-        ("seconds", J.Float seconds);
         ("peak_live_words", J.Int peak);
-        ("undersubscribed", J.Bool (jobs > cores));
       ]
   in
   let json =
@@ -590,21 +454,13 @@ let stream_bench () =
         ("mode", J.String "stream");
         ("scenarios", J.Int (List.length scenarios));
         ("large_scale", J.Int large_scale);
-        ("recommended_domain_count", J.Int cores);
-        ( "serial_throughput",
-          J.Obj
-            [
-              ("candidates", J.Int n_large);
-              ("seconds", J.Float t_throughput);
-              ("candidates_per_sec", J.Float throughput);
-            ] );
         ( "runs",
           J.List
             [
-              run "streaming_small_serial" n_small 1 t_small peak_small;
-              run "streaming_large_serial" n_large 1 t_large peak_large;
-              run "streaming_large_4domains" n_large 4 t_large4 peak_large4;
-              run "materialized_small_serial" n_small 1 t_mat peak_mat;
+              run "streaming_small_serial" n_small 1 peak_small;
+              run "streaming_large_serial" n_large 1 peak_large;
+              run "streaming_large_4domains" n_large 4 peak_large4;
+              run "materialized_small_serial" n_small 1 peak_mat;
             ] );
         ("frontier_best_identical_to_materialized", J.Bool identical);
         ("large_peak_within_2x_of_small", J.Bool within_2x);
@@ -619,12 +475,12 @@ let stream_bench () =
 (* --- fleet Monte Carlo benchmark --- *)
 
 (* [bench/main.exe fleet]: the fleet-scale availability record — 1000
-   five-year trials per preset design, serial and at 4 domains, with the
-   full report and the measured trials/s — written to BENCH_fleet.json.
-   The serial and 4-domain reports must render to identical JSON (the
-   jobs-invariance contract); the record carries the comparison. The
-   fleet-trials-per-sec gate of [--check] reruns the baseline preset
-   against the committed floor. *)
+   five-year trials per preset design, with the full report — written to
+   BENCH_fleet.json. Each design also runs at 4 domains, and the two
+   reports must render to identical JSON (the jobs-invariance contract);
+   the record carries the comparison. Fleet throughput is perfbench's
+   [fleet_tape] and [fleet_mirror], and the fleet-trials-per-sec gate of
+   [--check]. *)
 
 let fleet_designs =
   [
@@ -637,47 +493,30 @@ let fleet_bench () =
   let module J = Storage_report.Json in
   let module Fleet = Storage_fleet.Fleet in
   let config = Fleet.config ~trials:1000 ~horizon_years:5. () in
-  let cores = Storage_parallel.Pool.default_jobs () in
   Printf.printf
-    "Fleet Monte Carlo benchmark: %d trials x %.0f-year horizon per design \
-     (%d core(s))\n"
+    "Fleet Monte Carlo benchmark: %d trials x %.0f-year horizon per design\n"
     config.Fleet.trials
-    (Duration.to_years config.Fleet.horizon)
-    cores;
+    (Duration.to_years config.Fleet.horizon);
   let ok = ref true in
   let runs =
     List.map
       (fun (name, d) ->
-        let run ~jobs () =
+        let run ~jobs =
           Storage_engine.with_engine ~jobs (fun engine ->
               Fleet.run ~engine ~config d)
         in
-        let t0 = Unix.gettimeofday () in
-        let serial = run ~jobs:1 () in
-        let t_serial = Unix.gettimeofday () -. t0 in
-        let t1 = Unix.gettimeofday () in
-        let par = run ~jobs:4 () in
-        let t_par = Unix.gettimeofday () -. t1 in
+        let serial = run ~jobs:1 in
         let identical =
           String.equal
             (J.to_string (Fleet.to_json serial))
-            (J.to_string (Fleet.to_json par))
+            (J.to_string (Fleet.to_json (run ~jobs:4)))
         in
         if not identical then ok := false;
-        let tps = float_of_int config.Fleet.trials /. t_serial in
-        Printf.printf
-          "  %-18s serial %8.1f ms (%7.1f trials/s)   4 domains %8.1f ms \
-           (%.2fx)%s%s\n"
-          name (t_serial *. 1e3) tps (t_par *. 1e3) (t_serial /. t_par)
-          (if 4 > cores then "  [more domains than cores]" else "")
-          (if identical then "" else "  JOBS-VARIANT!");
+        Printf.printf "  %-18s serial and 4-domain reports %s\n" name
+          (if identical then "identical" else "DIFFER: JOBS-VARIANT!");
         J.Obj
           [
             ("design", J.String name);
-            ("serial_seconds", J.Float t_serial);
-            ("trials_per_sec", J.Float tps);
-            ("four_domain_seconds", J.Float t_par);
-            ("speedup", J.Float (t_serial /. t_par));
             ("jobs_invariant", J.Bool identical);
             ("report", Fleet.to_json serial);
           ])
@@ -690,7 +529,6 @@ let fleet_bench () =
         ("trials", J.Int config.Fleet.trials);
         ("horizon_years", J.Float (Duration.to_years config.Fleet.horizon));
         ("seed", J.String (Int64.to_string config.Fleet.seed));
-        ("cores", J.Int cores);
         ("runs", J.List runs);
       ]
   in
@@ -702,61 +540,71 @@ let fleet_bench () =
 
 (* --- metaheuristic solver benchmark --- *)
 
+module Solver = Storage_optimize.Solver
+
+(* One solver method over tier [b]'s grid, with its wall time. *)
+let solve ~engine (b : Baselines.tier) method_ ?budget () =
+  let t0 = Unix.gettimeofday () in
+  let r =
+    Solver.run ~engine ?budget ~seed:b.Baselines.solver_seed ~method_
+      (Whatif.search_kit ())
+      (Storage_optimize.Candidate.scaled_space ~scale:b.Baselines.grid_scale)
+      scenarios
+  in
+  (r, Unix.gettimeofday () -. t0)
+
+(* The exhaustive grid, then annealing budgeted at
+   [solver_budget_fraction] of the candidates the grid evaluated: the
+   measurement behind both the solver mode and the solver-vs-grid gate.
+   Returns the two timed runs and the budget. *)
+let grid_then_anneal ~engine b =
+  let ((grid, _) as timed_grid) = solve ~engine b Solver.Grid () in
+  let budget =
+    Int.max 1
+      (int_of_float
+         (b.Baselines.solver_budget_fraction
+         *. float_of_int grid.Solver.stats.Solver.evaluations))
+  in
+  (timed_grid, budget, solve ~engine b Solver.Anneal ~budget ())
+
+let best_total (r : Solver.result) =
+  Option.map
+    (fun (s : Storage_optimize.Objective.summary) ->
+      s.Storage_optimize.Objective.worst_total_cost)
+    r.Solver.best
+
+(* Did [r] land on the grid optimum's total cost exactly? *)
+let matches_grid ~grid r =
+  Option.compare Money.compare (best_total r) (best_total grid) = 0
+
 (* [bench/main.exe solver [smoke]]: run all three solver methods over the
    tier grid and report how much of the exhaustive sweep each one needed
-   to land on the same optimum. The headline number — the annealing
-   budget is capped at [solver_budget_fraction] of the candidates the
-   grid evaluated, and the run must still reach the grid optimum — is
-   the measurement behind the solver-vs-grid gate of [--check]. Writes
-   BENCH_solver.json; exits 1 if anneal or b&b misses the optimum. *)
+   to land on the same optimum. Writes BENCH_solver.json; exits 1 if
+   anneal or b&b misses the optimum. *)
 let solver_bench ~smoke () =
   let module J = Storage_report.Json in
-  let module Engine = Storage_optimize.Engine in
-  let module Solver = Storage_optimize.Solver in
-  let module Objective = Storage_optimize.Objective in
   let b = if smoke then Baselines.smoke else Baselines.full in
-  let space =
-    Storage_optimize.Candidate.scaled_space ~scale:b.Baselines.grid_scale
+  let points =
+    Storage_optimize.Candidate.point_count
+      (Storage_optimize.Candidate.scaled_space ~scale:b.Baselines.grid_scale)
   in
-  let points = Storage_optimize.Candidate.point_count space in
-  let scenarios = [ Baseline.scenario_array; Baseline.scenario_site ] in
   let jobs = Int.min 4 (Storage_parallel.Pool.default_jobs ()) in
   Printf.printf
     "Solver benchmark, %s tier: %d grid points x %d scenarios, seed 0x%Lx, \
      %d job(s)\n"
     b.Baselines.name points (List.length scenarios) b.Baselines.solver_seed
     jobs;
-  Engine.with_engine ~jobs (fun engine ->
-      let timed method_ ?budget () =
-        let t0 = Unix.gettimeofday () in
-        let r =
-          Solver.run ~engine ?budget ~seed:b.Baselines.solver_seed ~method_
-            (Whatif.search_kit ()) space scenarios
-        in
-        (r, Unix.gettimeofday () -. t0)
+  Storage_engine.with_engine ~jobs (fun engine ->
+      let (grid, t_grid), budget, (anneal, t_anneal) =
+        grid_then_anneal ~engine b
       in
-      let grid, t_grid = timed Solver.Grid () in
+      let bnb, t_bnb = solve ~engine b Solver.Bnb () in
       let grid_evals = grid.Solver.stats.Solver.evaluations in
-      let budget =
-        Int.max 1
-          (int_of_float
-             (b.Baselines.solver_budget_fraction *. float_of_int grid_evals))
-      in
-      let anneal, t_anneal = timed Solver.Anneal ~budget () in
-      let bnb, t_bnb = timed Solver.Bnb () in
-      let total (r : Solver.result) =
-        Option.map
-          (fun (s : Objective.summary) -> s.Objective.worst_total_cost)
-          r.Solver.best
-      in
-      let matches r =
-        Option.compare Money.compare (total r) (total grid) = 0
-      in
       let ok = ref true in
       let row name (r : Solver.result) seconds =
         let evals = r.Solver.stats.Solver.evaluations in
         let fraction = float_of_int evals /. float_of_int grid_evals in
-        let matched = matches r in
+        let matched = matches_grid ~grid r in
         if not matched then ok := false;
         Printf.printf
           "  %-7s best %s  %7d evaluations (%5.1f%% of grid)  %7.2f s%s\n"
@@ -765,8 +613,8 @@ let solver_bench ~smoke () =
           | None -> "-- none feasible --"
           | Some s ->
             Fmt.str "%-32s %a"
-              s.Objective.design.Design.name
-              Money.pp s.Objective.worst_total_cost)
+              s.Storage_optimize.Objective.design.Design.name
+              Money.pp s.Storage_optimize.Objective.worst_total_cost)
           evals (100. *. fraction) seconds
           (if matched then "" else "  MISSED-OPTIMUM!");
         J.Obj
@@ -782,7 +630,7 @@ let solver_bench ~smoke () =
             ("seconds", J.Float seconds);
             ("matched_grid", J.Bool matched);
             ( "best_total_usd",
-              match total r with
+              match best_total r with
               | None -> J.Null
               | Some m -> J.Float (Money.to_usd m) );
           ]
@@ -813,17 +661,17 @@ let solver_bench ~smoke () =
       print_endline "  wrote BENCH_solver.json";
       if not !ok then exit 1)
 
-(* --- evaluation-service load generator --- *)
+(* --- evaluation-service load --- *)
 
-(* [bench/main.exe serve]: start an in-process daemon on an ephemeral
-   port, hammer /evaluate from N concurrent client domains, and report
-   p50/p99 latency and throughput against the cold single-shot cost of
-   spawning `ssdep evaluate --json` per request (binary located via
-   SSDEP_BIN). Writes BENCH_serve.json. The same measurement backs the
-   serve-warm-speedup gate of [--check]. *)
+(* What the serve-warm-speedup gate of [--check] measures: an in-process
+   daemon on an ephemeral port, /evaluate hammered from concurrent client
+   domains, against the cold single-shot cost of spawning
+   `ssdep evaluate --json` per request (binary located via SSDEP_BIN).
+   perfbench's [serve] workload times the daemon in calibrated units. *)
 
 (* One request per connection, mirroring the server's
-   [Connection: close] discipline. Returns (status, body). *)
+   [Connection: close] discipline. Returns the status code (0 when the
+   response has none). *)
 let http_request ~port ~meth ~path ~body =
   let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -852,23 +700,10 @@ let http_request ~port ~meth ~path ~body =
       in
       drain ();
       let raw = Buffer.contents buf in
-      let status =
-        (* "HTTP/1.1 NNN ..." *)
-        if String.length raw >= 12 then
-          Option.value ~default:0 (int_of_string_opt (String.sub raw 9 3))
-        else 0
-      in
-      let body =
-        let n = String.length raw in
-        let rec find i =
-          if i + 4 > n then ""
-          else if String.sub raw i 4 = "\r\n\r\n" then
-            String.sub raw (i + 4) (n - i - 4)
-          else find (i + 1)
-        in
-        find 0
-      in
-      (status, body))
+      (* "HTTP/1.1 NNN ..." *)
+      if String.length raw >= 12 then
+        Option.value ~default:0 (int_of_string_opt (String.sub raw 9 3))
+      else 0)
 
 (* The workhorse request body: the baseline case study with its two
    hardware-failure scenarios, rendered in the design language. *)
@@ -886,16 +721,8 @@ let serve_body =
     | Ok text -> text
     | Error e -> failwith ("cannot render baseline design: " ^ e))
 
-let percentile sorted q =
-  let n = Array.length sorted in
-  sorted.(int_of_float (q *. float_of_int (n - 1)))
-
 type serve_load = {
-  clients : int;
-  per_client : int;
-  p50 : float;
-  p99 : float;
-  throughput : float;  (** requests per second, all clients together *)
+  p50 : float;  (** median request latency, seconds *)
   failures : int;  (** non-200 responses *)
 }
 
@@ -903,29 +730,21 @@ let serve_load ~port ~clients ~per_client =
   let body = Lazy.force serve_body in
   (* Warm the cache (and the code paths) outside the measurement. *)
   ignore (http_request ~port ~meth:"POST" ~path:"/evaluate" ~body);
-  let t0 = Unix.gettimeofday () in
   let domains =
     List.init clients (fun _ ->
         Domain.spawn (fun () ->
             Array.init per_client (fun _ ->
                 let t = Unix.gettimeofday () in
-                let status, _ =
+                let status =
                   http_request ~port ~meth:"POST" ~path:"/evaluate" ~body
                 in
                 (Unix.gettimeofday () -. t, status))))
   in
   let samples = List.concat_map (fun d -> Array.to_list (Domain.join d)) domains in
-  let wall = Unix.gettimeofday () -. t0 in
-  let latencies =
-    Array.of_list (List.map fst samples)
-  in
+  let latencies = Array.of_list (List.map fst samples) in
   Array.sort compare latencies;
   {
-    clients;
-    per_client;
-    p50 = percentile latencies 0.50;
-    p99 = percentile latencies 0.99;
-    throughput = float_of_int (clients * per_client) /. wall;
+    p50 = latencies.((Array.length latencies - 1) / 2);
     failures =
       List.length (List.filter (fun (_, status) -> status <> 200) samples);
   }
@@ -958,66 +777,6 @@ let start_serve_daemon () =
   in
   (engine, server)
 
-let serve_bench () =
-  let module J = Storage_report.Json in
-  let module Server = Storage_serve.Server in
-  let engine, server = start_serve_daemon () in
-  Fun.protect
-    ~finally:(fun () ->
-      Server.stop server;
-      Storage_optimize.Engine.shutdown engine)
-  @@ fun () ->
-  let port = Server.port server in
-  let clients = 4 and per_client = 100 in
-  Printf.printf
-    "Evaluation-service load: %d clients x %d requests to /evaluate \
-     (port %d)\n"
-    clients per_client port;
-  let load = serve_load ~port ~clients ~per_client in
-  Printf.printf
-    "  warm p50 %8.2f ms   p99 %8.2f ms   %8.1f req/s   %d failure(s)\n"
-    (load.p50 *. 1e3) (load.p99 *. 1e3) load.throughput load.failures;
-  let cold =
-    match Sys.getenv_opt "SSDEP_BIN" with
-    | None ->
-      print_endline
-        "  cold single-shot: skipped (SSDEP_BIN not set; point it at the \
-         ssdep binary)";
-      None
-    | Some ssdep_bin ->
-      let t = cold_single_shot ~ssdep_bin () in
-      Printf.printf
-        "  cold single-shot `ssdep evaluate --json`: %8.2f ms  (%.1fx the \
-         warm p50)\n"
-        (t *. 1e3) (t /. load.p50);
-      Some t
-  in
-  let json =
-    J.Obj
-      ([
-         ("mode", J.String "serve");
-         ("clients", J.Int load.clients);
-         ("requests_per_client", J.Int load.per_client);
-         ("warm_p50_seconds", J.Float load.p50);
-         ("warm_p99_seconds", J.Float load.p99);
-         ("throughput_rps", J.Float load.throughput);
-         ("failures", J.Int load.failures);
-       ]
-      @ (match cold with
-        | None -> [ ("cold_single_shot", J.String "skipped") ]
-        | Some t ->
-          [
-            ("cold_single_shot_seconds", J.Float t);
-            ("warm_speedup", J.Float (t /. load.p50));
-          ])
-      @ [ ("stats", Storage_obs.snapshot ()) ])
-  in
-  Out_channel.with_open_text "BENCH_serve.json" (fun oc ->
-      output_string oc (J.to_string_pretty json);
-      output_char oc '\n');
-  print_endline "  wrote BENCH_serve.json";
-  if load.failures > 0 then exit 1
-
 (* --- perf-regression gate --- *)
 
 (* [bench/main.exe --check [--smoke]]: measure the evaluation hot path
@@ -1028,24 +787,14 @@ let serve_bench () =
    build; the full tier is the nightly CI gate. *)
 let check_bench ~smoke () =
   let module J = Storage_report.Json in
-  let module Search = Storage_optimize.Search in
-  let module Engine = Storage_optimize.Engine in
   let b = if smoke then Baselines.smoke else Baselines.full in
   let cores = Storage_parallel.Pool.default_jobs () in
-  let scenarios = [ Baseline.scenario_array; Baseline.scenario_site ] in
-  let grid () =
-    Storage_optimize.Candidate.enumerate (Whatif.search_kit ())
-      (Storage_optimize.Candidate.scaled_space ~scale:b.Baselines.grid_scale)
-  in
+  let grid () = grid b.Baselines.grid_scale in
   let n = Seq.length (grid ()) in
   Printf.printf
     "Perf-regression check, %s tier: %d candidates x %d scenarios, %d \
      core(s)\n"
     b.Baselines.name n (List.length scenarios) cores;
-  let search ~jobs cs =
-    Engine.with_engine ~jobs (fun engine ->
-        Search.run ~engine ~top_k:10 cs scenarios)
-  in
   let gates = ref [] in
   let gate name ~measured ~threshold ~ok ~unit_ =
     Printf.printf "CHECK %-17s %-4s measured %12.1f %s (threshold %.1f)\n"
@@ -1112,24 +861,11 @@ let check_bench ~smoke () =
      O(window + frontier) memory contract. An O(grid) leak — materializing
      summaries, an unbounded memo — blows through the ceiling by an order
      of magnitude. *)
-  let peak = ref 0 in
-  let sample () =
-    Gc.full_major ();
-    let live = (Gc.stat ()).Gc.live_words in
-    if live > !peak then peak := live
-  in
-  let monitored cs =
-    Seq.mapi (fun i d -> if i mod 1024 = 0 then sample (); d) cs
-  in
-  sample ();
-  let r = search ~jobs:1 (monitored (grid ())) in
-  sample ();
-  ignore (Sys.opaque_identity r);
   let ok_peak =
-    gate "peak-live-words"
-      ~measured:(float_of_int !peak)
+    let _, peak = peak_live_words (search ~jobs:1) (grid ()) in
+    gate "peak-live-words" ~measured:(float_of_int peak)
       ~threshold:(float_of_int b.Baselines.max_peak_live_words)
-      ~ok:(!peak <= b.Baselines.max_peak_live_words)
+      ~ok:(peak <= b.Baselines.max_peak_live_words)
       ~unit_:"words"
   in
   (* Gate 4 — fleet Monte Carlo throughput: serial trials/s of the
@@ -1161,39 +897,16 @@ let check_bench ~smoke () =
      the committed fraction. Deterministic (pinned seed), so a failure
      here is a solver regression, not noise. *)
   let ok_solver =
-    let module Solver = Storage_optimize.Solver in
-    let module Objective = Storage_optimize.Objective in
-    let space =
-      Storage_optimize.Candidate.scaled_space ~scale:b.Baselines.grid_scale
-    in
-    Engine.with_engine ~jobs:1 (fun engine ->
-        let solve method_ ?budget () =
-          Solver.run ~engine ?budget ~seed:b.Baselines.solver_seed ~method_
-            (Whatif.search_kit ()) space scenarios
-        in
-        let grid = solve Solver.Grid () in
-        let grid_evals = grid.Solver.stats.Solver.evaluations in
-        let budget =
-          Int.max 1
-            (int_of_float
-               (b.Baselines.solver_budget_fraction
-               *. float_of_int grid_evals))
-        in
-        let anneal = solve Solver.Anneal ~budget () in
-        let total (r : Solver.result) =
-          Option.map
-            (fun (s : Objective.summary) -> s.Objective.worst_total_cost)
-            r.Solver.best
-        in
-        let parity = Option.compare Money.compare (total anneal) (total grid) = 0 in
+    Storage_engine.with_engine ~jobs:1 (fun engine ->
+        let (grid, _), _, (anneal, _) = grid_then_anneal ~engine b in
         let fraction =
           100.
           *. float_of_int anneal.Solver.stats.Solver.evaluations
-          /. float_of_int grid_evals
+          /. float_of_int grid.Solver.stats.Solver.evaluations
         in
         let threshold = 100. *. b.Baselines.solver_budget_fraction in
         gate "solver-vs-grid" ~measured:fraction ~threshold
-          ~ok:(parity && fraction <= threshold)
+          ~ok:(matches_grid ~grid anneal && fraction <= threshold)
           ~unit_:"% of grid")
   in
   (* Gate 6 — the daemon's reason to exist: warm-cache /evaluate p50
@@ -1210,7 +923,7 @@ let check_bench ~smoke () =
         Fun.protect
           ~finally:(fun () ->
             Storage_serve.Server.stop server;
-            Engine.shutdown engine)
+            Storage_engine.shutdown engine)
           (fun () ->
             serve_load
               ~port:(Storage_serve.Server.port server)
@@ -1340,25 +1053,50 @@ let run_micro () =
       Printf.printf "  %-50s %s/run  (r² %.3f)\n" name human r2)
     rows
 
+(* Every mode, keyed by its arguments joined with spaces. *)
+let modes =
+  [
+    ("micro", run_micro);
+    ("validate", validate);
+    ("pareto", pareto);
+    ("ablate", ablate);
+    ("stream", stream_bench);
+    ("fleet", fleet_bench);
+    ("solver", solver_bench ~smoke:false);
+    ("solver smoke", solver_bench ~smoke:true);
+    ("--check", check_bench ~smoke:false);
+    ("--check --smoke", check_bench ~smoke:true);
+    ("check", check_bench ~smoke:false);
+    ("check smoke", check_bench ~smoke:true);
+  ]
+
+(* Any other arguments name artifacts; every name is checked before
+   anything prints, so a retired mode cannot pass for a silent no-op. *)
+let print_artifacts names =
+  match
+    List.filter (fun n -> not (List.mem_assoc n Paper_tables.artifacts)) names
+  with
+  | [] ->
+    List.iter
+      (fun n -> print_artifact (List.assoc n Paper_tables.artifacts))
+      names
+  | unknown ->
+    Printf.eprintf
+      "bench/main.exe: unknown mode or artifact: %s\nmodes: %s\nartifacts: %s\n"
+      (String.concat ", " unknown)
+      (String.concat ", " (List.map fst modes))
+      (String.concat ", " (List.map fst Paper_tables.artifacts));
+    exit 2
+
 let () =
   match Array.to_list Sys.argv with
   | [] | _ :: [] ->
-    List.iter (fun (name, _) -> print_artifact name) artifacts;
+    List.iter (fun (_, render) -> print_artifact render) Paper_tables.artifacts;
     validate ();
     print_newline ();
     ablate ();
     run_micro ()
-  | _ :: [ "micro" ] -> run_micro ()
-  | _ :: [ "validate" ] -> validate ()
-  | _ :: [ "pareto" ] -> pareto ()
-  | _ :: [ "parallel" ] -> parallel_bench ()
-  | _ :: [ "stream" ] -> stream_bench ()
-  | _ :: [ "fleet" ] -> fleet_bench ()
-  | _ :: [ "serve" ] -> serve_bench ()
-  | _ :: [ "solver" ] -> solver_bench ~smoke:false ()
-  | _ :: [ "solver"; "smoke" ] -> solver_bench ~smoke:true ()
-  | _ :: ([ "--check" ] | [ "check" ]) -> check_bench ~smoke:false ()
-  | _ :: ([ "--check"; "--smoke" ] | [ "check"; "smoke" ]) ->
-    check_bench ~smoke:true ()
-  | _ :: [ "ablate" ] -> ablate ()
-  | _ :: names -> List.iter print_artifact names
+  | _ :: args -> (
+    match List.assoc_opt (String.concat " " args) modes with
+    | Some run -> run ()
+    | None -> print_artifacts args)

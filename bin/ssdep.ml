@@ -224,34 +224,19 @@ let with_engine ~jobs ~stats ~stats_json body =
 let tables_cmd =
   let only =
     let doc =
-      "Print a single artifact: table2..table7 or figure2..figure5."
+      "Print a single artifact: table2..table7 or figure1..figure5."
     in
     Arg.(value & opt (some string) None & info [ "only" ] ~docv:"NAME" ~doc)
   in
   let run only =
     match only with
     | None ->
-      Paper_tables.print_all ();
+      print_endline (Paper_tables.all ());
       Ok ()
     | Some name -> (
-      let render =
-        match name with
-        | "table2" -> Some Paper_tables.table2
-        | "table3" -> Some Paper_tables.table3
-        | "table4" -> Some Paper_tables.table4
-        | "figure1" -> Some Paper_tables.figure1
-        | "figure2" -> Some Paper_tables.figure2
-        | "table5" -> Some Paper_tables.table5
-        | "table6" -> Some Paper_tables.table6
-        | "table7" -> Some Paper_tables.table7
-        | "figure3" -> Some Paper_tables.figure3
-        | "figure4" -> Some Paper_tables.figure4
-        | "figure5" -> Some Paper_tables.figure5
-        | _ -> None
-      in
-      match render with
-      | Some f ->
-        print_endline (f ());
+      match List.assoc_opt name Paper_tables.artifacts with
+      | Some render ->
+        print_endline (render ());
         Ok ()
       | None -> Error (Printf.sprintf "unknown artifact %S" name))
   in
@@ -439,18 +424,6 @@ let lint_cmd =
          project's own OCaml sources (SA rules)."
   in
   Cmd.v info Term.(term_result' term)
-
-(* --- whatif --- *)
-
-let whatif_cmd =
-  let run () =
-    print_endline (Paper_tables.table7 ());
-    Ok ()
-  in
-  let info =
-    Cmd.info "whatif" ~doc:"Compare all what-if designs (Table 7)."
-  in
-  Cmd.v info Term.(term_result' (Term.(const run $ const ())))
 
 (* --- simulate --- *)
 
@@ -1435,7 +1408,7 @@ let main_cmd =
   let info = Cmd.info "ssdep" ~version:"1.0.0" ~doc in
   Cmd.group info
     [
-      tables_cmd; evaluate_cmd; check_cmd; lint_cmd; whatif_cmd; simulate_cmd;
+      tables_cmd; evaluate_cmd; check_cmd; lint_cmd; simulate_cmd;
       fleet_cmd; optimize_cmd; characterize_cmd; risk_cmd; degraded_cmd;
       report_cmd; portfolio_cmd; explain_cmd; fuzz_cmd; serve_cmd;
     ]

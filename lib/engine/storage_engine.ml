@@ -1,11 +1,12 @@
 (* The execution context shared by every evaluation loop.
 
    Concurrency notes: [pool] and [slots] are guarded by [lock]. The pool
-   is created lazily so that serial engines never spawn domains, and
-   reused across batches so that a long what-if session pays the domain
-   spawn cost once. Slots hold values behind an extensible-variant
-   universal type: each [new_key] mints a fresh constructor, so a slot
-   can only ever be read back at the type it was written with. *)
+   is created lazily ([of_cli] forces it) so that serial engines never
+   spawn domains, and reused across batches so that a long what-if
+   session pays the domain spawn cost once. Slots hold values behind an
+   extensible-variant universal type: each [new_key] mints a fresh
+   constructor, so a slot can only ever be read back at the type it was
+   written with. *)
 
 type binding = ..
 
@@ -55,28 +56,6 @@ let parse_jobs s =
 
 let jobs_env_var = "SSDEP_JOBS"
 
-let of_cli ?(env = Sys.getenv_opt) ~jobs ~stats () =
-  let resolved =
-    match jobs with
-    | Some n -> Ok n
-    | None -> (
-      match env jobs_env_var with
-      | None -> Ok 1
-      | Some raw -> (
-        (* A malformed SSDEP_JOBS is a configuration error the caller
-           must surface, never a silent serial fallback: a sweep that
-           quietly ran serial because of a typo would look like a 4x
-           perf regression. *)
-        match parse_jobs raw with
-        | Ok n -> Ok n
-        | Error e -> Error (Printf.sprintf "%s: %s" jobs_env_var e)))
-  in
-  Result.map
-    (fun jobs ->
-      if stats then Storage_obs.enable ();
-      create ~jobs ())
-    resolved
-
 let jobs t = t.jobs
 
 let locked t f = Mutex.protect t.lock f
@@ -92,6 +71,34 @@ let pool t =
              let p = Storage_parallel.Pool.create ~jobs:t.jobs in
              t.pool <- Some p;
              p))
+
+let of_cli ?(env = Sys.getenv_opt) ~jobs ~stats () =
+  let resolved =
+    match jobs with
+    | Some n -> Ok (n, "--jobs ")
+    | None -> (
+      match env jobs_env_var with
+      | None -> Ok (1, jobs_env_var ^ "=")
+      | Some raw -> (
+        (* A malformed SSDEP_JOBS is a configuration error the caller
+           must surface, never a silent serial fallback: a sweep that
+           quietly ran serial because of a typo would look like a 4x
+           perf regression. *)
+        match parse_jobs raw with
+        | Ok n -> Ok (n, jobs_env_var ^ "=")
+        | Error e -> Error (Printf.sprintf "%s: %s" jobs_env_var e)))
+  in
+  Result.bind resolved (fun (jobs, source) ->
+      if stats then Storage_obs.enable ();
+      let t = create ~jobs () in
+      (* Spawn the pool now, so a count the runtime cannot run fails
+         here, as a configuration error, not mid-command. *)
+      match pool t with
+      | _ -> Ok t
+      | exception Invalid_argument _ ->
+        Error
+          (Printf.sprintf "%s%d: the OCaml runtime cannot run %d domains"
+             source jobs jobs))
 
 let shutdown t =
   let p = locked t (fun () ->

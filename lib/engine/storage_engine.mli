@@ -9,10 +9,10 @@
     passed whole.
 
     Ownership and lifecycle:
-    - The engine owns its domain pool. The pool is created lazily on the
-      first parallel [map]/[map_seq] (so a [jobs = 1] engine never spawns
-      a domain) and is reused across every subsequent batch until
-      {!shutdown}.
+    - The engine owns its domain pool. The pool is created on the first
+      parallel [map]/[map_seq] (so a [jobs = 1] engine never spawns a
+      domain), or up front by {!of_cli}, and is reused across every
+      subsequent batch until {!shutdown}.
     - The engine owns one {e slot} per typed key (see {!new_key}):
       higher layers stash state there — e.g. [Eval_cache.of_engine] —
       without this module depending on them. Slots are created on first
@@ -51,7 +51,10 @@ val of_cli :
     environment variable (read through [env], default [Sys.getenv_opt])
     supplies the default, and a malformed value there is an [Error]
     naming the variable — a configuration error, never a silent serial
-    fallback. An explicit [jobs = Some n] wins over the environment. *)
+    fallback. An explicit [jobs = Some n] wins over the environment.
+    When [jobs > 1] the pool is spawned here, not on the first parallel
+    map, so a count the runtime cannot run is an [Error] naming [--jobs]
+    or the variable. *)
 
 val with_engine : ?jobs:int -> (t -> 'a) -> 'a
 (** [with_engine f] runs [f] with a fresh engine and shuts it down on the

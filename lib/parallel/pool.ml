@@ -98,6 +98,15 @@ let worker ~index t =
   in
   loop ()
 
+let shutdown t =
+  Mutex.lock t.lock;
+  let workers = t.workers in
+  t.workers <- [];
+  t.closing <- true;
+  Condition.broadcast t.work;
+  Mutex.unlock t.lock;
+  List.iter Domain.join workers
+
 let create ~jobs =
   if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
   let t =
@@ -110,22 +119,22 @@ let create ~jobs =
       jobs;
     }
   in
-  t.workers <-
-    List.init (jobs - 1) (fun i ->
-        ignore (obs_domain_tasks (i + 1));
-        Domain.spawn (fun () -> worker ~index:(i + 1) t));
+  (* One domain at a time: when the runtime runs out of domains (OCaml 5.1
+     stops at 128, the caller's included), the workers already spawned
+     are joined before the error escapes. *)
+  for index = 1 to jobs - 1 do
+    ignore (obs_domain_tasks index);
+    match Domain.spawn (fun () -> worker ~index t) with
+    | d -> t.workers <- d :: t.workers
+    | exception Failure _ ->
+      shutdown t;
+      invalid_arg
+        (Printf.sprintf "Pool.create: the OCaml runtime cannot run %d domains"
+           jobs)
+  done;
   t
 
 let size t = t.jobs
-
-let shutdown t =
-  Mutex.lock t.lock;
-  let workers = t.workers in
-  t.workers <- [];
-  t.closing <- true;
-  Condition.broadcast t.work;
-  Mutex.unlock t.lock;
-  List.iter Domain.join workers
 
 let with_pool ~jobs f =
   let t = create ~jobs in

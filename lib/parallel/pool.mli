@@ -33,7 +33,9 @@ type t
 
 val create : jobs:int -> t
 (** [create ~jobs] spawns [jobs - 1] worker domains. Raises
-    [Invalid_argument] when [jobs < 1]. *)
+    [Invalid_argument] when [jobs < 1], and when the runtime cannot run
+    that many domains (OCaml 5.1 runs at most 128, the caller's included);
+    the workers already spawned are joined first. *)
 
 val size : t -> int
 (** The [jobs] the pool was created with. *)

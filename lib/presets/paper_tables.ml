@@ -316,13 +316,20 @@ let figure5 () =
     ~aligns:[ Table.Left; Table.Left; Table.Right ]
     (outlay_rows @ penalty_rows)
 
-let all () =
-  String.concat "\n\n"
-    [
-      table2 (); table3 (); table4 (); figure1 (); figure2 (); table5 ();
-      table6 (); figure3 (); figure4 (); figure5 (); table7 ();
-    ]
+let artifacts =
+  [
+    ("table2", table2);
+    ("table3", table3);
+    ("table4", table4);
+    ("figure1", figure1);
+    ("figure2", figure2);
+    ("table5", table5);
+    ("table6", table6);
+    ("figure3", figure3);
+    ("figure4", figure4);
+    ("figure5", figure5);
+    ("table7", table7);
+  ]
 
-let print_all () =
-  print_string (all ());
-  print_newline ()
+let all () =
+  String.concat "\n\n" (List.map (fun (_, render) -> render ()) artifacts)

@@ -1,10 +1,9 @@
 (** Reproductions of every table and figure in the paper's evaluation.
 
     Each function renders the corresponding artifact from the framework's
-    own outputs (never from hard-coded results) and returns the text; the
-    [print_*] convenience wrappers write it to stdout. The bench harness,
-    the CLI's [tables] command and EXPERIMENTS.md are all generated from
-    these. *)
+    own outputs (never from hard-coded results) and returns the text. The
+    bench harness, the CLI's [tables] command and EXPERIMENTS.md are all
+    generated from these. *)
 
 val table2 : unit -> string
 (** Workload characterization parameters (the cello preset). *)
@@ -43,7 +42,10 @@ val figure4 : unit -> string
 val figure5 : unit -> string
 (** Overall cost (outlays by technique, penalties) per failure scenario. *)
 
-val all : unit -> string
-(** Every artifact above, in paper order. *)
+val artifacts : (string * (unit -> string)) list
+(** Every artifact above by name ([table2] … [figure5]), in paper order:
+    the one list [all], [ssdep tables --only] and the bench harness
+    read. *)
 
-val print_all : unit -> unit
+val all : unit -> string
+(** Every artifact, in paper order, separated by blank lines. *)

@@ -238,6 +238,22 @@ let acceptor_loop t =
 
 (* --- lifecycle --- *)
 
+let stop t =
+  if not t.stopped then begin
+    t.stopped <- true;
+    Atomic.set t.stop_flag true;
+    (* Wake every sleeping handler; those mid-request finish first —
+       [handler_loop] drains the queue before honouring the flag. *)
+    Mutex.lock t.lock;
+    Condition.broadcast t.work;
+    Mutex.unlock t.lock;
+    Option.iter Domain.join t.acceptor;
+    t.acceptor <- None;
+    List.iter Domain.join t.handlers;
+    t.handlers <- [];
+    try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
+  end
+
 let start ?(config = default_config) engine =
   if config.workers < 1 then invalid_arg "Server.start: workers must be >= 1";
   if config.queue_capacity < 1 then
@@ -302,25 +318,24 @@ let start ?(config = default_config) engine =
       let depth = Queue.length t.conns in
       Mutex.unlock t.lock;
       float_of_int depth);
-  t.handlers <-
-    List.init config.workers (fun _ -> Domain.spawn (fun () -> handler_loop t));
-  t.acceptor <- Some (Domain.spawn (fun () -> acceptor_loop t));
+  (* One domain at a time: when the runtime runs out of domains (OCaml 5.1
+     stops at 128), the ones already started are stopped and the socket
+     closed before the error escapes. *)
+  let spawn f =
+    match Domain.spawn f with
+    | d -> d
+    | exception Failure _ ->
+      stop t;
+      invalid_arg
+        (Printf.sprintf
+           "Server.start: the OCaml runtime cannot run %d handler domains \
+            and an acceptor"
+           config.workers)
+  in
+  for _ = 1 to config.workers do
+    t.handlers <- spawn (fun () -> handler_loop t) :: t.handlers
+  done;
+  t.acceptor <- Some (spawn (fun () -> acceptor_loop t));
   t
 
 let port t = t.bound_port
-
-let stop t =
-  if not t.stopped then begin
-    t.stopped <- true;
-    Atomic.set t.stop_flag true;
-    (* Wake every sleeping handler; those mid-request finish first —
-       [handler_loop] drains the queue before honouring the flag. *)
-    Mutex.lock t.lock;
-    Condition.broadcast t.work;
-    Mutex.unlock t.lock;
-    Option.iter Domain.join t.acceptor;
-    t.acceptor <- None;
-    List.iter Domain.join t.handlers;
-    t.handlers <- [];
-    try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
-  end

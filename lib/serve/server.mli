@@ -63,8 +63,11 @@ val start : ?config:config -> Storage_engine.t -> t
     returns immediately. The engine must outlive the server; {!stop}
     does not shut it down (the caller owns it). Raises
     [Invalid_argument] on a non-positive [workers], [queue_capacity] or
-    [max_body], and on a [timeout] the socket layer cannot hold: NaN,
-    below a microsecond, or 2{^31} seconds and more. Lets
+    [max_body], on a [timeout] the socket layer cannot hold (NaN,
+    below a microsecond, or 2{^31} seconds and more), and when the
+    runtime cannot run [workers] handler domains and the acceptor (OCaml
+    5.1 runs at most 128 domains); the domains already started are
+    stopped and the socket closed first. Lets
     [Unix.Unix_error] escape when the port cannot be bound. *)
 
 val port : t -> int

@@ -78,6 +78,16 @@ let test_invalid_arguments () =
   Helpers.check_raises_invalid "chunk=0" (fun () ->
       Pool.with_pool ~jobs:2 (fun p -> Pool.map_on ~chunk:0 p square [ 1; 2 ]))
 
+(* OCaml 5.1 runs at most 128 domains. A pool beyond that is an
+   [Invalid_argument], and the workers it did spawn are joined: a large
+   pool still starts right after. *)
+let test_create_beyond_domain_limit () =
+  Helpers.check_raises_invalid "jobs=200" (fun () -> Pool.create ~jobs:200);
+  Pool.with_pool ~jobs:100 (fun p ->
+      Alcotest.(check (list int))
+        "a 100-domain pool runs after the failure" [ 1; 4; 9 ]
+        (Pool.map_on p square [ 1; 2; 3 ]))
+
 let test_exception_propagation () =
   (* Every element raises. Serially, and with everything in one chunk, the
      smallest-evaluated-index rule is deterministic: index 0. With many
@@ -494,6 +504,8 @@ let suite =
         t "forced chunk sizes" test_map_forced_chunks;
         t "each input applied exactly once" test_map_applies_each_input_once;
         t "invalid jobs/chunk rejected" test_invalid_arguments;
+        t "more domains than the runtime runs: rejected, workers joined"
+          test_create_beyond_domain_limit;
         t "first exception propagates" test_exception_propagation;
         t "pool survives a failed batch" test_pool_survives_batch_failure;
         t "pool reused across many batches" test_pool_reuse_many_batches;

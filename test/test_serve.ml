@@ -505,49 +505,62 @@ let test_real_binary_drains_on_sigterm () =
         Alcotest.(check bool) "drain banner printed" true
           (Helpers.contains rest "drained"))
 
-(* `serve --timeout` values the socket layer cannot hold are
-   configuration errors: one line and exit 2, before the banner. *)
-let test_real_binary_rejects_unholdable_timeout () =
+(* `serve ARGS` is a configuration error: one line and exit 2, before
+   the banner, within 30 s (a daemon stuck on the way out fails here
+   rather than hanging the suite). *)
+let check_rejected_before_listening bin args =
+  let label = String.concat " " args in
+  let out_read, out_write = Unix.pipe ~cloexec:false () in
+  let err_read, err_write = Unix.pipe ~cloexec:false () in
+  let pid =
+    Unix.create_process bin
+      (Array.of_list ([ bin; "serve"; "--port"; "0" ] @ args))
+      Unix.stdin out_write err_write
+  in
+  Unix.close out_write;
+  Unix.close err_write;
+  let out = Unix.in_channel_of_descr out_read in
+  let err = Unix.in_channel_of_descr err_read in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+      close_in_noerr out;
+      close_in_noerr err)
+    (fun () ->
+      (match Unix.select [ out_read ] [] [] 30. with
+      | [], _, _ -> Alcotest.failf "%s: no exit and no banner in 30 s" label
+      | _ :: _, _, _ -> ());
+      (* A daemon that started prints its banner and keeps running:
+         read one line, not to end of file. *)
+      (match In_channel.input_line out with
+      | None -> ()
+      | Some line -> Alcotest.failf "%s: daemon started (%S)" label line);
+      let stderr_lines =
+        String.split_on_char '\n' (String.trim (In_channel.input_all err))
+      in
+      Alcotest.(check int) (label ^ ": one error line") 1
+        (List.length stderr_lines);
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 2 -> ()
+      | _, _ -> Alcotest.failf "%s: expected exit 2" label)
+
+let with_ssdep f =
   match find_ssdep () with
   | None -> Alcotest.fail "ssdep binary not found (SSDEP_BIN unset?)"
-  | Some bin ->
-    List.iter
-      (fun value ->
-        let out_read, out_write = Unix.pipe ~cloexec:false () in
-        let err_read, err_write = Unix.pipe ~cloexec:false () in
-        let pid =
-          Unix.create_process bin
-            [| bin; "serve"; "--port"; "0"; "--timeout"; value |]
-            Unix.stdin out_write err_write
-        in
-        Unix.close out_write;
-        Unix.close err_write;
-        let out = Unix.in_channel_of_descr out_read in
-        let err = Unix.in_channel_of_descr err_read in
-        Fun.protect
-          ~finally:(fun () ->
-            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-            (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-            close_in_noerr out;
-            close_in_noerr err)
-          (fun () ->
-            (* A daemon that started prints its banner and keeps running:
-               read one line, not to end of file. *)
-            (match In_channel.input_line out with
-            | None -> ()
-            | Some line ->
-              Alcotest.failf "--timeout %s: daemon started (%S)" value line);
-            let stderr_lines =
-              String.split_on_char '\n' (String.trim (In_channel.input_all err))
-            in
-            Alcotest.(check int)
-              ("--timeout " ^ value ^ ": one error line")
-              1
-              (List.length stderr_lines);
-            match Unix.waitpid [] pid with
-            | _, Unix.WEXITED 2 -> ()
-            | _, _ -> Alcotest.failf "--timeout %s: expected exit 2" value))
-      [ "inf"; "nan"; "2147483648" ]
+  | Some bin -> f bin
+
+(* `serve --timeout` values the socket layer cannot hold. *)
+let test_real_binary_rejects_unholdable_timeout () =
+  with_ssdep @@ fun bin ->
+  List.iter
+    (fun value -> check_rejected_before_listening bin [ "--timeout"; value ])
+    [ "inf"; "nan"; "2147483648" ]
+
+(* More handler domains than the runtime runs (OCaml 5.1 stops at 128). *)
+let test_real_binary_rejects_too_many_workers () =
+  with_ssdep @@ fun bin ->
+  check_rejected_before_listening bin [ "--workers"; "200" ]
 
 let suite =
   [
@@ -579,5 +592,7 @@ let suite =
           test_real_binary_drains_on_sigterm;
         t "real daemon: --timeout it cannot hold exits 2 before listening"
           test_real_binary_rejects_unholdable_timeout;
+        t "real daemon: --workers it cannot run exits 2 before listening"
+          test_real_binary_rejects_too_many_workers;
       ] );
   ]
