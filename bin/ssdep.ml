@@ -13,15 +13,13 @@ open Storage_presets
 
 let designs = Whatif.all
 
-let design_names = List.map fst designs
-
-let find_design name =
+let find_design designs name =
   match List.assoc_opt name designs with
   | Some d -> Ok d
   | None ->
     Error
       (Printf.sprintf "unknown design %S; available: %s" name
-         (String.concat ", " design_names))
+         (String.concat ", " (List.map fst designs)))
 
 let scenario_of_scope ~target_age scope_name =
   let target_age = Duration.hours target_age in
@@ -41,10 +39,11 @@ let scenario_of_scope ~target_age scope_name =
 
 (* --- common options --- *)
 
-let design_arg =
+let design_arg designs =
   let doc =
     Printf.sprintf "Design to evaluate. One of: %s."
-      (String.concat ", " (List.map (Printf.sprintf "$(b,%s)") design_names))
+      (String.concat ", "
+         (List.map (fun (n, _) -> Printf.sprintf "$(b,%s)" n) designs))
   in
   Arg.(value & opt string "baseline" & info [ "d"; "design" ] ~docv:"NAME" ~doc)
 
@@ -108,19 +107,14 @@ let config_error msg =
   Format.pp_print_flush Format.std_formatter ();
   Stdlib.exit 2
 
-(* Design files are loaded through one helper so every subcommand agrees:
-   a missing or unreadable path is a configuration error (exit 2, message
-   names the file), a file that reads but does not parse is an ordinary
-   command error (cmdliner's error path). *)
-let load_design ?validate path =
-  match Storage_spec.Spec.load_design_file ?validate path with
-  | Ok d -> Ok d
-  | Error (Storage_spec.Spec.Unreadable m) -> config_error m
-  | Error (Storage_spec.Spec.Invalid m) -> Error m
-
-let load_scenarios path =
-  match Storage_spec.Spec.load_scenarios_file path with
-  | Ok s -> Ok s
+(* Design files are loaded, with their [scenario] sections, through one
+   helper so every subcommand agrees: a missing or unreadable path is a
+   configuration error (exit 2, message names the file), a file that reads
+   but does not parse is an ordinary command error (cmdliner's error
+   path). *)
+let load ?validate path =
+  match Storage_spec.Spec.load_file ?validate path with
+  | Ok loaded -> Ok loaded
   | Error (Storage_spec.Spec.Unreadable m) -> config_error m
   | Error (Storage_spec.Spec.Invalid m) -> Error m
 
@@ -285,27 +279,24 @@ let evaluate_cmd =
     with_stats stats stats_json @@ fun () ->
     match file with
     | Some path -> (
-      match load_design path with
+      match load path with
       | Error e -> Error e
-      | Ok d -> (
-        match load_scenarios path with
-        | Error e -> Error e
-        | Ok [] -> (
-          match scenario_of_scope ~target_age scope with
-          | Error e ->
-            Error
-              (e ^ " (the file defines no [scenario] sections to use instead)")
-          | Ok scenario ->
-            print_reports json d [ (scope, Evaluate.run d scenario) ];
-            Ok ())
-        | Ok scenarios ->
-          print_reports json d
-            (List.map
-               (fun (name, scenario) -> (name, Evaluate.run d scenario))
-               scenarios);
-          Ok ()))
+      | Ok (d, []) -> (
+        match scenario_of_scope ~target_age scope with
+        | Error e ->
+          Error
+            (e ^ " (the file defines no [scenario] sections to use instead)")
+        | Ok scenario ->
+          print_reports json d [ (scope, Evaluate.run d scenario) ];
+          Ok ())
+      | Ok (d, scenarios) ->
+        print_reports json d
+          (List.map
+             (fun (name, scenario) -> (name, Evaluate.run d scenario))
+             scenarios);
+        Ok ())
     | None -> (
-      match find_design design with
+      match find_design designs design with
       | Error e -> Error e
       | Ok d -> (
         match scenario_of_scope ~target_age scope with
@@ -324,7 +315,7 @@ let evaluate_cmd =
   in
   let term =
     Term.(
-      const run $ design_arg $ file_arg $ scope_arg $ target_age_arg
+      const run $ design_arg designs $ file_arg $ scope_arg $ target_age_arg
       $ json_arg $ stats_arg $ stats_json_arg)
   in
   let info =
@@ -343,19 +334,16 @@ let check_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
   in
   let run path =
-    match load_design path with
+    match load path with
     | Error e -> Error e
-    | Ok d ->
+    | Ok (d, scenarios) ->
       Fmt.pr "%a@.@." Design.pp d;
       Fmt.pr "%a@." Utilization.pp (Utilization.compute d);
       let warnings =
         Storage_hierarchy.Hierarchy.warnings d.Design.hierarchy
       in
       List.iter (Fmt.pr "warning: %s@.") warnings;
-      (match Storage_spec.Spec.scenarios_of_file path with
-      | Ok scenarios ->
-        List.iter (fun (name, _) -> Fmt.pr "scenario: %s@." name) scenarios
-      | Error _ -> ());
+      List.iter (fun (name, _) -> Fmt.pr "scenario: %s@." name) scenarios;
       Fmt.pr "design OK@.";
       Ok ()
   in
@@ -383,14 +371,9 @@ let lint_cmd =
   let run target json deny_warnings =
     let loaded =
       if Sys.file_exists target && not (Sys.is_directory target) then
-        match load_design ~validate:false target with
-        | Error e -> Error e
-        | Ok d -> (
-          match load_scenarios target with
-          | Error e -> Error e
-          | Ok scenarios -> Ok (d, scenarios))
+        load ~validate:false target
       else
-        match find_design target with
+        match find_design designs target with
         | Error e -> config_error (e ^ " (and no such file)")
         | Ok d -> Ok (d, baseline_scenarios)
     in
@@ -475,7 +458,7 @@ let simulate_cmd =
   let run design scope target_age warmup sweep outage trace jobs stats
       stats_json =
     with_engine ~jobs ~stats ~stats_json @@ fun engine ->
-    match find_design design with
+    match find_design designs design with
     | Error e -> Error e
     | Ok d -> (
       match scenario_of_scope ~target_age scope with
@@ -542,8 +525,8 @@ let simulate_cmd =
   in
   let term =
     Term.(
-      const run $ design_arg $ scope_arg $ target_age_arg $ warmup $ sweep
-      $ outage $ trace $ jobs_arg $ stats_arg $ stats_json_arg)
+      const run $ design_arg designs $ scope_arg $ target_age_arg $ warmup
+      $ sweep $ outage $ trace $ jobs_arg $ stats_arg $ stats_json_arg)
   in
   let info =
     Cmd.info "simulate"
@@ -689,7 +672,7 @@ let optimize_cmd =
         List.fold_left
           (fun acc path ->
             let* acc = acc in
-            let* d = load_design path in
+            let* d, _ = load path in
             Ok (Solver.member_of_design d :: acc))
           (Ok []) portfolio
         |> Result.map List.rev
@@ -813,26 +796,41 @@ let characterize_cmd =
 
 (* --- risk --- *)
 
+(* Expected incidents per year of the baseline's user error, array failure
+   and site disaster: `risk`'s flag defaults and `report --risk`'s
+   weights. *)
+let object_per_year, array_per_year, site_per_year = (12., 0.2, 0.01)
+
+let weighted_baseline object_freq array_freq site_freq =
+  [
+    { Risk.scenario = Baseline.scenario_object;
+      frequency_per_year = object_freq };
+    { Risk.scenario = Baseline.scenario_array;
+      frequency_per_year = array_freq };
+    { Risk.scenario = Baseline.scenario_site;
+      frequency_per_year = site_freq };
+  ]
+
 let risk_cmd =
   let object_freq =
     let doc = "Expected user-error incidents per year." in
     Arg.(
       value
-      & opt non_negative_float_conv 12.
+      & opt non_negative_float_conv object_per_year
       & info [ "object-per-year" ] ~docv:"F" ~doc)
   in
   let array_freq =
     let doc = "Expected array failures per year." in
     Arg.(
       value
-      & opt non_negative_float_conv 0.2
+      & opt non_negative_float_conv array_per_year
       & info [ "array-per-year" ] ~docv:"F" ~doc)
   in
   let site_freq =
     let doc = "Expected site disasters per year." in
     Arg.(
       value
-      & opt non_negative_float_conv 0.01
+      & opt non_negative_float_conv site_per_year
       & info [ "site-per-year" ] ~docv:"F" ~doc)
   in
   let horizon =
@@ -845,19 +843,10 @@ let risk_cmd =
       & info [ "monte-carlo" ] ~docv:"YEARS" ~doc)
   in
   let run design object_freq array_freq site_freq horizon =
-    match find_design design with
+    match find_design designs design with
     | Error e -> Error e
     | Ok d ->
-      let weighted =
-        [
-          { Risk.scenario = Baseline.scenario_object;
-            frequency_per_year = object_freq };
-          { Risk.scenario = Baseline.scenario_array;
-            frequency_per_year = array_freq };
-          { Risk.scenario = Baseline.scenario_site;
-            frequency_per_year = site_freq };
-        ]
-      in
+      let weighted = weighted_baseline object_freq array_freq site_freq in
       let distribution =
         match horizon with
         | Some years when years > 0. -> (
@@ -879,7 +868,8 @@ let risk_cmd =
   in
   let term =
     Term.(
-      const run $ design_arg $ object_freq $ array_freq $ site_freq $ horizon)
+      const run $ design_arg designs $ object_freq $ array_freq $ site_freq
+      $ horizon)
   in
   let info =
     Cmd.info "risk"
@@ -896,15 +886,6 @@ let fleet_cmd =
   let fleet_designs =
     designs
     @ [ ("erasure", Whatif.erasure_coded ~fragments:9 ~required:6 ~links:10) ]
-  in
-  let design_arg =
-    let doc =
-      Printf.sprintf "Design to evaluate. One of: %s."
-        (String.concat ", "
-           (List.map (fun (n, _) -> Printf.sprintf "$(b,%s)" n) fleet_designs))
-    in
-    Arg.(
-      value & opt string "baseline" & info [ "d"; "design" ] ~docv:"NAME" ~doc)
   in
   let trials_arg =
     let doc = "Monte-Carlo trials (independent sampled failure traces)." in
@@ -950,12 +931,9 @@ let fleet_cmd =
     with
     | Error e -> Error e
     | Ok config -> (
-      match List.assoc_opt design fleet_designs with
-      | None ->
-        Error
-          (Printf.sprintf "unknown design %S; available: %s" design
-             (String.concat ", " (List.map fst fleet_designs)))
-      | Some d ->
+      match find_design fleet_designs design with
+      | Error e -> Error e
+      | Ok d ->
         let report = Fleet.run ~engine ~config d in
         if json then
           print_endline
@@ -965,9 +943,9 @@ let fleet_cmd =
   in
   let term =
     Term.(
-      const run $ design_arg $ trials_arg $ horizon_arg $ seed_arg $ afr_arg
-      $ building_arg $ site_arg $ json_arg $ jobs_arg $ stats_arg
-      $ stats_json_arg)
+      const run $ design_arg fleet_designs $ trials_arg $ horizon_arg
+      $ seed_arg $ afr_arg $ building_arg $ site_arg $ json_arg $ jobs_arg
+      $ stats_arg $ stats_json_arg)
   in
   let info =
     Cmd.info "fleet"
@@ -991,7 +969,7 @@ let degraded_cmd =
     Arg.(value & opt hours_conv 168. & info [ "outage" ] ~docv:"HOURS" ~doc)
   in
   let run design scope target_age level outage =
-    match find_design design with
+    match find_design designs design with
     | Error e -> Error e
     | Ok d -> (
       match scenario_of_scope ~target_age scope with
@@ -1005,7 +983,9 @@ let degraded_cmd =
          with Invalid_argument m -> Error m))
   in
   let term =
-    Term.(const run $ design_arg $ scope_arg $ target_age_arg $ level $ outage)
+    Term.(
+      const run $ design_arg designs $ scope_arg $ target_age_arg $ level
+      $ outage)
   in
   let info =
     Cmd.info "degraded"
@@ -1024,8 +1004,10 @@ let report_cmd =
   in
   let with_risk =
     let doc =
-      "Append a risk section using the default scenario frequencies \
-       (object 12/yr, array 0.2/yr, site 0.01/yr)."
+      Printf.sprintf
+        "Append a risk section using the default scenario frequencies \
+         (object %g/yr, array %g/yr, site %g/yr)."
+        object_per_year array_per_year site_per_year
     in
     Arg.(value & flag & info [ "risk" ] ~doc)
   in
@@ -1033,16 +1015,12 @@ let report_cmd =
     let design_and_scenarios =
       match file with
       | Some path -> (
-        match load_design path with
-        | Error e -> Error e
-        | Ok d -> (
-          match load_scenarios path with
-          | Error e -> Error e
-          | Ok [] ->
-            Error "the design file defines no [scenario] sections to report on"
-          | Ok scenarios -> Ok (d, scenarios)))
+        match load path with
+        | Ok (_, []) ->
+          Error "the design file defines no [scenario] sections to report on"
+        | loaded -> loaded)
       | None -> (
-        match find_design design with
+        match find_design designs design with
         | Error e -> Error e
         | Ok d -> Ok (d, baseline_scenarios))
     in
@@ -1051,15 +1029,7 @@ let report_cmd =
     | Ok (d, scenarios) -> (
       let risk =
         if with_risk then
-          Some
-            [
-              { Risk.scenario = Baseline.scenario_object;
-                frequency_per_year = 12. };
-              { Risk.scenario = Baseline.scenario_array;
-                frequency_per_year = 0.2 };
-              { Risk.scenario = Baseline.scenario_site;
-                frequency_per_year = 0.01 };
-            ]
+          Some (weighted_baseline object_per_year array_per_year site_per_year)
         else None
       in
       let doc = Summary_report.markdown ?risk d scenarios in
@@ -1076,7 +1046,9 @@ let report_cmd =
           Ok ()
         | exception Sys_error m -> Error m))
   in
-  let term = Term.(const run $ design_arg $ file_arg $ out $ with_risk) in
+  let term =
+    Term.(const run $ design_arg designs $ file_arg $ out $ with_risk)
+  in
   let info =
     Cmd.info "report"
       ~doc:
@@ -1091,8 +1063,8 @@ let explain_cmd =
   let run design file scope target_age =
     let design_result =
       match file with
-      | Some path -> load_design path
-      | None -> find_design design
+      | Some path -> Result.map fst (load path)
+      | None -> find_design designs design
     in
     match design_result with
     | Error e -> Error e
@@ -1104,7 +1076,8 @@ let explain_cmd =
         Ok ())
   in
   let term =
-    Term.(const run $ design_arg $ file_arg $ scope_arg $ target_age_arg)
+    Term.(
+      const run $ design_arg designs $ file_arg $ scope_arg $ target_age_arg)
   in
   let info =
     Cmd.info "explain"
@@ -1123,17 +1096,17 @@ let portfolio_cmd =
     Arg.(non_empty & pos_all string [] & info [] ~docv:"FILE" ~doc)
   in
   let run paths =
-    let rec load acc = function
+    let rec load_all acc = function
       | [] -> Ok (List.rev acc)
       | path :: rest -> (
-        match load_design path with
+        match load path with
         | Error e -> Error (path ^ ": " ^ e)
-        | Ok d -> load ((path, d) :: acc) rest)
+        | Ok loaded -> load_all (loaded :: acc) rest)
     in
-    match load [] paths with
+    match load_all [] paths with
     | Error e -> Error e
     | Ok designs -> (
-      match Portfolio.make (List.map snd designs) with
+      match Portfolio.make (List.map fst designs) with
       | Error e -> Error e
       | Ok portfolio ->
         Fmt.pr "%a@.@." Portfolio.pp portfolio;
@@ -1148,20 +1121,16 @@ let portfolio_cmd =
         (* Evaluate each member under its own file's scenarios, with the
            neighbours' load applied. *)
         List.iter
-          (fun (path, (original : Design.t)) ->
-            match Storage_spec.Spec.scenarios_of_file path with
-            | Error _ | Ok [] -> ()
-            | Ok scenarios ->
-              let member =
-                Option.get
-                  (Portfolio.member portfolio original.Design.name)
-              in
-              List.iter
-                (fun (name, scenario) ->
-                  let r = Evaluate.run member scenario in
-                  Fmt.pr "%s / %s: %a@." original.Design.name name
-                    Evaluate.pp_summary r)
-                scenarios)
+          (fun ((original : Design.t), scenarios) ->
+            let member =
+              Option.get (Portfolio.member portfolio original.Design.name)
+            in
+            List.iter
+              (fun (name, scenario) ->
+                let r = Evaluate.run member scenario in
+                Fmt.pr "%s / %s: %a@." original.Design.name name
+                  Evaluate.pp_summary r)
+              scenarios)
           designs;
         Ok ())
   in

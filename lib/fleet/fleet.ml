@@ -108,19 +108,22 @@ let sample_events ?(rates = default_rates) ~horizon ~seed design =
 
 (* --- the degenerate single-event reduction --- *)
 
-(* The longest RP cycle period in the hierarchy. Shifting the failure
-   instant by a whole number of these leaves the phase of every level
-   whose period divides it unchanged (true of all the presets, whose
-   periods are 12 h / 1 wk / 4 wk), so a failure years into the horizon
-   can be simulated at an equivalent offset within one cycle. *)
-let phase_modulus design =
+(* The longest RP cycle period in the hierarchy, or [floor] if longer. *)
+let longest_cycle ~floor design =
   List.fold_left
     (fun acc (l : Hierarchy.level) ->
       match Technique.schedule l.Hierarchy.technique with
       | None -> acc
       | Some s -> Duration.max acc (Schedule.cycle_period s))
-    (Duration.weeks 1.)
+    floor
     (Hierarchy.levels design.Design.hierarchy)
+
+(* The longest cycle, at least a week. Shifting the failure instant by a
+   whole number of these leaves the phase of every level whose period
+   divides it unchanged (true of all the presets, whose periods are
+   12 h / 1 wk / 4 wk), so a failure years into the horizon can be
+   simulated at an equivalent offset within one cycle. *)
+let phase_modulus = longest_cycle ~floor:(Duration.weeks 1.)
 
 (* Steady state arrives once every level's worst-case staleness has
    elapsed twice — the deepest RP chain is populated and propagating —
@@ -136,15 +139,7 @@ let adaptive_warmup design =
       Duration.zero
       (List.init (Hierarchy.length h) Fun.id)
   in
-  let cycle =
-    List.fold_left
-      (fun acc (l : Hierarchy.level) ->
-        match Technique.schedule l.Hierarchy.technique with
-        | None -> acc
-        | Some s -> Duration.max acc (Schedule.cycle_period s))
-      Duration.zero
-      (Hierarchy.levels h)
-  in
+  let cycle = longest_cycle ~floor:Duration.zero design in
   Duration.max (Duration.days 1.)
     (Duration.max (Duration.scale 2. worst) (Duration.scale 2. cycle))
 
@@ -193,8 +188,6 @@ type trial = {
    to the always-correct full-horizon execution. *)
 
 let cluster_gap = Duration.weeks 4.
-
-exception Needs_full_horizon
 
 let split_clusters gap events =
   let gap_s = Duration.to_seconds gap in
@@ -245,24 +238,79 @@ let union_length intervals =
 
 let obs_fallbacks = Storage_obs.Counter.make "fleet.full_horizon_fallbacks"
 
-(* One cluster's contribution — outage intervals in horizon-offset
-   seconds, unrecoverable losses, bytes lost, completed rebuilds — or
-   [Needs_full_horizon] when the independence assumption does not
-   hold. *)
+(* Where a [Sim.run_events] execution sits on the trial's horizon: the
+   [Whole] horizon on the simulator's own clock (which stops at the
+   horizon, so no recovery ends past it), or a [Cluster] re-based [shift]
+   seconds early whose window the horizon [clipped] or not. *)
+type window = Whole | Cluster of { shift : float; clipped : bool }
+
+(* One execution's contribution — outage intervals, unrecoverable losses,
+   bytes lost, completed rebuilds — or [None] when a cluster cannot stand
+   alone: a total loss changes the state every later cluster would start
+   from, and a recovery still running when an unclipped window closes
+   outlived the independence assumption. Only the full-horizon execution
+   gets either right. *)
+let execute design ~horizon_s ~sim_horizon_s window events =
+  let config =
+    { Sim.default_config with Sim.warmup = adaptive_warmup design }
+  in
+  let injected =
+    Sim.run_events ~config
+      ~horizon:(Duration.seconds sim_horizon_s)
+      design
+      (Scenario.of_events events)
+  in
+  let warmup_s = Duration.to_seconds config.Sim.warmup in
+  let clock t =
+    match window with
+    | Whole -> Duration.to_seconds t
+    | Cluster { shift; _ } -> Duration.to_seconds t -. warmup_s +. shift
+  in
+  let end_s =
+    match window with Whole -> warmup_s +. horizon_s | Cluster _ -> horizon_s
+  in
+  let rec go ivs losses bytes rebuilds = function
+    | [] -> Some (ivs, losses, bytes, List.rev rebuilds)
+    | (inj : Sim.injected) :: rest -> (
+      let start_s = clock inj.Sim.injected_at in
+      let bytes = Size.add bytes (loss_bytes design inj.Sim.data_loss) in
+      match (inj.Sim.source_level, inj.Sim.recovery_end, window) with
+      | Some 0, _, _ -> go ivs losses bytes rebuilds rest
+      | None, _, Cluster _ | Some _, None, Cluster { clipped = false; _ } ->
+        None
+      | None, _, Whole ->
+        go ((start_s, end_s) :: ivs) (losses + 1) bytes rebuilds rest
+      | Some _, None, _ ->
+        (* still rebuilding when the horizon closed *)
+        go ((start_s, end_s) :: ivs) losses bytes rebuilds rest
+      | Some _, Some t, _ ->
+        let stop_s = clock t in
+        if stop_s > end_s then
+          go ((start_s, end_s) :: ivs) losses bytes rebuilds rest
+        else
+          go ((start_s, stop_s) :: ivs) losses bytes
+            (Duration.seconds (stop_s -. start_s) :: rebuilds)
+            rest)
+  in
+  go [] 0 Size.zero [] injected
+
+(* One cluster's contribution in horizon-offset seconds, or [None] as
+   [execute]. *)
 let cluster_results design ~horizon_s cluster =
   match cluster with
-  | [] -> ([], 0, Size.zero, [])
-  | [ (e : Scenario.event) ] -> (
+  | [] -> Some ([], 0, Size.zero, [])
+  | [ (e : Scenario.event) ] ->
     let at_s = Duration.to_seconds e.Scenario.at in
     let m = single_event_measured design e in
     let bytes = loss_bytes design m.Sim.data_loss in
-    match (m.Sim.source_level, m.Sim.recovery_time) with
-    | None, _ -> ([ (at_s, horizon_s) ], 1, bytes, [])
-    | Some _, None | Some 0, Some _ -> ([], 0, bytes, [])
-    | Some _, Some rt ->
-      let stop_s = at_s +. Duration.to_seconds rt in
-      if stop_s > horizon_s then ([ (at_s, horizon_s) ], 0, bytes, [])
-      else ([ (at_s, stop_s) ], 0, bytes, [ rt ]))
+    Some
+      (match (m.Sim.source_level, m.Sim.recovery_time) with
+      | None, _ -> ([ (at_s, horizon_s) ], 1, bytes, [])
+      | Some _, None | Some 0, Some _ -> ([], 0, bytes, [])
+      | Some _, Some rt ->
+        let stop_s = at_s +. Duration.to_seconds rt in
+        if stop_s > horizon_s then ([ (at_s, horizon_s) ], 0, bytes, [])
+        else ([ (at_s, stop_s) ], 0, bytes, [ rt ]))
   | (first : Scenario.event) :: _ ->
     let m_s = Duration.to_seconds (phase_modulus design) in
     let first_at = Duration.to_seconds first.Scenario.at in
@@ -286,51 +334,10 @@ let cluster_results design ~horizon_s cluster =
     (* The local window runs one gap past the last event unless the
        global horizon cuts it shorter. *)
     let clipped = horizon_s -. shift <= last_at' +. gap_s in
-    let local_horizon_s = Float.min (last_at' +. gap_s) (horizon_s -. shift) in
-    let config =
-      { Sim.default_config with Sim.warmup = adaptive_warmup design }
-    in
-    let injected =
-      Sim.run_events ~config
-        ~horizon:(Duration.seconds local_horizon_s)
-        design
-        (Scenario.of_events rebased)
-    in
-    let warmup_s = Duration.to_seconds config.Sim.warmup in
-    List.fold_left
-      (fun (ivs, losses, bytes, rebuilds) (inj : Sim.injected) ->
-        let start_s =
-          Duration.to_seconds inj.Sim.injected_at -. warmup_s +. shift
-        in
-        let bytes = Size.add bytes (loss_bytes design inj.Sim.data_loss) in
-        match inj.Sim.source_level with
-        | None ->
-          (* Total loss changes the state every later cluster would start
-             from; only the full-horizon execution gets that right. *)
-          raise Needs_full_horizon
-        | Some 0 -> (ivs, losses, bytes, rebuilds)
-        | Some _ -> (
-          match inj.Sim.recovery_end with
-          | None ->
-            if clipped then
-              (* a genuine end-of-horizon truncation *)
-              ((start_s, horizon_s) :: ivs, losses, bytes, rebuilds)
-            else
-              (* the recovery outlived the cluster window: the
-                 independence assumption failed *)
-              raise Needs_full_horizon
-          | Some t ->
-            let stop_s = Duration.to_seconds t -. warmup_s +. shift in
-            if stop_s > horizon_s then
-              ((start_s, horizon_s) :: ivs, losses, bytes, rebuilds)
-            else
-              ( (start_s, stop_s) :: ivs,
-                losses,
-                bytes,
-                Duration.seconds (stop_s -. start_s) :: rebuilds )))
-      ([], 0, Size.zero, []) injected
-    |> fun (ivs, losses, bytes, rebuilds) ->
-    (ivs, losses, bytes, List.rev rebuilds)
+    execute design ~horizon_s
+      ~sim_horizon_s:(Float.min (last_at' +. gap_s) (horizon_s -. shift))
+      (Cluster { shift; clipped })
+      rebased
 
 let run_trial ?(rates = default_rates) ~horizon ~seed ~index design =
   let events = sample_events ~rates ~horizon ~seed design in
@@ -368,60 +375,28 @@ let run_trial ?(rates = default_rates) ~horizon ~seed ~index design =
     | Some _, Some rt -> finish (Duration.to_seconds rt) 0 bytes [ rt ])
   | events -> (
     Storage_obs.Counter.incr obs_multi;
-    let clustered () =
-      let parts =
-        List.map
-          (cluster_results design ~horizon_s)
-          (split_clusters cluster_gap events)
-      in
-      let intervals = List.concat_map (fun (i, _, _, _) -> i) parts in
-      let losses = List.fold_left (fun acc (_, l, _, _) -> acc + l) 0 parts in
-      let bytes =
-        List.fold_left (fun acc (_, _, b, _) -> Size.add acc b) Size.zero parts
-      in
-      let rebuilds = List.concat_map (fun (_, _, _, r) -> r) parts in
-      finish (union_length intervals) losses bytes rebuilds
+    (* Clusters run in order and stop at the first that cannot stand
+       alone. *)
+    let rec clustered (ivs, losses, bytes, rebuilds) = function
+      | [] -> Some (ivs, losses, bytes, rebuilds)
+      | cluster :: rest ->
+        Option.bind (cluster_results design ~horizon_s cluster)
+          (fun (i, l, b, r) ->
+            clustered (ivs @ i, losses + l, Size.add bytes b, rebuilds @ r) rest)
     in
-    let full_horizon () =
-      (* The always-correct slow path: every event at its actual offset
-         in one [Sim.run_events] execution over the whole horizon. *)
-      Storage_obs.Counter.incr obs_fallbacks;
-      let config =
-        { Sim.default_config with Sim.warmup = adaptive_warmup design }
-      in
-      let injected =
-        Sim.run_events ~config ~horizon design (Scenario.of_events events)
-      in
-      let warmup_s = Duration.to_seconds config.Sim.warmup in
-      let end_s = warmup_s +. horizon_s in
-      let intervals, losses, bytes, rebuilds =
-        List.fold_left
-          (fun (ivs, losses, bytes, rebuilds) (inj : Sim.injected) ->
-            let start_s = Duration.to_seconds inj.Sim.injected_at in
-            let bytes = Size.add bytes (loss_bytes design inj.Sim.data_loss) in
-            match inj.Sim.source_level with
-            | None -> ((start_s, end_s) :: ivs, losses + 1, bytes, rebuilds)
-            | Some 0 ->
-              (* no recovery was needed *)
-              (ivs, losses, bytes, rebuilds)
-            | Some _ -> (
-              match inj.Sim.recovery_end with
-              | None ->
-                (* still rebuilding when the horizon closed *)
-                ((start_s, end_s) :: ivs, losses, bytes, rebuilds)
-              | Some t ->
-                let stop_s = Duration.to_seconds t in
-                ( (start_s, stop_s) :: ivs,
-                  losses,
-                  bytes,
-                  Duration.seconds (stop_s -. start_s) :: rebuilds )))
-          ([], 0, Size.zero, []) injected
-      in
-      finish (union_length intervals) losses bytes (List.rev rebuilds)
+    let intervals, losses, bytes, rebuilds =
+      match
+        clustered ([], 0, Size.zero, []) (split_clusters cluster_gap events)
+      with
+      | Some result -> result
+      | None ->
+        (* The always-correct slow path: every event at its actual offset
+           in one [Sim.run_events] execution over the whole horizon. *)
+        Storage_obs.Counter.incr obs_fallbacks;
+        Option.get
+          (execute design ~horizon_s ~sim_horizon_s:horizon_s Whole events)
     in
-    match clustered () with
-    | trial -> trial
-    | exception Needs_full_horizon -> full_horizon ())
+    finish (union_length intervals) losses bytes rebuilds)
 
 (* --- aggregation --- *)
 

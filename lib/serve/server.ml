@@ -67,32 +67,26 @@ let shard_for t design =
 let json_body j = Storage_report.Json.to_string_pretty j ^ "\n"
 
 let handle_evaluate t (req : Http.request) =
-  match Storage_spec.Spec.design_of_string req.body with
+  match Storage_spec.Spec.of_string req.body with
   | Error e -> Http.error 400 e
-  | Ok design -> (
-    match Storage_spec.Spec.scenarios_of_string req.body with
-    | Error e -> Http.error 400 e
-    | Ok [] ->
-      Http.error 400 "design defines no [scenario] sections to evaluate"
-    | Ok scenarios ->
-      let cache = shard_for t design in
-      let named =
-        List.map
-          (fun (name, scenario) -> (name, Eval_cache.run cache design scenario))
-          scenarios
-      in
-      (* Byte-identical to `ssdep evaluate --file ... --json`. *)
-      Http.ok_json (json_body (Json_output.reports named)))
-
-let handle_lint (req : Http.request) =
-  match Storage_spec.Spec.design_of_string ~validate:false req.body with
-  | Error e -> Http.error 400 e
-  | Ok design ->
-    let scenarios =
-      match Storage_spec.Spec.scenarios_of_string req.body with
-      | Ok scenarios -> scenarios
-      | Error _ -> []
+  | Ok (_, []) ->
+    Http.error 400 "design defines no [scenario] sections to evaluate"
+  | Ok (design, scenarios) ->
+    let cache = shard_for t design in
+    let named =
+      List.map
+        (fun (name, scenario) -> (name, Eval_cache.run cache design scenario))
+        scenarios
     in
+    (* Byte-identical to `ssdep evaluate --file ... --json`. *)
+    Http.ok_json (json_body (Json_output.reports named))
+
+(* Byte-identical to `ssdep lint FILE --json`, and rejects what it
+   rejects. *)
+let handle_lint (req : Http.request) =
+  match Storage_spec.Spec.of_string ~validate:false req.body with
+  | Error e -> Http.error 400 e
+  | Ok (design, scenarios) ->
     let found = Storage_lint.check ~scenarios design in
     Http.ok_json
       (json_body (Storage_lint.to_json ~design:design.Design.name found))

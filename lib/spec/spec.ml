@@ -453,8 +453,9 @@ let parse_scenario section =
 
 (* --- assembly --- *)
 
-let design_of_string ?(validate = true) text =
-  let* sections = Ini.parse text in
+(* Both halves assemble from one parsed section list, so [of_string] runs
+   the INI parser once per text. *)
+let design_of_sections ~validate sections =
   let* workload_section = Ini.find_one sections ~kind:"workload" in
   let* workload = parse_workload workload_section in
   let* devices = traverse parse_device (Ini.find_all sections ~kind:"device") in
@@ -490,6 +491,21 @@ let design_of_string ?(validate = true) text =
       | Ok () -> Ok design
       | Error es -> err "design invalid: %s" (String.concat "; " es)
   end
+
+let scenarios_of_sections sections =
+  traverse parse_scenario (Ini.find_all sections ~kind:"scenario")
+
+let of_string ?(validate = true) text =
+  let* sections = Ini.parse text in
+  let* design = design_of_sections ~validate sections in
+  let* scenarios = scenarios_of_sections sections in
+  Ok (design, scenarios)
+
+let design_of_string ?(validate = true) text =
+  Result.bind (Ini.parse text) (design_of_sections ~validate)
+
+let scenarios_of_string text =
+  Result.bind (Ini.parse text) scenarios_of_sections
 
 (* --- serialization --- *)
 
@@ -757,33 +773,10 @@ let design_to_string ?(scenarios = []) (d : Design.t) =
 
 type load_error = Unreadable of string | Invalid of string
 
-let load_error_message = function Unreadable m | Invalid m -> m
-
 (* [Sys_error]'s message already names the file ("path: No such file or
    directory" / "path: Permission denied"); raising it out of here
    instead would hand callers a backtrace where they need a filename. *)
-let read_file path =
+let load_file ?validate path =
   match In_channel.with_open_text path In_channel.input_all with
-  | text -> Ok text
+  | text -> Result.map_error (fun m -> Invalid m) (of_string ?validate text)
   | exception Sys_error m -> Error (Unreadable m)
-
-let load_design_file ?validate path =
-  match read_file path with
-  | Error _ as e -> e
-  | Ok text ->
-    Result.map_error (fun m -> Invalid m) (design_of_string ?validate text)
-
-let design_of_file ?validate path =
-  Result.map_error load_error_message (load_design_file ?validate path)
-
-let scenarios_of_string text =
-  let* sections = Ini.parse text in
-  traverse parse_scenario (Ini.find_all sections ~kind:"scenario")
-
-let load_scenarios_file path =
-  match read_file path with
-  | Error _ as e -> e
-  | Ok text -> Result.map_error (fun m -> Invalid m) (scenarios_of_string text)
-
-let scenarios_of_file path =
-  Result.map_error load_error_message (load_scenarios_file path)

@@ -64,17 +64,24 @@ open Storage_model
     object_size = 1 MiB                # object scope only
     v} *)
 
-val design_of_string : ?validate:bool -> string -> (Design.t, string) result
-(** Parses and assembles a full design; errors carry section/line
-    context. [?validate] (default [true]) runs {!Design.validate} as the
-    final step, so an [Ok] design is known evaluable; [~validate:false]
-    stops after assembly — the loophole [ssdep lint] uses to report a
-    statically invalid design's findings (with rule codes) instead of a
-    load error. Hierarchy structure is always enforced: a level list
+val of_string :
+  ?validate:bool ->
+  string ->
+  (Design.t * (string * Scenario.t) list, string) result
+(** Parses a whole design text once: the design, then its named
+    [[scenario]] sections (empty list when none). Errors carry
+    section/line context; a design error is reported before a scenario
+    error. [?validate] (default [true]) runs {!Design.validate} as the
+    design's final step, so an [Ok] design is known evaluable;
+    [~validate:false] stops after assembly — the loophole [ssdep lint]
+    uses to report a statically invalid design's findings (with rule
+    codes) instead of a load error. Scenario sections are always checked.
+    Hierarchy structure is always enforced: a level list
     {!Storage_hierarchy.Hierarchy.make} rejects cannot be represented as
-    a [Design.t] at all. *)
-
-val design_of_file : ?validate:bool -> string -> (Design.t, string) result
+    a [Design.t] at all. Every front end (each [ssdep] subcommand that
+    reads a file, [serve]'s [/evaluate] and [/lint], the fuzzing corpus)
+    loads through this function or {!load_file}, so a text is accepted
+    or rejected everywhere with the same message. *)
 
 type load_error =
   | Unreadable of string
@@ -83,30 +90,32 @@ type load_error =
           treat this as a configuration error (`ssdep` exits 2), distinct
           from a file that reads fine but does not parse. *)
   | Invalid of string
-      (** The file was read but is not a valid design: parse or
-          validation error with section/line context. *)
+      (** The file was read but is not a valid design: the {!of_string}
+          error. *)
 
-val load_error_message : load_error -> string
+val load_file :
+  ?validate:bool ->
+  string ->
+  (Design.t * (string * Scenario.t) list, load_error) result
+(** {!of_string} over a file's contents, with the error split into
+    {!load_error} cases for callers that map unreadable paths and invalid
+    contents to different exit codes. *)
 
-val load_design_file :
-  ?validate:bool -> string -> (Design.t, load_error) result
-(** {!design_of_file} with the error split into {!load_error} cases, for
-    callers that map unreadable paths and invalid contents to different
-    exit codes. *)
+(** {2 Half-loaders}
 
-val load_scenarios_file :
-  string -> ((string * Scenario.t) list, load_error) result
+    Each half alone, with {!of_string}'s checks for that half only. They
+    remain for the benchmark's replay, which times them, and for tests. *)
+
+val design_of_string : ?validate:bool -> string -> (Design.t, string) result
+(** The design of {!of_string}, whatever the scenario sections hold. *)
 
 val scenarios_of_string :
   string -> ((string * Scenario.t) list, string) result
-(** The named [[scenario]] sections of a design file (empty list when
-    none). *)
-
-val scenarios_of_file : string -> ((string * Scenario.t) list, string) result
+(** The scenarios of {!of_string}, whatever the design sections hold. *)
 
 val design_to_string :
   ?scenarios:(string * Scenario.t) list -> Design.t -> (string, string) result
-(** The inverse of {!design_of_string}: renders a design (and optional
+(** The inverse of {!of_string}: renders a design (and optional
     named scenarios) in the description language, losslessly — every
     quantity is emitted in its base unit (seconds, bytes, dollars) with a
     shortest-round-trip decimal literal, so

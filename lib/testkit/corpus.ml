@@ -75,8 +75,8 @@ let of_string text =
   Result.bind (field "message") @@ fun message ->
   (* validate:false — mutants straddling the feasibility frontier are
      exactly the designs worth keeping. *)
-  Result.bind (Spec.design_of_string ~validate:false text) @@ fun design ->
-  Result.bind (Spec.scenarios_of_string text) @@ fun scenarios ->
+  Result.bind (Spec.of_string ~validate:false text)
+  @@ fun (design, scenarios) ->
   Ok { oracle; seed; case_index; message; shrink_steps; design; scenarios }
 
 let write ~dir e =

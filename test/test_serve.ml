@@ -259,6 +259,10 @@ let malformed_cases =
     ( "zero backup propagation window (/lint)",
       post "/lint" zero_window_design,
       400 );
+    ( "malformed [scenario] section (/lint)",
+      post "/lint"
+        (Lazy.force design_text ^ "\n[scenario broken]\nscope = galaxy far\n"),
+      400 );
   ]
 
 (* The worker-loop exception barrier: handler exceptions become a 500,

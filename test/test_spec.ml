@@ -292,6 +292,66 @@ let test_spec_scope_parse () =
             Storage_device.Location.Site "b" ])
   | _ -> Alcotest.fail "expected one scenario"
 
+(* [of_string] is the two half-loaders over one parse: the same design
+   and scenarios, or the same error, for every shipped design and corpus
+   entry, validated or not. *)
+let test_spec_of_string_agrees () =
+  let ssdep_files dir =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".ssdep")
+    |> List.sort compare
+    |> List.map (Filename.concat dir)
+  in
+  let designs = ssdep_files "../examples/designs" in
+  let corpus = ssdep_files "corpus" in
+  Alcotest.(check bool) "designs and corpus entries found" true
+    (designs <> [] && corpus <> []);
+  let summary = function
+    | Ok (d, scenarios) ->
+      Ok
+        ( Design.fingerprint d,
+          List.map (fun (n, s) -> (n, Scenario.fingerprint s)) scenarios )
+    | Error e -> Error e
+  in
+  let result =
+    Alcotest.(result (pair string (list (pair string string))) string)
+  in
+  List.iter
+    (fun path ->
+      let text = read path in
+      List.iter
+        (fun validate ->
+          let halves =
+            Result.bind (Spec.design_of_string ~validate text) (fun d ->
+                Result.map (fun s -> (d, s)) (Spec.scenarios_of_string text))
+          in
+          Alcotest.check result
+            (Printf.sprintf "%s, validate %b" path validate)
+            (summary halves)
+            (summary (Spec.of_string ~validate text)))
+        [ true; false ])
+    (designs @ corpus)
+
+(* A design error is reported before a scenario error, whichever section
+   comes first in the text. *)
+let test_spec_of_string_error_order () =
+  let broken_scenario = "[scenario broken]\nscope = galaxy far\n" in
+  let broken_design = mutate ~old_s:"device = d" ~new_s:"device = nope" in
+  let design_error =
+    match Spec.design_of_string broken_design with
+    | Error e -> e
+    | Ok _ -> Alcotest.fail "the mutated design should not parse"
+  in
+  List.iter
+    (fun (what, text) ->
+      match Spec.of_string text with
+      | Error e -> Alcotest.(check string) what design_error e
+      | Ok _ -> Alcotest.failf "%s: expected an error" what)
+    [
+      ("scenario last", broken_design ^ broken_scenario);
+      ("scenario first", broken_scenario ^ broken_design);
+    ]
+
 let suite =
   [
     ( "spec.values",
@@ -323,5 +383,9 @@ let suite =
           test_spec_incremental_parses;
         Alcotest.test_case "erasure coding" `Quick test_spec_erasure_coded;
         Alcotest.test_case "scenario scopes" `Quick test_spec_scope_parse;
+        Alcotest.test_case "of_string equals the half-loaders" `Quick
+          test_spec_of_string_agrees;
+        Alcotest.test_case "design errors before scenario errors" `Quick
+          test_spec_of_string_error_order;
       ] );
   ]
