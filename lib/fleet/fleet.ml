@@ -152,12 +152,21 @@ let single_event_config design (e : Scenario.event) =
       Duration.add (adaptive_warmup design) (Duration.seconds phase);
   }
 
-let single_event_measured design (e : Scenario.event) =
+let single_event_run ?warm design (e : Scenario.event) =
   let scenario =
     Scenario.make ~scope:e.Scenario.scope ~target_age:e.Scenario.target_age
       ?object_size:e.Scenario.object_size ()
   in
-  Sim.run ~config:(single_event_config design e) design scenario
+  Sim.run ?warm ~config:(single_event_config design e) design scenario
+
+let single_event_measured design e = single_event_run design e
+
+(* The recording every simulator run of one [run] resumes from: it reaches
+   the longest warmup a trial asks for, a single failure's at the last
+   phase of the longest cycle. *)
+let warm_up design =
+  Sim.warm design
+    ~until:(Duration.add (adaptive_warmup design) (phase_modulus design))
 
 (* --- trial execution --- *)
 
@@ -250,12 +259,12 @@ type window = Whole | Cluster of { shift : float; clipped : bool }
    from, and a recovery still running when an unclipped window closes
    outlived the independence assumption. Only the full-horizon execution
    gets either right. *)
-let execute design ~horizon_s ~sim_horizon_s window events =
+let execute ?warm design ~horizon_s ~sim_horizon_s window events =
   let config =
     { Sim.default_config with Sim.warmup = adaptive_warmup design }
   in
   let injected =
-    Sim.run_events ~config
+    Sim.run_events ?warm ~config
       ~horizon:(Duration.seconds sim_horizon_s)
       design
       (Scenario.of_events events)
@@ -296,12 +305,12 @@ let execute design ~horizon_s ~sim_horizon_s window events =
 
 (* One cluster's contribution in horizon-offset seconds, or [None] as
    [execute]. *)
-let cluster_results design ~horizon_s cluster =
+let cluster_results ?warm design ~horizon_s cluster =
   match cluster with
   | [] -> Some ([], 0, Size.zero, [])
   | [ (e : Scenario.event) ] ->
     let at_s = Duration.to_seconds e.Scenario.at in
-    let m = single_event_measured design e in
+    let m = single_event_run ?warm design e in
     let bytes = loss_bytes design m.Sim.data_loss in
     Some
       (match (m.Sim.source_level, m.Sim.recovery_time) with
@@ -334,12 +343,13 @@ let cluster_results design ~horizon_s cluster =
     (* The local window runs one gap past the last event unless the
        global horizon cuts it shorter. *)
     let clipped = horizon_s -. shift <= last_at' +. gap_s in
-    execute design ~horizon_s
+    execute ?warm design ~horizon_s
       ~sim_horizon_s:(Float.min (last_at' +. gap_s) (horizon_s -. shift))
       (Cluster { shift; clipped })
       rebased
 
-let run_trial ?(rates = default_rates) ~horizon ~seed ~index design =
+(* [run_trial], its simulator runs resumed from [warm] when given. *)
+let trial ?warm ~rates ~horizon ~seed ~index design =
   let events = sample_events ~rates ~horizon ~seed design in
   Storage_obs.Counter.incr obs_trials;
   Storage_obs.Counter.add obs_failures (List.length events);
@@ -364,7 +374,7 @@ let run_trial ?(rates = default_rates) ~horizon ~seed ~index design =
   | [ e ] -> (
     (* Exactly the single-scenario simulator, phase-aligned to the
        sampled instant: the reduction the fleet-degenerate oracle pins. *)
-    let m = single_event_measured design e in
+    let m = single_event_run ?warm design e in
     let bytes = loss_bytes design m.Sim.data_loss in
     match (m.Sim.source_level, m.Sim.recovery_time) with
     | None, _ ->
@@ -380,7 +390,7 @@ let run_trial ?(rates = default_rates) ~horizon ~seed ~index design =
     let rec clustered (ivs, losses, bytes, rebuilds) = function
       | [] -> Some (ivs, losses, bytes, rebuilds)
       | cluster :: rest ->
-        Option.bind (cluster_results design ~horizon_s cluster)
+        Option.bind (cluster_results ?warm design ~horizon_s cluster)
           (fun (i, l, b, r) ->
             clustered (ivs @ i, losses + l, Size.add bytes b, rebuilds @ r) rest)
     in
@@ -394,9 +404,13 @@ let run_trial ?(rates = default_rates) ~horizon ~seed ~index design =
            in one [Sim.run_events] execution over the whole horizon. *)
         Storage_obs.Counter.incr obs_fallbacks;
         Option.get
-          (execute design ~horizon_s ~sim_horizon_s:horizon_s Whole events)
+          (execute ?warm design ~horizon_s ~sim_horizon_s:horizon_s Whole
+             events)
     in
     finish (union_length intervals) losses bytes rebuilds)
+
+let run_trial ?(rates = default_rates) ~horizon ~seed ~index design =
+  trial ~rates ~horizon ~seed ~index design
 
 (* --- aggregation --- *)
 
@@ -503,11 +517,14 @@ let run ?engine ?(config = default_config) design =
   let chunk =
     Int.max 1 (config.trials / Int.max 1 (Engine.jobs engine * 8))
   in
+  (* One warm-up for every trial: each resumed run copies what it
+     mutates, so the domains share the recording. *)
+  let warm = warm_up design in
   let trials =
     Engine.map_seq ~chunk engine
       (fun (i, s) ->
-        run_trial ~rates:config.rates ~horizon:config.horizon ~seed:s ~index:i
-          design)
+        trial ~warm ~rates:config.rates ~horizon:config.horizon ~seed:s
+          ~index:i design)
       (List.to_seq seeds)
     |> List.of_seq
   in

@@ -89,7 +89,8 @@ val single_event_measured :
     by the event's offset modulo the hierarchy's longest RP cycle period
     so the failure strikes at the equivalent capture phase. (Exact
     whenever every level's cycle period divides the longest one, as in
-    all the presets.) *)
+    all the presets.) It simulates the warmup from time zero: the
+    reference {!run}'s resumed runs reproduce bit for bit. *)
 
 type trial = {
   index : int;
@@ -116,7 +117,9 @@ val run_trial :
     phase cycles), so a trial's cost scales with its failures rather
     than with the horizon. A recovery outliving its cluster window or an
     unrecoverable event falls the trial back to one full-horizon
-    {!Sim.run_events} execution. *)
+    {!Sim.run_events} execution. Every simulator run starts from time
+    zero: this is the reference for {!run}'s trials, which return the
+    same record. *)
 
 (** {1 Monte Carlo} *)
 
@@ -148,7 +151,11 @@ val run : ?engine:Storage_engine.t -> ?config:config -> Design.t -> report
 (** [run design] executes [config.trials] independent trials on the
     engine's domains and aggregates them in trial order, so for a fixed
     seed the report — and its JSON rendering — is byte-identical across
-    runs and across [jobs] values. *)
+    runs and across [jobs] values. It records the design's failure-free
+    warm-up once per call ({!Storage_sim.Sim.warm}, up to the adaptive
+    warmup plus one longest cycle) and every simulator run of every
+    trial resumes from it, so each trial equals {!run_trial}'s bit for
+    bit while simulating only what follows its last kept state. *)
 
 (** {1 Rendering} *)
 

@@ -7,6 +7,10 @@ type 'a t = {
 }
 
 let create () = { heap = [||]; size = 0; next_seq = 0 }
+
+(* Entries are immutable, so sharing them keeps the heap order and the
+   tie-breaking sequence numbers. *)
+let copy t = { heap = Array.copy t.heap; size = t.size; next_seq = t.next_seq }
 let is_empty t = t.size = 0
 let length t = t.size
 

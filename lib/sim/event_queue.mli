@@ -7,6 +7,12 @@
 type 'a t
 
 val create : unit -> 'a t
+
+val copy : 'a t -> 'a t
+(** An independent queue holding the same events: it pops them in the same
+    order, ties included, and pushing to or popping from either queue
+    leaves the other unchanged. The payloads themselves are shared. *)
+
 val is_empty : 'a t -> bool
 val length : 'a t -> int
 

@@ -88,6 +88,33 @@ let cancel t flow =
 
 let remaining _ f = f.amounts.remaining
 
+(* Every flow is copied in list order, finished and cancelled ones that
+   [recompute] has not dropped yet included, so the copy repeats the
+   original's floating-point operations exactly. *)
+let copy t =
+  let pairs =
+    List.map
+      (fun f ->
+        let a = f.amounts in
+        (f, { f with amounts = { a with remaining = a.remaining } }))
+      t.flows
+  in
+  let copied =
+    {
+      t with
+      flows = List.map snd pairs;
+      transferred = Array.copy t.transferred;
+      avail = Array.copy t.avail;
+      load = Array.copy t.load;
+    }
+  in
+  let flow_of f =
+    match List.assq_opt f pairs with
+    | Some f' -> f'
+    | None -> invalid_arg "Flow_net.copy: flow not in the network"
+  in
+  (copied, flow_of)
+
 (* The walks below are top-level recursive functions rather than closures
    over [List.iter], so the per-event path allocates nothing. Each visits
    flows in list order and each flow's nodes in [through] order, which

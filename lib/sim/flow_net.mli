@@ -40,6 +40,15 @@ val add_flow :
     Raises [Invalid_argument] on non-positive bytes, an empty node list or
     a non-positive multiplicity. *)
 
+val copy : t -> t * (flow -> flow)
+(** [copy t] is an independent network in [t]'s exact state, and the map
+    from each of [t]'s flows to its copy: advancing, adding to or
+    cancelling in either network leaves the other's rates, remaining bytes
+    and {!node_bytes} unchanged. The nodes are shared, so a reservation
+    set after the copy applies to both. The map raises [Invalid_argument]
+    on a flow [t] no longer holds (one that finished or was cancelled
+    before a rate recomputation dropped it). *)
+
 val cancel : t -> flow -> unit
 (** Removes the flow without completing it (device destroyed mid-transfer).
     Idempotent. *)

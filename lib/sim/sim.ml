@@ -419,43 +419,44 @@ let rec complete_flows st = function
       | None -> ()));
     complete_flows st rest
 
-(* Advance the interleaved discrete events and flow completions up to
-   [until]. Each iteration advances the flows to the next instant, then
-   handles the whole batch of events due by then, in order; an event a
-   handler schedules for that same instant waits for the next iteration
-   (a zero-length advance). Apart from boxing the clock and the step, the
-   loop allocates nothing. *)
-let run_until st until =
-  while st.now < until do
-    let flow_dt = Flow_net.next_completion st.net in
-    let next_time =
-      Float.min
-        (Float.min until (Event_queue.peek_time st.queue))
-        (st.now +. flow_dt)
-    in
-    let dt = Float.max 0. (next_time -. st.now) in
-    (* A nearly-complete flow whose remaining time is below the ulp of the
-       clock (multi-year virtual times have ulps of tens of nanoseconds)
-       yields [next_time = st.now]: advancing by the rounded dt would move
-       zero bytes and the loop would never progress. Advance the net by the
-       flow's own sub-resolution dt instead — virtual time itself cannot
-       (and need not) move. *)
-    let dt = if dt = 0. && st.now +. flow_dt = st.now then flow_dt else dt in
-    let completed = Flow_net.advance st.net dt in
-    Storage_obs.Counter.incr obs_flow_advances;
-    st.now <- next_time;
-    complete_flows st completed;
-    Event_queue.drain_until st.queue st.now st.batch;
-    for i = 0 to Event_queue.batch_length st.batch - 1 do
-      Storage_obs.Counter.incr obs_events;
-      handle_event st (Event_queue.batch_get st.batch i)
-    done
+(* One step of the event loop: advance the flows to the next instant,
+   then handle the whole batch of events due by then, in order; an event a
+   handler schedules for that same instant waits for the next tick (a
+   zero-length advance). Apart from boxing the clock and the step, a tick
+   allocates nothing. *)
+let tick st until =
+  let flow_dt = Flow_net.next_completion st.net in
+  let next_time =
+    Float.min
+      (Float.min until (Event_queue.peek_time st.queue))
+      (st.now +. flow_dt)
+  in
+  let dt = Float.max 0. (next_time -. st.now) in
+  (* A nearly-complete flow whose remaining time is below the ulp of the
+     clock (multi-year virtual times have ulps of tens of nanoseconds)
+     yields [next_time = st.now]: advancing by the rounded dt would move
+     zero bytes and the loop would never progress. Advance the net by the
+     flow's own sub-resolution dt instead — virtual time itself cannot
+     (and need not) move. *)
+  let dt = if dt = 0. && st.now +. flow_dt = st.now then flow_dt else dt in
+  let completed = Flow_net.advance st.net dt in
+  Storage_obs.Counter.incr obs_flow_advances;
+  st.now <- next_time;
+  complete_flows st completed;
+  Event_queue.drain_until st.queue st.now st.batch;
+  for i = 0 to Event_queue.batch_length st.batch - 1 do
+    Storage_obs.Counter.incr obs_events;
+    handle_event st (Event_queue.batch_get st.batch i)
   done
 
-(* The set-up both entry points share: the state, with the timeline switch
-   and the technique outage from [config], then [warmup] of normal
-   operation. *)
-let start ~config design =
+(* Advance the interleaved discrete events and flow completions up to
+   [until]. *)
+let run_until st until = while st.now < until do tick st until done
+
+(* The state at time zero both entry points share, with the timeline
+   switch and the technique outage from [config] and each level's first
+   cycle scheduled. *)
+let set_up ~config design =
   let hierarchy = design.Design.hierarchy in
   let n = Hierarchy.length hierarchy in
   let warmup = secs config.warmup in
@@ -528,9 +529,128 @@ let start ~config design =
     in
     schedule_cycle st j ~cycle_start:phase
   done;
+  st
+
+(* --- recorded warm-ups ---
+
+   A kept state is what normal operation mutates, at a tick boundary: the
+   clock, the queue, the flow network, the propagations in flight and each
+   level's RPs (immutable lists, so shared). Resuming at warmup [w]
+   restores the last kept state whose clock is strictly below [w] and
+   ticks on to [w]. That repeats a from-scratch run exactly: a tick that
+   ended before [w] is one a run stopping at [w] takes too, because the
+   [until] term of its step did not bind. A state kept at or after the
+   recording's own [until] could come from a tick that [until] clipped, so
+   none is kept there. *)
+type snapshot = {
+  k_clock : float;
+  k_queue : event Event_queue.t;
+  k_net : Flow_net.t;
+  k_inflight : (Flow_net.flow * (int * float)) list;
+  k_stores : rp list array;
+}
+
+type warm = {
+  base : state;  (* the set-up state; never ticked *)
+  snapshots : snapshot array;  (* ascending clocks, the set-up's first *)
+}
+
+(* [st]'s mutable parts, shared with it: [st] must not tick again. *)
+let freeze st =
+  {
+    k_clock = st.now;
+    k_queue = st.queue;
+    k_net = st.net;
+    k_inflight = st.inflight;
+    k_stores = Array.map (fun ls -> !(ls.store)) st.levels;
+  }
+
+(* [snap] over its own queue and flow network. *)
+let copy_snapshot snap =
+  let net, flow_of = Flow_net.copy snap.k_net in
+  {
+    snap with
+    k_queue = Event_queue.copy snap.k_queue;
+    k_net = net;
+    k_inflight = List.map (fun (flow, p) -> (flow_of flow, p)) snap.k_inflight;
+  }
+
+(* A fresh state at [snap] over [base]'s fixed parts; neither is
+   modified, so domains may thaw one recording at once. *)
+let thaw base snap =
+  let snap = copy_snapshot snap in
+  {
+    base with
+    levels =
+      Array.map2 (fun ls store -> { ls with store = ref store }) base.levels
+        snap.k_stores;
+    queue = snap.k_queue;
+    net = snap.k_net;
+    batch = Event_queue.batch ();
+    inflight = snap.k_inflight;
+    now = snap.k_clock;
+    events = [];
+    available_at = Hashtbl.create 4;
+    recoveries = [];
+    rec_inflight = [];
+    primary_invalid = 0;
+  }
+
+(* The state a from-scratch run has after [warmup] of normal operation. *)
+let resume w ~warmup =
+  let rec last i =
+    if i > 0 && not (w.snapshots.(i).k_clock < warmup) then last (i - 1)
+    else i
+  in
+  let st = thaw w.base w.snapshots.(last (Array.length w.snapshots - 1)) in
   run_until st warmup;
   st.now <- warmup;
   st
+
+(* The most states a recording keeps, the set-up one included: one per
+   1/64 of its span. On perfbench's fleet_tape, 64 ran as fast as 256 and
+   faster than keeping every tick, with less peak memory than either
+   (DESIGN.md has the measurements). *)
+let snapshot_cap = 64
+
+let warm design ~until =
+  let until = secs until in
+  if not (Float.is_finite until) then invalid_arg "Sim.warm: non-finite until";
+  let base = set_up ~config:default_config design in
+  let setup = freeze base in
+  let st = thaw base setup in
+  let instant k = until *. float_of_int k /. float_of_int snapshot_cap in
+  let kept = ref [ setup ] and next = ref 1 in
+  while st.now < until do
+    tick st until;
+    if !next < snapshot_cap && st.now < until && st.now >= instant !next
+    then begin
+      kept := copy_snapshot (freeze st) :: !kept;
+      while !next < snapshot_cap && st.now >= instant !next do
+        incr next
+      done
+    end
+  done;
+  { base; snapshots = Array.of_list (List.rev !kept) }
+
+let warm_clocks w =
+  Array.to_list
+    (Array.map (fun snap -> Duration.seconds snap.k_clock) w.snapshots)
+
+(* The set-up both entry points share: [config]'s state after its warmup,
+   resumed from [warm] or from a recording that holds only the set-up. *)
+let start ?warm ~config design =
+  let warmup = secs config.warmup in
+  match warm with
+  | None ->
+    let base = set_up ~config design in
+    resume { base; snapshots = [| freeze base |] } ~warmup
+  | Some w ->
+    if Option.is_some config.outage || config.record_events then
+      invalid_arg "Sim: ?warm with an outage or a recorded timeline";
+    if not (w.base.design == design) then
+      invalid_arg "Sim: ?warm recorded for another design";
+    resume w ~warmup
 
 (* --- failure injection ---
 
@@ -653,10 +773,10 @@ let measure_utilization st =
       st.nodes []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let run ?(config = default_config) design scenario =
+let run ?warm ?(config = default_config) design scenario =
   Storage_obs.Counter.incr obs_runs;
   Storage_obs.Timer.time t_sim_run @@ fun () ->
-  let st = start ~config design in
+  let st = start ?warm ~config design in
   let bandwidth_utilization = measure_utilization st in
   let rp_count = Array.map (fun ls -> List.length !(ls.store)) st.levels in
   let rp_newest_age =
@@ -749,7 +869,7 @@ let stop_recovery st r =
    depends on re-plans it from a freshly chosen source, one that destroys
    the primary absorbs it. Recoveries still unfinished when the horizon
    closes report no recovery end. *)
-let run_events ?(config = default_config) ?horizon design scenario =
+let run_events ?warm ?(config = default_config) ?horizon design scenario =
   Storage_obs.Counter.incr obs_multi_runs;
   Storage_obs.Timer.time t_sim_run_events @@ fun () ->
   let events = Scenario.events scenario in
@@ -765,7 +885,7 @@ let run_events ?(config = default_config) ?horizon design scenario =
   in
   if horizon < last_at then
     invalid_arg "Sim.run_events: horizon before the last failure event";
-  let st = start ~config design in
+  let st = start ?warm ~config design in
   let warmup = secs config.warmup in
   let slots =
     List.map

@@ -59,13 +59,42 @@ type measured = {
       (** chronological event log (empty unless [record_events]) *)
 }
 
-val run : ?config:config -> Design.t -> Scenario.t -> measured
+type warm
+(** A recorded warm-up: one design's normal operation from time zero,
+    kept at a few instants so that runs with different warmups need not
+    each simulate it again. Read-only once {!warm} returns, so runs on
+    several domains may resume from one recording. *)
+
+val warm : Design.t -> until:Duration.t -> warm
+(** [warm design ~until] simulates [design]'s normal operation (no outage,
+    no timeline) from time zero to [until] and keeps the simulator's state
+    at no more than 64 instants: the set-up at zero, and the first tick
+    boundary at or past each further 1/64 of [until], when one falls
+    before [until]. Each kept state holds the clock, the event queue, the
+    flow network and each level's retained RPs, so the recording's size
+    is bounded by 64 times that state, however long [until] is. Raises
+    [Invalid_argument] on a non-finite [until]. *)
+
+val warm_clocks : warm -> Duration.t list
+(** The virtual times of the recording's kept states, ascending: zero
+    first, then each strictly before the recording's [until]. *)
+
+val run : ?warm:warm -> ?config:config -> Design.t -> Scenario.t -> measured
 (** Simulates [warmup] of normal operation, injects the scenario's failure
     (its projection: combined scope, oldest target, largest object) and
     prices the recovery at the bandwidth of the failure instant: virtual
     time stands still while each hop's transfer is timed at the rate a
     flow gets on arrival, frozen. Raises [Invalid_argument] on an [outage]
-    level outside [1 .. levels - 1]. *)
+    level outside [1 .. levels - 1].
+
+    With [?warm], the warmup resumes from the recording's last state
+    strictly before [warmup] (the set-up, at zero) instead of from time
+    zero. Every tick before [warmup] is one a from-scratch run takes too,
+    so the result is bit for bit the from-scratch one, for any [warmup],
+    including ones past the recording's [until]. Raises [Invalid_argument]
+    when [config] has an [outage] (its start moves with each warmup) or
+    [record_events], or when [design] is not physically the recorded
+    design. *)
 
 type injected = {
   injected_at : Duration.t;  (** absolute virtual time of the failure *)
@@ -83,8 +112,8 @@ type injected = {
 }
 
 val run_events :
-  ?config:config -> ?horizon:Duration.t -> Design.t -> Scenario.t ->
-  injected list
+  ?warm:warm -> ?config:config -> ?horizon:Duration.t -> Design.t ->
+  Scenario.t -> injected list
 (** Executes the scenario's full event set and returns one record per
     event, in event order. It shares {!run}'s set-up, failure injection,
     source choice and hop planning; only the recovery pricing differs.
@@ -100,8 +129,10 @@ val run_events :
     event's unavailability ends when the newer recovery does). Simulation
     stops at [warmup + horizon] (default: the last event offset plus 12
     weeks); recoveries still running then report no [recovery_end]. No
-    timeline is returned. Raises [Invalid_argument] on a horizon before the
-    last event, or an [outage] level out of range. *)
+    timeline is returned. [?warm] resumes the warmup as in {!run}, with
+    the same bit-identical result and the same restrictions. Raises
+    [Invalid_argument] on a horizon before the last event, or an [outage]
+    level out of range. *)
 
 val sweep_failure_phase :
   ?engine:Storage_engine.t -> ?config:config -> Design.t -> Scenario.t ->

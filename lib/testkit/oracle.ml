@@ -17,6 +17,7 @@ open Storage_model
 open Storage_optimize
 module Engine = Storage_engine
 module Fleet = Storage_fleet.Fleet
+module Sim = Storage_sim.Sim
 module Json = Storage_report.Json
 
 type verdict = Pass | Fail of string | Skip of string
@@ -480,6 +481,94 @@ let fleet_degenerate =
         end);
   }
 
+(* --- a resumed warm-up is the from-scratch one --- *)
+
+(* The first field of two simulator measurements whose bytes differ:
+   marshalled, so floats compare bit for bit. *)
+let measured_difference (a : Sim.measured) (b : Sim.measured) =
+  List.find_map
+    (fun (field, x, y) -> if String.equal x y then None else Some field)
+    [
+      ("source_level", bytes_of a.Sim.source_level, bytes_of b.Sim.source_level);
+      ("data_loss", bytes_of a.Sim.data_loss, bytes_of b.Sim.data_loss);
+      ("recovery_time", bytes_of a.Sim.recovery_time, bytes_of b.Sim.recovery_time);
+      ("rp_count", bytes_of a.Sim.rp_count, bytes_of b.Sim.rp_count);
+      ("rp_newest_age", bytes_of a.Sim.rp_newest_age, bytes_of b.Sim.rp_newest_age);
+      ( "bandwidth_utilization",
+        bytes_of a.Sim.bandwidth_utilization,
+        bytes_of b.Sim.bandwidth_utilization );
+    ]
+
+let sim_warm_resume =
+  {
+    name = "sim-warm-resume";
+    doc =
+      "Sim.run resumed from a recorded warm-up is bit-identical, field by \
+       field, to the from-scratch run at four seeded warm-ups across the \
+       recording (a kept state's clock, its successor float, two uniform \
+       draws), each under a seeded scenario";
+    check =
+      (fun _ d scenarios ->
+        if eval_errors d scenarios <> [] then
+          Skip "design does not evaluate cleanly"
+        else if scenarios = [] then Skip "no scenario"
+        else begin
+          (* Twice the longest RP cycle plus a week: every level has
+             cycled twice. *)
+          let longest =
+            List.fold_left
+              (fun acc (l : Hierarchy.level) ->
+                match Technique.schedule l.Hierarchy.technique with
+                | None -> acc
+                | Some s -> Duration.max acc (Schedule.cycle_period s))
+              Duration.zero
+              (Hierarchy.levels d.Design.hierarchy)
+          in
+          let until_s =
+            (2. *. Duration.to_seconds longest)
+            +. Duration.to_seconds (Duration.weeks 1.)
+          in
+          let warm = Sim.warm d ~until:(Duration.seconds until_s) in
+          let rng =
+            Prng.create
+              ~seed:(Int64.of_int (Hashtbl.hash (Design.fingerprint d)))
+          in
+          let clocks = Array.of_list (Sim.warm_clocks warm) in
+          let kept =
+            Duration.to_seconds clocks.(Prng.int rng (Array.length clocks))
+          in
+          let warmups =
+            [
+              kept;
+              Float.succ kept;
+              Prng.float_range rng 0. until_s;
+              Prng.float_range rng 0. until_s;
+            ]
+          in
+          let scenarios = Array.of_list scenarios in
+          first_failure
+            (fun warmup_s ->
+              let name, sc =
+                scenarios.(Prng.int rng (Array.length scenarios))
+              in
+              let config =
+                { Sim.default_config with
+                  Sim.warmup = Duration.seconds warmup_s }
+              in
+              match
+                measured_difference (Sim.run ~warm ~config d sc)
+                  (Sim.run ~config d sc)
+              with
+              | None -> Pass
+              | Some field ->
+                failf
+                  "scenario %s, warmup %.17g s: the resumed run's %s \
+                   differs from the from-scratch run's"
+                  name warmup_s field)
+            warmups
+        end);
+  }
+
 (* --- fleet report is schedule-independent --- *)
 
 let fleet_jobs_invariance =
@@ -598,6 +687,7 @@ let defaults =
     monotone_cost;
     analytic_vs_sim;
     fleet_degenerate;
+    sim_warm_resume;
     fleet_jobs_invariance;
     solver_exhaustive_equivalence;
   ]

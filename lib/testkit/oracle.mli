@@ -28,8 +28,8 @@ val defaults : t list
 (** The production registry, cheapest first: [lint-coincidence],
     [cache-invariance], [stream-vs-materialized], [parallel-invariance],
     [monotone-shorter-window], [monotone-bandwidth], [monotone-cost],
-    [analytic-vs-sim], [fleet-degenerate], [fleet-jobs-invariance],
-    [solver-exhaustive-equivalence]. *)
+    [analytic-vs-sim], [fleet-degenerate], [sim-warm-resume],
+    [fleet-jobs-invariance], [solver-exhaustive-equivalence]. *)
 
 val all : t list
 (** {!defaults} plus [self-test-fail], which fails on every case and

@@ -149,6 +149,37 @@ let prop_queue_drain_until_partitions =
       drained = sort_stable (List.filter (fun (t, _) -> t <= bound_t) indexed)
       && rest = sort_stable (List.filter (fun (t, _) -> t > bound_t) indexed))
 
+(* Pops until empty. *)
+let pops q =
+  let rec go acc =
+    match Event_queue.pop q with
+    | Some (t, v) -> go ((t, v) :: acc)
+    | None -> List.rev acc
+  in
+  go []
+
+let test_queue_copy_independent () =
+  let filled () =
+    let q = Event_queue.create () in
+    List.iter
+      (fun (t, v) -> Event_queue.push q ~time:t v)
+      [ (3., "a"); (1., "b"); (3., "c"); (2., "d"); (1., "e") ];
+    ignore (Event_queue.pop q);
+    q
+  in
+  let q = filled () in
+  let c = Event_queue.copy q in
+  Event_queue.push c ~time:0.5 "x";
+  Event_queue.push c ~time:3. "y";
+  Alcotest.(check (option (pair (float 0.) string)))
+    "the copy pops its own push" (Some (0.5, "x")) (Event_queue.pop c);
+  let events = Alcotest.(list (pair (float 0.) string)) in
+  Alcotest.check events "the copy keeps the heap order and ties"
+    [ (1., "e"); (2., "d"); (3., "a"); (3., "c"); (3., "y") ]
+    (pops c);
+  Alcotest.check events "the original pops as if never copied"
+    (pops (filled ())) (pops q)
+
 (* --- Flow_net --- *)
 
 let test_flow_single () =
@@ -216,6 +247,46 @@ let test_flow_validation () =
       Flow_net.add_node net ~name:"n" ~capacity:5.);
   check_raises_invalid "non-positive capacity" (fun () ->
       Flow_net.add_node net ~name:"m" ~capacity:0.)
+
+let test_flow_copy_independent () =
+  (* Two identical networks, one of them copied: whatever the copy does,
+     the copied original keeps advancing exactly as its twin. *)
+  let build () =
+    let net = Flow_net.create () in
+    let a = Flow_net.add_node net ~name:"a" ~capacity:100. in
+    let b = Flow_net.add_node net ~name:"b" ~capacity:40. in
+    let f1 = Flow_net.add_flow net ~through:[ (a, 1); (b, 1) ] ~bytes:400. () in
+    let f2 =
+      Flow_net.add_flow net ~rate_cap:30. ~through:[ (a, 2) ] ~bytes:900. ()
+    in
+    ignore (Flow_net.advance net 2.);
+    (net, [ a; b ], [ f1; f2 ])
+  in
+  let bits x = Int64.bits_of_float x in
+  let numbers (net, nodes, flows) =
+    List.concat_map
+      (fun f -> [ bits (Flow_net.rate net f); bits (Flow_net.remaining net f) ])
+      flows
+    @ List.map (fun n -> bits (Flow_net.node_bytes net n)) nodes
+  in
+  let ((net, nodes, flows) as original) = build () in
+  let twin = build () in
+  let copy, flow_of = Flow_net.copy net in
+  Alcotest.(check (list int64)) "the copy starts in the original's state"
+    (numbers original)
+    (numbers (copy, nodes, List.map flow_of flows));
+  ignore (Flow_net.add_flow copy ~through:[ (List.nth nodes 1, 1) ] ~bytes:50. ());
+  Flow_net.cancel copy (flow_of (List.nth flows 1));
+  ignore (Flow_net.advance copy 5.);
+  Alcotest.(check (list int64)) "the copy's changes leave the original"
+    (numbers twin) (numbers original);
+  let advance (net, _, _) = List.length (Flow_net.advance net 3.) in
+  Alcotest.(check int) "the same completions" (advance twin) (advance original);
+  Alcotest.(check (list int64)) "and the same numbers after advancing"
+    (numbers twin) (numbers original);
+  let _, _, foreign = twin in
+  check_raises_invalid "a flow of another network" (fun () ->
+      flow_of (List.hd foreign))
 
 let prop_flow_rates_respect_capacity =
   QCheck.Test.make ~name:"allocated rates never exceed capacity" ~count:100
@@ -594,6 +665,166 @@ let prop_sim_loss_bounded_random_phase =
       let m = Sim.run ~config:cfg Baseline.design Baseline.scenario_array in
       measured_loss m <= model_worst_loss Baseline.scenario_array +. 1.)
 
+(* --- Recorded warm-ups --- *)
+
+let bits x = Printf.sprintf "%Lx" (Int64.bits_of_float x)
+let duration_bits d = bits (Duration.to_seconds d)
+let option_bits f = function None -> "none" | Some x -> f x
+
+(* Each compared field of a measurement, floats as their bit patterns. *)
+let measured_fields (m : Sim.measured) =
+  let joined f xs = String.concat "," (List.map f xs) in
+  [
+    ("source_level", option_bits string_of_int m.Sim.source_level);
+    ( "data_loss",
+      match m.Sim.data_loss with
+      | Data_loss.Updates d -> duration_bits d
+      | Data_loss.Entire_object -> "entire object" );
+    ("recovery_time", option_bits duration_bits m.Sim.recovery_time);
+    ("rp_count", joined string_of_int (Array.to_list m.Sim.rp_count));
+    ( "rp_newest_age",
+      joined (option_bits duration_bits) (Array.to_list m.Sim.rp_newest_age) );
+    ( "bandwidth_utilization",
+      joined (fun (name, u) -> name ^ "=" ^ bits u) m.Sim.bandwidth_utilization );
+  ]
+
+let check_same_measured case ~expected actual =
+  List.iter2
+    (fun (field, e) (_, a) -> Alcotest.(check string) (case ^ ": " ^ field) e a)
+    (measured_fields expected) (measured_fields actual)
+
+let warm_until = Duration.weeks 2.
+let week_s = Duration.to_seconds (Duration.weeks 1.)
+
+(* The warm-ups a resumed run must get exactly right: zero (the set-up
+   state itself), exactly on a kept state's clock and just past it, on an
+   instant a from-scratch run handles an event at, the recording's
+   [until], and a week past it. *)
+let resume_warmups design warm =
+  let until_s = Duration.to_seconds warm_until in
+  let clocks = List.map Duration.to_seconds (Sim.warm_clocks warm) in
+  let kept = List.nth clocks (List.length clocks / 2) in
+  let event =
+    let m =
+      Sim.run
+        ~config:{ config with warmup = warm_until; record_events = true }
+        design Baseline.scenario_object
+    in
+    let times =
+      List.filter_map
+        (fun (t, _) ->
+          let t = Duration.to_seconds t in
+          if t > 0. && t < until_s then Some t else None)
+        m.Sim.timeline
+    in
+    List.nth times (List.length times / 2)
+  in
+  [
+    ("zero", 0.);
+    ("a kept clock", kept);
+    ("just past a kept clock", Float.succ kept);
+    ("an event time", event);
+    ("until", until_s);
+    ("a week past until", until_s +. week_s);
+  ]
+
+let test_warm_kept_states () =
+  let warm = Sim.warm Baseline.design ~until:warm_until in
+  let clocks = List.map Duration.to_seconds (Sim.warm_clocks warm) in
+  Alcotest.(check (float 0.)) "the set-up first" 0. (List.hd clocks);
+  Alcotest.(check bool) "at most 64" true (List.length clocks <= 64);
+  Alcotest.(check bool) "more than the set-up" true (List.length clocks > 1);
+  Alcotest.(check bool) "ascending, all before until" true
+    (List.sort_uniq Float.compare clocks = clocks
+    && List.for_all (fun c -> c < Duration.to_seconds warm_until) clocks)
+
+let test_warm_resume_exact () =
+  List.iter
+    (fun (name, design) ->
+      let warm = Sim.warm design ~until:warm_until in
+      List.iter
+        (fun (label, warmup_s) ->
+          let config = { config with warmup = Duration.seconds warmup_s } in
+          List.iter
+            (fun scenario ->
+              let case =
+                Printf.sprintf "%s, %s, %s" name
+                  (Storage_device.Location.scope_name
+                     (List.hd (Scenario.events scenario)).Scenario.scope)
+                  label
+              in
+              check_same_measured case
+                ~expected:(Sim.run ~config design scenario)
+                (Sim.run ~warm ~config design scenario))
+            [
+              Baseline.scenario_object;
+              Baseline.scenario_array;
+              Baseline.scenario_site;
+            ])
+        (resume_warmups design warm))
+    (Whatif.all
+    @ [ ("erasure", Whatif.erasure_coded ~fragments:9 ~required:6 ~links:10) ])
+
+let injected_fields (i : Sim.injected) =
+  [
+    duration_bits i.Sim.injected_at;
+    option_bits string_of_int i.Sim.source_level;
+    (match i.Sim.data_loss with
+    | Data_loss.Updates d -> duration_bits d
+    | Data_loss.Entire_object -> "entire object");
+    option_bits duration_bits i.Sim.recovery_end;
+    string_of_int i.Sim.replans;
+  ]
+
+let test_warm_run_events_exact () =
+  (* Two overlapping failures (a site disaster an hour into an array
+     rebuild), and the re-plan case (the tape library lost an hour into a
+     rebuild from backup), resumed inside the recording and past it. *)
+  let scope_of s = (List.hd (Scenario.events s)).Scenario.scope in
+  let ev scope at = Scenario.event ~scope ~at () in
+  let array = scope_of Baseline.scenario_array in
+  let overlapping =
+    Scenario.of_events
+      [ ev array Duration.zero; ev (scope_of Baseline.scenario_site) (Duration.hours 1.) ]
+  in
+  let replanned =
+    Scenario.of_events
+      [
+        ev array Duration.zero;
+        ev (Storage_device.Location.Device "tape-library") (Duration.hours 1.);
+      ]
+  in
+  let warm = Sim.warm Baseline.design ~until:warm_until in
+  List.iter
+    (fun (name, scenario) ->
+      List.iter
+        (fun warmup ->
+          let config = { config with warmup } in
+          let fields run = List.map injected_fields (run ()) in
+          Alcotest.(check (list (list string)))
+            (Printf.sprintf "%s at %s" name (Duration.to_string warmup))
+            (fields (fun () -> Sim.run_events ~config Baseline.design scenario))
+            (fields (fun () ->
+                 Sim.run_events ~warm ~config Baseline.design scenario)))
+        [ Duration.days 10.; Duration.weeks 12. ])
+    [ ("overlapping", overlapping); ("re-planned", replanned) ]
+
+let test_warm_restrictions () =
+  let warm = Sim.warm Baseline.design ~until:(Duration.days 3.) in
+  let scenario = Baseline.scenario_array in
+  let outage = { config with outage = Some (2, Duration.hours 1.) } in
+  let timeline = { config with record_events = true } in
+  check_raises_invalid "run with an outage" (fun () ->
+      Sim.run ~warm ~config:outage Baseline.design scenario);
+  check_raises_invalid "run recording a timeline" (fun () ->
+      Sim.run ~warm ~config:timeline Baseline.design scenario);
+  check_raises_invalid "run_events with an outage" (fun () ->
+      Sim.run_events ~warm ~config:outage Baseline.design scenario);
+  check_raises_invalid "run_events recording a timeline" (fun () ->
+      Sim.run_events ~warm ~config:timeline Baseline.design scenario);
+  check_raises_invalid "another design" (fun () ->
+      Sim.run ~warm ~config Whatif.weekly_vault scenario)
+
 (* --- Allocation budget --- *)
 
 (* Minor-heap words one [Sim.run] allocates per simulated event, at the
@@ -632,6 +863,57 @@ let test_sim_alloc_budget () =
       ("async mirror x10", Whatif.async_mirror ~links:10, 100.);
     ]
 
+(* Minor-heap words a resumed [Sim.run] allocates, averaged over 20
+   warm-ups spread across the recording, and the words [Sim.warm]
+   allocates beyond a from-scratch run to the same horizon. A resumed run
+   ticks at most 1/64 of the recording; these fail if trials go back to
+   simulating their whole warm-up or the recording keeps every tick. *)
+let resumed_words design ~until =
+  let warm = Sim.warm design ~until in
+  let until_s = Duration.to_seconds until in
+  let runs = 20 in
+  let w0 = Gc.minor_words () in
+  for k = 0 to runs - 1 do
+    let warmup =
+      Duration.seconds (until_s *. (float_of_int k +. 0.5) /. float_of_int runs)
+    in
+    ignore
+      (Sim.run ~warm ~config:{ config with warmup } design
+         Baseline.scenario_array)
+  done;
+  let resumed = (Gc.minor_words () -. w0) /. float_of_int runs in
+  let w0 = Gc.minor_words () in
+  ignore
+    (Sim.run ~config:{ config with warmup = until } design
+       Baseline.scenario_array);
+  let scratch = Gc.minor_words () -. w0 in
+  let w0 = Gc.minor_words () in
+  ignore (Sim.warm design ~until);
+  (resumed, Gc.minor_words () -. w0 -. scratch)
+
+let test_warm_alloc_budget () =
+  List.iter
+    (fun (label, design, until, budget) ->
+      let resumed, extra = resumed_words design ~until in
+      Printf.printf
+        "%s: %.0f minor words per resumed run (budget %.0f); recording \
+         %+.0f words over a from-scratch run (budget 10000)\n"
+        label resumed budget extra;
+      if resumed > budget then
+        Alcotest.failf "%s: %.0f minor words per resumed run exceeds %.0f"
+          label resumed budget;
+      if extra > 10_000. then
+        Alcotest.failf
+          "%s: recording allocates %.0f words more than a from-scratch run"
+          label extra)
+    [
+      ("baseline", Baseline.design, Duration.weeks 12., 2_000.);
+      ( "async mirror x10",
+        Whatif.async_mirror ~links:10,
+        Duration.days 8.,
+        30_000. );
+    ]
+
 let suite =
   [
     ( "sim.event_queue",
@@ -642,6 +924,8 @@ let suite =
         Alcotest.test_case "drain-until boundaries" `Quick
           test_queue_drain_until_boundaries;
         Alcotest.test_case "validation" `Quick test_queue_validation;
+        Alcotest.test_case "copy is independent" `Quick
+          test_queue_copy_independent;
         qcheck prop_queue_pops_sorted;
         qcheck prop_queue_fifo_stable_on_ties;
         qcheck prop_queue_drain_until_partitions;
@@ -655,6 +939,8 @@ let suite =
         Alcotest.test_case "reservations" `Quick test_flow_reservation;
         Alcotest.test_case "partial advance" `Quick test_flow_partial_advance;
         Alcotest.test_case "validation" `Quick test_flow_validation;
+        Alcotest.test_case "copy is independent" `Quick
+          test_flow_copy_independent;
         qcheck prop_flow_rates_respect_capacity;
         qcheck prop_flow_fairness;
         qcheck prop_flow_conservation_multi_node;
@@ -685,5 +971,17 @@ let suite =
         Alcotest.test_case "allocation budget per event" `Quick
           test_sim_alloc_budget;
         qcheck prop_sim_loss_bounded_random_phase;
+      ] );
+    ( "sim.warm",
+      [
+        Alcotest.test_case "kept states" `Quick test_warm_kept_states;
+        Alcotest.test_case "resumed run is bit-identical" `Slow
+          test_warm_resume_exact;
+        Alcotest.test_case "resumed run_events is bit-identical" `Quick
+          test_warm_run_events_exact;
+        Alcotest.test_case "outage, timeline, design rejected" `Quick
+          test_warm_restrictions;
+        Alcotest.test_case "allocation budget per resumed run" `Quick
+          test_warm_alloc_budget;
       ] );
   ]
