@@ -29,8 +29,9 @@ type tier = {
       (** ceiling on peak [Gc.live_words] of the monitored serial
           streaming search, the O(window + frontier) memory contract *)
   min_serve_warm_speedup : float;
-      (** floor on cold single-shot `ssdep evaluate` wall time over the
-          daemon's warm-cache /evaluate p50; the gate auto-skips when
+      (** floor on cold single-shot `ssdep evaluate` wall time over a
+          running daemon's /evaluate p50 (no evaluation cache: each
+          request parses and evaluates); the gate auto-skips when
           [SSDEP_BIN] is not set (no CLI binary to time) *)
   fleet_trials : int;  (** Monte Carlo trials for the fleet gate *)
   min_fleet_trials_per_sec : float;

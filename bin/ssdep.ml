@@ -290,10 +290,10 @@ let evaluate_cmd =
           print_reports json d [ (scope, Evaluate.run d scenario) ];
           Ok ())
       | Ok (d, scenarios) ->
-        print_reports json d
-          (List.map
-             (fun (name, scenario) -> (name, Evaluate.run d scenario))
-             scenarios);
+        (* The evaluation `serve /evaluate` runs, so the two agree byte
+           for byte. *)
+        let names, scenarios = List.split scenarios in
+        print_reports json d (List.combine names (Evaluate.run_all d scenarios));
         Ok ())
     | None -> (
       match find_design designs design with
@@ -919,27 +919,45 @@ let fleet_cmd =
   let run design trials horizon seed afr building site json jobs stats
       stats_json =
     with_engine ~jobs ~stats ~stats_json @@ fun engine ->
-    match
-      try
-        Ok
-          (Fleet.config ~trials ~horizon_years:horizon ~seed
-             ~rates:
-               (Fleet.rates ~default_afr:afr ~building_burst_per_year:building
-                  ~site_burst_per_year:site ())
-             ())
-      with Invalid_argument m -> Error m
-    with
-    | Error e -> Error e
-    | Ok config -> (
-      match find_design fleet_designs design with
-      | Error e -> Error e
-      | Ok d ->
-        let report = Fleet.run ~engine ~config d in
-        if json then
-          print_endline
-            (Storage_report.Json.to_string_pretty (Fleet.to_json report))
-        else Fmt.pr "%a@." Fleet.pp report;
-        Ok ())
+    let ( let* ) = Result.bind in
+    let invalid f = try Ok (f ()) with Invalid_argument m -> Error m in
+    let* rates =
+      invalid (fun () ->
+          Fleet.rates ~default_afr:afr ~building_burst_per_year:building
+            ~site_burst_per_year:site ())
+    in
+    (* The bound [Fleet.config] enforces, reported against the flags. *)
+    let* () =
+      match
+        List.find_opt
+          (fun (_, per_year, _) ->
+            per_year *. horizon > Fleet.max_expected_arrivals)
+          [
+            ("--afr", afr, "device");
+            ("--building-per-year", building, "building");
+            ("--site-per-year", site, "site");
+          ]
+      with
+      | None -> Ok ()
+      | Some (flag, per_year, stream) ->
+        Error
+          (Printf.sprintf
+             "%s %g over --horizon-years %g expects %g failures per %s; a \
+              trial samples at most %g"
+             flag per_year horizon (per_year *. horizon) stream
+             Fleet.max_expected_arrivals)
+    in
+    let* config =
+      invalid (fun () ->
+          Fleet.config ~trials ~horizon_years:horizon ~seed ~rates ())
+    in
+    let* d = find_design fleet_designs design in
+    let report = Fleet.run ~engine ~config d in
+    if json then
+      print_endline
+        (Storage_report.Json.to_string_pretty (Fleet.to_json report))
+    else Fmt.pr "%a@." Fleet.pp report;
+    Ok ()
   in
   let term =
     Term.(
@@ -1366,9 +1384,9 @@ let serve_cmd =
         "Run a long-lived evaluation service on 127.0.0.1: POST \
          design-language files to /evaluate (JSON byte-identical to \
          $(b,ssdep evaluate --json)) and /lint, search via /optimize, \
-         watch /stats, probe /healthz. A warm evaluation cache is \
-         shared across requests; a bounded admission queue answers 429 \
-         under overload; SIGINT/SIGTERM drain gracefully."
+         watch /stats, probe /healthz. Every request is evaluated afresh; \
+         a bounded admission queue answers 429 under overload; \
+         SIGINT/SIGTERM drain gracefully."
   in
   Cmd.v info Term.(term_result' term)
 

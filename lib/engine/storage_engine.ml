@@ -117,10 +117,10 @@ let map t f xs =
   | None -> List.map f xs
   | Some p -> Storage_parallel.Pool.map_on p f xs
 
-let map_seq ?window ?chunk t f xs =
+let map_seq ?chunk t f xs =
   match pool t with
   | None -> Seq.map f xs
-  | Some p -> Storage_parallel.Pool.map_seq ?window ?chunk p f xs
+  | Some p -> Storage_parallel.Pool.map_seq ?chunk p f xs
 
 let slot t key ~default =
   locked t (fun () ->

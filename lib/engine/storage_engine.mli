@@ -1,8 +1,8 @@
 (** A first-class execution context for the evaluation loops.
 
-    The framework's outer loops — design-space search, sensitivity sweeps,
-    portfolio evaluation, fleet and Monte-Carlo risk, failure-phase
-    sweeps — share the same execution machinery: a
+    The framework's outer loops — design-space search, the solvers, fleet
+    Monte Carlo, failure-phase sweeps — share the same execution
+    machinery: a
     {!Storage_parallel.Pool} of domains. Threading a per-call [?jobs]
     optional argument through every entry point does not scale (every
     new loop re-grows the list); an [Engine.t] owns the pool once and is
@@ -63,16 +63,15 @@ val with_engine : ?jobs:int -> (t -> 'a) -> 'a
 val jobs : t -> int
 
 val default_seed : int64
-(** The seed stochastic stages (Monte-Carlo risk, the solvers) use when
-    the caller passes none, so their results are reproducible. *)
+(** The seed the solvers use when the caller passes none, and the one
+    Monte-Carlo risk always uses, so their results are reproducible. *)
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map e f xs] is [List.map f xs] computed on the engine's pool
     ([jobs = 1] short-circuits to [List.map]). Results are in input
     order; the first exception by input index is re-raised. *)
 
-val map_seq :
-  ?window:int -> ?chunk:int -> t -> ('a -> 'b) -> 'a Seq.t -> 'b Seq.t
+val map_seq : ?chunk:int -> t -> ('a -> 'b) -> 'a Seq.t -> 'b Seq.t
 (** Streaming map over the engine's pool: see
     {!Storage_parallel.Pool.map_seq}, which auto-sizes chunks from the
     window and the pool size unless [?chunk] forces a granularity.

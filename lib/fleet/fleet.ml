@@ -35,11 +35,30 @@ type config = {
   rates : rates;
 }
 
+(* [sample_events] materializes every arrival of a trial's trace: an AFR
+   of 10^6 over 5 years is ~5 x 10^6 arrivals per device, which exhausts
+   the heap, and a 10^6-year horizon runs for hours. *)
+let max_expected_arrivals = 1e4
+
 let config ?(trials = 1000) ?(horizon_years = 5.) ?(seed = 0xCA5CADEL)
     ?(rates = default_rates) () =
   if trials < 1 then invalid_arg "Fleet.config: trials < 1";
   if horizon_years <= 0. || not (Float.is_finite horizon_years) then
     invalid_arg "Fleet.config: non-positive horizon";
+  List.iter
+    (fun (name, per_year) ->
+      let expected = per_year *. horizon_years in
+      if expected > max_expected_arrivals then
+        invalid_arg
+          (Printf.sprintf
+             "Fleet.config: %s %g over %g years expects %g arrivals per \
+              stream, more than %g"
+             name per_year horizon_years expected max_expected_arrivals))
+    [
+      ("default_afr", rates.default_afr);
+      ("building_burst_per_year", rates.building_burst_per_year);
+      ("site_burst_per_year", rates.site_burst_per_year);
+    ];
   { trials; horizon = Duration.years horizon_years; seed; rates }
 
 let default_config = config ()

@@ -62,8 +62,15 @@ val config :
   unit ->
   config
 (** Defaults: 1000 trials, 5 years, the framework seed, {!default_rates}.
-    Raises [Invalid_argument] when [trials < 1] or the horizon is not
-    positive. *)
+    Raises [Invalid_argument] when [trials < 1], the horizon is not
+    positive, or a rate times the horizon in years exceeds
+    {!max_expected_arrivals}. *)
+
+val max_expected_arrivals : float
+(** [1e4]: the most arrivals one stream (a device's failures, a
+    building's or a site's bursts) may expect over the horizon. Sampling
+    holds every arrival of a trial in memory, so beyond this a trial
+    exhausts the heap or runs for hours. *)
 
 val default_config : config
 

@@ -2,7 +2,7 @@ open Storage_parallel
 
 type t = Evaluate.report Memo.t
 
-let create ?max_entries () = Memo.create ?max_entries ~size:256 ()
+let create () = Memo.create ()
 
 let key design scenario =
   Design.fingerprint design ^ ":" ^ Scenario.fingerprint scenario
@@ -29,7 +29,6 @@ let run_all t design scenarios =
           Evaluate.run_prepared (Lazy.force prep) scenario))
     scenarios
 
-let length t = Memo.length t
 let hits t = Memo.hits t
 let misses t = Memo.misses t
-let evicted t = Memo.evicted t
+let evicted (_ : t) = 0

@@ -4,10 +4,12 @@
     (design, scenario) pair once and share the report, across calls and
     across the domains of a {!Storage_parallel.Pool} (the underlying
     {!Storage_parallel.Memo} is thread-safe). It pays only where the
-    same pairs recur and the key is cheaper than the evaluation — e.g. a
-    service answering the same design bodies over and over. The
-    library's optimize loops evaluate directly: keying a freshly built
-    design costs about as much as evaluating it.
+    same pairs recur and the key is cheaper than the evaluation. Nothing
+    in the program is such a caller: the optimize loops and [serve]'s
+    [/evaluate] evaluate directly, because keying a freshly built or
+    freshly parsed design costs about as much as evaluating it. What is
+    left is {!of_engine}, for [Objective.summarize ~engine], and the
+    testkit's [cache-invariance] oracle.
 
     Keys are {!Design.fingerprint} + {!Scenario.fingerprint}: purely
     structural, so it never matters how or where a design was built. A
@@ -16,9 +18,8 @@
 
 type t
 
-val create : ?max_entries:int -> unit -> t
-(** [max_entries] bounds the cache with FIFO eviction (see
-    {!Storage_parallel.Memo.create}); the default is unbounded. *)
+val create : unit -> t
+(** An empty, unbounded cache. *)
 
 val of_engine : Storage_engine.t -> t
 (** The engine's session cache: unbounded, created on first use and
@@ -35,11 +36,9 @@ val run : t -> Design.t -> Scenario.t -> Evaluate.report
 val run_all : t -> Design.t -> Scenario.t list -> Evaluate.report list
 (** Memoized {!Evaluate.run_all}. *)
 
-val length : t -> int
-(** Distinct (design, scenario) pairs evaluated so far. *)
-
 val hits : t -> int
 val misses : t -> int
 
 val evicted : t -> int
-(** Reports evicted by the [max_entries] bound; [0] when unbounded. *)
+(** Always [0]: the cache never evicts. The benchmark harness
+    ([perfbench/]) still reads it; it goes together with {!of_engine}. *)

@@ -147,11 +147,8 @@ let lint_members t =
         false)
     t.members
 
-let evaluate ?engine t scenario =
-  let map =
-    match engine with None -> List.map | Some e -> Storage_engine.map e
-  in
-  map
+let evaluate t scenario =
+  List.map
     (fun (m : Design.t) -> (m.Design.name, Evaluate.run m scenario))
     (lint_members t)
 

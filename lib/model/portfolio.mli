@@ -44,16 +44,11 @@ val outlays : t -> (string * Money.t) list * Money.t
     member hosted on each device; later tenants pay incremental capacity
     and bandwidth only. *)
 
-val evaluate :
-  ?engine:Storage_engine.t -> t -> Scenario.t ->
-  (string * Evaluate.report) list
-(** Evaluates every member under the scenario. Each member's recovery
-    competes with the others' normal-mode traffic (via the background
-    demands), which is the conservative reading of a shared-infrastructure
-    disaster. Results are in member order whatever the engine's [jobs].
-
-    The [?engine] supplies parallelism. Without an engine the evaluation
-    is serial — byte-identical to the default engine's results.
+val evaluate : t -> Scenario.t -> (string * Evaluate.report) list
+(** Evaluates every member under the scenario, in member order. Each
+    member's recovery competes with the others' normal-mode traffic (via
+    the background demands), which is the conservative reading of a
+    shared-infrastructure disaster.
 
     Members that fail {!Design.validate} (typically overcommitted by the
     combined background load) are skipped instead of evaluated into a

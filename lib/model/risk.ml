@@ -98,10 +98,7 @@ let poisson rng ~lambda =
     if x < 0. then 0 else int_of_float x
   end
 
-(* [map] abstracts over how the samples are spread across domains: the
-   engine's pool or plain [List.map]. Every sample seeds its own
-   generator, so the distribution is independent of the slicing. *)
-let monte_carlo_with ~map ~seed ~samples design weighted_list ~horizon_years =
+let monte_carlo ?(samples = 10_000) design weighted_list ~horizon_years =
   if weighted_list = [] then invalid_arg "Risk.monte_carlo: no scenarios";
   if horizon_years <= 0. then invalid_arg "Risk.monte_carlo: non-positive horizon";
   if samples <= 0 then invalid_arg "Risk.monte_carlo: non-positive samples";
@@ -122,10 +119,10 @@ let monte_carlo_with ~map ~seed ~samples design weighted_list ~horizon_years =
   let outlays =
     horizon_years *. Money.to_usd (Cost.outlays design).Cost.total
   in
-  (* One generator per sample, seeded from a master stream: every sample's
-     draws are independent of how the work is sliced, so the distribution
-     is identical whatever [jobs] is. *)
-  let master = Storage_workload.Prng.create ~seed in
+  (* One generator per sample, seeded from a master stream. *)
+  let master =
+    Storage_workload.Prng.create ~seed:Storage_engine.default_seed
+  in
   let sample_seeds =
     List.init samples (fun _ -> Storage_workload.Prng.next_int64 master)
   in
@@ -136,7 +133,7 @@ let monte_carlo_with ~map ~seed ~samples design weighted_list ~horizon_years =
         acc +. (float_of_int (poisson rng ~lambda) *. penalty))
       outlays priced
   in
-  let draws = Array.of_list (map draw_sample sample_seeds) in
+  let draws = Array.of_list (List.map draw_sample sample_seeds) in
   Array.sort Float.compare draws;
   let n = float_of_int samples in
   let mean = Array.fold_left ( +. ) 0. draws /. n in
@@ -161,15 +158,6 @@ let monte_carlo_with ~map ~seed ~samples design weighted_list ~horizon_years =
     p99 = percentile 0.99;
     max = Money.usd draws.(samples - 1);
   }
-
-let monte_carlo ?engine ?(seed = Storage_engine.default_seed)
-    ?(samples = 10_000) design weighted_list ~horizon_years =
-  let map f xs =
-    match engine with
-    | None -> List.map f xs
-    | Some e -> Storage_engine.map e f xs
-  in
-  monte_carlo_with ~map ~seed ~samples design weighted_list ~horizon_years
 
 let pp_distribution ppf d =
   Fmt.pf ppf

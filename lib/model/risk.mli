@@ -60,8 +60,6 @@ type distribution = {
 }
 
 val monte_carlo :
-  ?engine:Storage_engine.t ->
-  ?seed:int64 ->
   ?samples:int ->
   Design.t ->
   weighted list ->
@@ -79,12 +77,9 @@ val monte_carlo :
     multiplicative method's acceptance threshold underflows near
     [lambda ~ 745].
 
-    The [?engine] supplies the domains; [?seed] defaults to
-    {!Storage_engine.default_seed}, so engine-less and engine runs agree
-    bit for bit. Each sample draws from its own generator seeded off the
-    master seed, so for a fixed seed the distribution is bit-identical
-    for every [jobs] value; more jobs only spread the sampling across
-    domains. Raises [Invalid_argument] on an empty scenario list,
+    The master seed is {!Storage_engine.default_seed}; each sample draws
+    from its own generator seeded off it, so a run is reproducible bit
+    for bit. Raises [Invalid_argument] on an empty scenario list,
     non-positive horizon or samples, or negative frequencies. *)
 
 val pp : t Fmt.t

@@ -137,7 +137,8 @@ let cost_section buf design =
        outlays.Cost.by_technique
     @ [ [ "**total**"; money_cell outlays.Cost.total ] ])
 
-let risk_section buf design weighted horizon =
+let risk_section buf design weighted =
+  let horizon = 10. in
   buffer_add buf "## Risk\n\n";
   let assessment = Risk.assess design weighted in
   md_table buf
@@ -166,7 +167,7 @@ let risk_section buf design weighted horizon =
        (money_cell dist.Risk.p50) (money_cell dist.Risk.p95)
        (money_cell dist.Risk.p99) (money_cell dist.Risk.max))
 
-let markdown ?risk ?(risk_horizon_years = 10.) design named_scenarios =
+let markdown ?risk design named_scenarios =
   if named_scenarios = [] then invalid_arg "Summary_report.markdown: no scenarios";
   let buf = Buffer.create 2048 in
   buffer_add buf
@@ -184,6 +185,6 @@ let markdown ?risk ?(risk_horizon_years = 10.) design named_scenarios =
   cost_section buf design;
   (match risk with
   | Some weighted when weighted <> [] ->
-    risk_section buf design weighted risk_horizon_years
+    risk_section buf design weighted
   | Some _ | None -> ());
   Buffer.contents buf

@@ -9,11 +9,10 @@
 
 val markdown :
   ?risk:Risk.weighted list ->
-  ?risk_horizon_years:float ->
   Design.t ->
   (string * Scenario.t) list ->
   string
 (** [markdown design scenarios] renders the report; [scenarios] pairs a
     display name with each scenario. When [risk] is given, a risk section
-    is appended ([risk_horizon_years] defaults to 10 for the Monte-Carlo
-    distribution). Raises [Invalid_argument] on an empty scenario list. *)
+    is appended, with a Monte-Carlo distribution over 10 years. Raises
+    [Invalid_argument] on an empty scenario list. *)

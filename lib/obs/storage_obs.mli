@@ -86,13 +86,12 @@ end
 module Histogram : sig
   type t
 
-  val make : ?lo:float -> ?ratio:float -> ?buckets:int -> string -> t
+  val make : string -> t
   (** [make name] registers a histogram whose first bucket holds
-      observations [<= lo] (default [1e-6]) and whose [buckets] (default
-      [24]) successive upper bounds grow by [ratio] (default [4.]), with a
-      final unbounded overflow bucket. The defaults span 1 microsecond to
-      beyond 10^8 seconds. Same-name [make]s share one histogram; the
-      bucket geometry of the first registration wins. *)
+      observations [<= 1e-6] and whose 24 successive upper bounds grow by
+      a factor of 4, with a final unbounded overflow bucket: 1
+      microsecond to beyond 10^8 seconds. Same-name [make]s share one
+      histogram. *)
 
   val observe : t -> float -> unit
   (** Record one observation (no-op while disabled). Non-finite and

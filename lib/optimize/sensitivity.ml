@@ -23,19 +23,18 @@ let point_of_report value (r : Evaluate.report) =
 let t_sweep = Storage_obs.Timer.make "sensitivity.sweep"
 let obs_points = Storage_obs.Counter.make "sensitivity.points"
 
-let sweep ?engine build ~values scenario =
+let sweep build ~values scenario =
   if values = [] then invalid_arg "Sensitivity.sweep: no values";
   Storage_obs.Counter.add obs_points (List.length values);
   Storage_obs.Timer.time t_sweep @@ fun () ->
-  let map =
-    match engine with None -> List.map | Some e -> Storage_engine.map e
-  in
-  map (fun v -> point_of_report v (Evaluate.run (build v) scenario)) values
+  List.map
+    (fun v -> point_of_report v (Evaluate.run (build v) scenario))
+    values
 
-let crossover ?engine build_a ~values scenario ~metric ~against =
+let crossover build_a ~values scenario ~metric ~against =
   if values = [] then invalid_arg "Sensitivity.crossover: no values";
-  let a = sweep ?engine build_a ~values scenario in
-  let b = sweep ?engine against ~values scenario in
+  let a = sweep build_a ~values scenario in
+  let b = sweep against ~values scenario in
   List.find_opt
     (fun (pa, pb) -> metric pa >= metric pb)
     (List.combine a b)

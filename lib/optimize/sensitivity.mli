@@ -18,21 +18,12 @@ type point = {
   total_cost : Money.t;
 }
 
-val sweep :
-  ?engine:Storage_engine.t ->
-  (float -> Design.t) ->
-  values:float list ->
-  Scenario.t ->
-  point list
+val sweep : (float -> Design.t) -> values:float list -> Scenario.t -> point list
 (** [sweep build ~values scenario] evaluates [build v] under [scenario]
     for each [v], in order. Raises [Invalid_argument] on an empty value
-    list. The [?engine] supplies domains ([build] must therefore be
-    pure, as the enumeration constructors are; point order and values
-    are unaffected). Without an engine the sweep is serial, with
-    identical points. *)
+    list. *)
 
 val crossover :
-  ?engine:Storage_engine.t ->
   (float -> Design.t) ->
   values:float list ->
   Scenario.t ->

@@ -338,10 +338,9 @@ let background_for kit chosen ~self =
          if extra = [] then None
          else Some (dev.Storage_device.Device.name, extra))
 
-let solve_portfolio ?engine ?budget ?(seed = Engine.default_seed) ?(rounds = 2)
-    ~method_ ~kit ~space ~members scenarios =
+let solve_portfolio ?engine ?budget ?(seed = Engine.default_seed) ~method_
+    ~kit ~space ~members scenarios =
   if members = [] then invalid_arg "Solver.solve_portfolio: no members";
-  if rounds < 1 then invalid_arg "Solver.solve_portfolio: rounds must be >= 1";
   let labels = List.map (fun m -> m.label) members in
   if List.length labels <> List.length (List.sort_uniq String.compare labels)
   then invalid_arg "Solver.solve_portfolio: member labels must be distinct";
@@ -355,11 +354,11 @@ let solve_portfolio ?engine ?budget ?(seed = Engine.default_seed) ?(rounds = 2)
   let kit_for m =
     { kit with Candidate.workload = m.workload; business = m.business }
   in
-  (* Gauss–Seidel over the members: each pass re-optimizes every member
-     against the latest tentative assignments of the others, folded in as
-     background demand on the shared devices. Per-(round, member) seeds
-     come from one splitmix64 stream, so the whole consolidation is a
-     pure function of (seed, budget, rounds). *)
+  (* Gauss–Seidel over the members, two passes: each pass re-optimizes
+     every member against the latest tentative assignments of the others,
+     folded in as background demand on the shared devices.
+     Per-(round, member) seeds come from one splitmix64 stream, so the
+     whole consolidation is a pure function of (seed, budget). *)
   let assignments = ref [] (* (label, result) in member order, latest *) in
   let set label r =
     if List.mem_assoc label !assignments then
@@ -377,7 +376,7 @@ let solve_portfolio ?engine ?budget ?(seed = Engine.default_seed) ?(rounds = 2)
         | Some s -> Some (label, s.Objective.design))
       !assignments
   in
-  for _round = 1 to rounds do
+  for _round = 1 to 2 do
     List.iter
       (fun m ->
         let member_seed = Storage_workload.Prng.next_int64 master in

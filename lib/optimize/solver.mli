@@ -120,21 +120,19 @@ val solve_portfolio :
   ?engine:Storage_engine.t ->
   ?budget:int ->
   ?seed:int64 ->
-  ?rounds:int ->
   method_:method_ ->
   kit:Candidate.kit ->
   space:Candidate.space ->
   members:member list ->
   Scenario.t list ->
   portfolio_result
-(** Solve every member jointly. [rounds] (default 2) Gauss–Seidel passes:
-    each pass re-optimizes every member against the others' latest
-    tentative designs folded in as background demand on the kit's
-    devices. Per-(round, member) solver seeds derive from one splitmix64
-    stream, so the whole consolidation is a pure function of
-    (seed, budget, rounds) — byte-identical across [--jobs]. Raises
-    [Invalid_argument] on empty members, duplicate labels, or
-    [rounds < 1]. *)
+(** Solve every member jointly, in two Gauss–Seidel passes: each pass
+    re-optimizes every member against the others' latest tentative
+    designs folded in as background demand on the kit's devices.
+    Per-(round, member) solver seeds derive from one splitmix64 stream,
+    so the whole consolidation is a pure function of (seed, budget) —
+    byte-identical across [--jobs]. Raises [Invalid_argument] on empty
+    members or duplicate labels. *)
 
 (** {1 Rendering} *)
 

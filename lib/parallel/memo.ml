@@ -10,59 +10,16 @@
    per-instance counts remain available on each [t]). *)
 let obs_hits = Storage_obs.Counter.make "memo.hits"
 let obs_misses = Storage_obs.Counter.make "memo.misses"
-let obs_evicted = Storage_obs.Counter.make "memo.evicted"
-let live_entries = Atomic.make 0
-
-let () =
-  Storage_obs.gauge "memo.entries" (fun () ->
-      float_of_int (Atomic.get live_entries))
 
 type 'a t = {
   lock : Mutex.t;
   table : (string, 'a) Hashtbl.t;
-  fifo : string Queue.t;  (* insertion order; maintained only when bounded *)
-  max_entries : int option;
   mutable hits : int;
   mutable misses : int;
-  mutable evicted : int;
 }
 
-let create ?max_entries ?(size = 64) () =
-  (match max_entries with
-  | Some n when n < 1 -> invalid_arg "Memo.create: max_entries must be >= 1"
-  | Some _ | None -> ());
-  {
-    lock = Mutex.create ();
-    table = Hashtbl.create size;
-    fifo = Queue.create ();
-    max_entries;
-    hits = 0;
-    misses = 0;
-    evicted = 0;
-  }
-
-(* Called with [t.lock] held, after an insert. *)
-let enforce_bound t =
-  match t.max_entries with
-  | None -> ()
-  | Some bound ->
-    while Hashtbl.length t.table > bound do
-      match Queue.take_opt t.fifo with
-      | None -> assert false (* fifo mirrors the table when bounded *)
-      | Some oldest ->
-        if Hashtbl.mem t.table oldest then begin
-          Hashtbl.remove t.table oldest;
-          t.evicted <- t.evicted + 1;
-          Storage_obs.Counter.incr obs_evicted;
-          ignore (Atomic.fetch_and_add live_entries (-1))
-        end
-    done
-
-let insert t key v =
-  Hashtbl.add t.table key v;
-  if t.max_entries <> None then Queue.add key t.fifo;
-  Atomic.incr live_entries;
-  enforce_bound t
+let create () =
+  { lock = Mutex.create (); table = Hashtbl.create 256; hits = 0; misses = 0 }
 
 let find_or_add t key compute =
   Mutex.lock t.lock;
@@ -84,48 +41,11 @@ let find_or_add t key compute =
       match Hashtbl.find_opt t.table key with
       | Some existing -> existing
       | None ->
-        insert t key v;
+        Hashtbl.add t.table key v;
         v
     in
     Mutex.unlock t.lock;
     v
 
-let find t key =
-  Mutex.lock t.lock;
-  let v = Hashtbl.find_opt t.table key in
-  Mutex.unlock t.lock;
-  v
-
-let length t =
-  Mutex.lock t.lock;
-  let n = Hashtbl.length t.table in
-  Mutex.unlock t.lock;
-  n
-
-let hits t =
-  Mutex.lock t.lock;
-  let n = t.hits in
-  Mutex.unlock t.lock;
-  n
-
-let misses t =
-  Mutex.lock t.lock;
-  let n = t.misses in
-  Mutex.unlock t.lock;
-  n
-
-let evicted t =
-  Mutex.lock t.lock;
-  let n = t.evicted in
-  Mutex.unlock t.lock;
-  n
-
-let clear t =
-  Mutex.lock t.lock;
-  ignore (Atomic.fetch_and_add live_entries (-Hashtbl.length t.table));
-  Hashtbl.reset t.table;
-  Queue.clear t.fifo;
-  t.hits <- 0;
-  t.misses <- 0;
-  t.evicted <- 0;
-  Mutex.unlock t.lock
+let hits t = Mutex.protect t.lock (fun () -> t.hits)
+let misses t = Mutex.protect t.lock (fun () -> t.misses)

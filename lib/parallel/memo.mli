@@ -1,47 +1,30 @@
 (** A concurrent string-keyed memo table.
 
-    Backs the evaluation cache: design-space search, sensitivity sweeps and
-    portfolio evaluation repeatedly evaluate identical (design, scenario)
-    pairs, and their evaluations are pure, so results can be computed once
-    and shared — including across the domains of a {!Pool}.
+    Backs the evaluation cache: evaluations are pure, so a result can be
+    computed once per key and shared — including across the domains of
+    a {!Pool}.
 
     All operations are thread-safe (a single [Mutex] guards the table; the
     user-supplied compute function runs {e outside} the lock). When two
     domains race to fill the same key, both compute but the first insert
     wins and every caller observes that single value thereafter; for the
     pure functions this caches, the race is only a little wasted work,
-    never a semantic difference. *)
+    never a semantic difference. The table is unbounded: it lives as long
+    as its owner. *)
 
 type 'a t
 
-val create : ?max_entries:int -> ?size:int -> unit -> 'a t
-(** [size] is the initial table sizing hint (default 64).
-
-    [max_entries] bounds the table: once it holds that many values, each
-    insert evicts the oldest-inserted entry (FIFO) so long what-if
-    sessions cannot grow the cache without bound. The default is
-    unbounded, preserving the original behaviour. Raises
-    [Invalid_argument] when [max_entries < 1]. Eviction affects only
-    {e time} (an evicted key recomputes on next use), never a value. *)
+val create : unit -> 'a t
 
 val find_or_add : 'a t -> string -> (unit -> 'a) -> 'a
 (** [find_or_add t key compute] returns the cached value for [key], or runs
     [compute ()], caches it, and returns it. If [compute] raises, nothing
     is cached and the exception propagates. *)
 
-val find : 'a t -> string -> 'a option
-val length : 'a t -> int
-
 val hits : 'a t -> int
-(** Lookups answered from the table since creation (or [clear]). *)
+(** Lookups answered from the table since creation. Also exported
+    process-wide, summed over every table, as the [memo.hits] counter of
+    {!Storage_obs}. *)
 
 val misses : 'a t -> int
-(** Lookups that had to compute. *)
-
-val evicted : 'a t -> int
-(** Entries evicted by the [max_entries] bound since creation (or
-    [clear]); always [0] for an unbounded table. Also exported
-    process-wide as the [memo.evicted] counter of {!Storage_obs}. *)
-
-val clear : 'a t -> unit
-(** Empties the table and resets the hit/miss/evicted counters. *)
+(** Lookups that had to compute ([memo.misses] process-wide). *)

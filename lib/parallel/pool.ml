@@ -134,12 +134,6 @@ let create ~jobs =
   done;
   t
 
-let size t = t.jobs
-
-let with_pool ~jobs f =
-  let t = create ~jobs in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-
 (* Called with [t.lock] held. *)
 let record_failure batch i exn bt =
   (match batch.failure with
@@ -147,19 +141,14 @@ let record_failure batch i exn bt =
   | Some _ | None -> batch.failure <- Some (i, exn, bt));
   batch.cancelled <- true
 
-let map_on ?chunk t f xs =
+(* One batch of [chunk]-element tasks; [chunk >= 1]. *)
+let map_chunked ~chunk t f xs =
   match xs with
   | [] -> []
   | [ x ] -> [ f x ]
   | xs ->
     let input = Array.of_list xs in
     let n = Array.length input in
-    let chunk =
-      match chunk with
-      | Some c when c >= 1 -> c
-      | Some _ -> invalid_arg "Pool.map: chunk must be >= 1"
-      | None -> max 1 (n / (t.jobs * 4))
-    in
     let nchunks = (n + chunk - 1) / chunk in
     let results = Array.make n None in
     let batch =
@@ -220,23 +209,8 @@ let map_on ?chunk t f xs =
     Array.to_list
       (Array.map (function Some y -> y | None -> assert false) results)
 
-(* Streaming map: materialize a bounded window of the input, run it as an
-   ordinary [map_on] batch, yield the results in order, refill. Peak
-   memory is O(window), whatever the length of the input sequence. An
-   exception inside a window surfaces when that window is forced — i.e.
-   after every result of earlier windows has been yielded, which keeps
-   the "first exception by input index" contract of [map_on].
-
-   Scheduling granularity: each window is dealt to the domains in
-   contiguous chunks of [chunk] elements — one queue task per chunk, not
-   per element. The per-task cost (queue mutex traffic, condition
-   signalling, closure allocation) is tens of microseconds; evaluations
-   are single-digit microseconds. Only batching hundreds of them per
-   task makes the dispatch overhead vanish against the work. The default
-   window is sized so that the auto chunk lands in the hundreds while
-   still giving every domain a few chunks per window to smooth uneven
-   evaluation times. *)
-let default_window jobs = 512 * jobs
+let map_on t f xs =
+  map_chunked ~chunk:(max 1 (List.length xs / (t.jobs * 4))) t f xs
 
 (* Auto chunk for one window's batch: as coarse as the cap allows (a full
    window deals chunks of hundreds), but never so coarse that a short
@@ -245,13 +219,24 @@ let default_window jobs = 512 * jobs
 let auto_chunk ~window ~jobs ~len =
   max 1 (min (window / (jobs * 2)) (len / jobs))
 
-let map_seq ?window ?chunk t f xs =
-  let window =
-    match window with
-    | Some w when w >= 1 -> w
-    | Some _ -> invalid_arg "Pool.map_seq: window must be >= 1"
-    | None -> default_window t.jobs
-  in
+(* Streaming map: materialize a bounded window of the input, run it as
+   one batch, yield the results in order, refill. Peak memory is
+   O(window), whatever the length of the input sequence. An exception
+   inside a window surfaces when that window is forced — i.e. after
+   every result of earlier windows has been yielded, which keeps the
+   "first exception by input index" contract of [map_on].
+
+   Scheduling granularity: each window is dealt to the domains in
+   contiguous chunks of [chunk] elements — one queue task per chunk, not
+   per element. The per-task cost (queue mutex traffic, condition
+   signalling, closure allocation) is tens of microseconds; evaluations
+   are single-digit microseconds. Only batching hundreds of them per
+   task makes the dispatch overhead vanish against the work. The window,
+   [512 * jobs], is sized so that the auto chunk lands in the hundreds
+   while still giving every domain a few chunks per window to smooth
+   uneven evaluation times. *)
+let map_seq ?chunk t f xs =
+  let window = 512 * t.jobs in
   (match chunk with
   | Some c when c < 1 -> invalid_arg "Pool.map_seq: chunk must be >= 1"
   | Some _ | None -> ());
@@ -272,15 +257,6 @@ let map_seq ?window ?chunk t f xs =
         | None ->
           auto_chunk ~window ~jobs:t.jobs ~len:(List.length batch)
       in
-      Seq.append (List.to_seq (map_on ~chunk t f batch)) (windows rest) ()
+      Seq.append (List.to_seq (map_chunked ~chunk t f batch)) (windows rest) ()
   in
   windows xs
-
-let map ?chunk ~jobs f xs =
-  if jobs < 1 then invalid_arg "Pool.map: jobs must be >= 1";
-  match xs with
-  | [] -> []
-  | [ x ] -> [ f x ]
-  | xs ->
-    if jobs = 1 then List.map f xs
-    else with_pool ~jobs (fun t -> map_on ?chunk t f xs)

@@ -1,21 +1,21 @@
 (** A fixed-size OCaml 5 domain pool with a shared work queue.
 
-    The evaluation hot paths of the framework — design-space search,
-    sensitivity sweeps, portfolio evaluation, failure-phase sweeps — are
-    embarrassingly parallel: every (design, scenario) evaluation is a pure
+    The evaluation hot paths of the framework — design-space search, the
+    solvers, fleet Monte Carlo, failure-phase sweeps — are embarrassingly
+    parallel: every (design, scenario) evaluation is a pure
     function of its inputs. This module runs such workloads across
     [Domain]s coordinated by a [Mutex]/[Condition] work queue, using only
     the standard library.
 
     Guarantees:
-    - {b Deterministic results}: [map] returns results in input order, and
-      each result is produced by applying [f] to the corresponding input
-      exactly as the serial [List.map f] would (workers write into disjoint
-      slots of a pre-sized result array). [map ~jobs:1] {e is}
-      [List.map].
+    - {b Deterministic results}: [map_on] returns results in input order,
+      and each result is produced by applying [f] to the corresponding
+      input exactly as the serial [List.map f] would (workers write into
+      disjoint slots of a pre-sized result array).
     - {b Chunked scheduling}: inputs are dealt to workers in contiguous
       chunks so that short tasks do not drown in queue traffic; the chunk
-      size adapts to the input length, or can be forced with [?chunk].
+      size adapts to the input length, or can be forced with
+      [map_seq ?chunk].
     - {b First-exception propagation}: if [f] raises, the batch is
       cancelled (chunks not yet started are skipped), the pool is drained,
       and the exception of the {e smallest} input index among those
@@ -37,36 +37,26 @@ val create : jobs:int -> t
     that many domains (OCaml 5.1 runs at most 128, the caller's included);
     the workers already spawned are joined first. *)
 
-val size : t -> int
-(** The [jobs] the pool was created with. *)
-
 val shutdown : t -> unit
 (** Drains the queue, stops the workers and joins their domains.
     Idempotent. *)
 
-val with_pool : jobs:int -> (t -> 'a) -> 'a
-(** [with_pool ~jobs f] runs [f] with a fresh pool, shutting it down on the
-    way out (including on exceptions). *)
+val map_on : t -> ('a -> 'b) -> 'a list -> 'b list
+(** [map_on pool f xs] is [List.map f xs], computed on the pool's domains
+    in chunks of the input length divided by four times the pool size (at
+    least 1). Re-raises the first exception of [f] as described above.
+    Lists of length [<= 1] are mapped inline in the calling domain. *)
 
-val map_on : ?chunk:int -> t -> ('a -> 'b) -> 'a list -> 'b list
-(** [map_on pool f xs] is [List.map f xs], computed on the pool's domains.
-    [?chunk] forces the scheduling granularity (default: input length
-    divided by four times the pool size, at least 1). Raises
-    [Invalid_argument] when [chunk < 1]; re-raises the first exception of
-    [f] as described above. Lists of length [<= 1] are mapped inline in
-    the calling domain. *)
-
-val map_seq :
-  ?window:int -> ?chunk:int -> t -> ('a -> 'b) -> 'a Seq.t -> 'b Seq.t
+val map_seq : ?chunk:int -> t -> ('a -> 'b) -> 'a Seq.t -> 'b Seq.t
 (** [map_seq pool f xs] is [Seq.map f xs] computed on the pool's domains:
-    the input is consumed in windows of [?window] elements (default
-    [512 * jobs]), each window is dispatched as a [map_on] batch of
-    contiguous [?chunk]-element tasks (default
-    [min (window / (2 * jobs)) (len / jobs)] for a [len]-element batch:
-    chunks of hundreds of evaluations on full windows, finer on a short
-    tail so no domain idles), and the results are yielded in input order
-    before the next window is read. Peak live memory is O(window) however long [xs] is, so a
-    million-element grid streams through a constant-size working set.
+    the input is consumed in windows of [512 * jobs] elements, each
+    window is dispatched as one batch of contiguous [?chunk]-element
+    tasks (default [min (window / (2 * jobs)) (len / jobs)] for a
+    [len]-element batch: chunks of hundreds of evaluations on full
+    windows, finer on a short tail so no domain idles), and the results
+    are yielded in input order before the next window is read. Peak live
+    memory is O(window) however long [xs] is, so a million-element grid
+    streams through a constant-size working set.
     Coarse chunks are what make fine-grained workloads scale: one queue
     task per element would spend more time under the queue mutex than in
     [f] when [f] runs in microseconds.
@@ -77,13 +67,7 @@ val map_seq :
     all earlier windows' results have been yielded. The returned sequence
     re-maps on re-traversal, so it is persistent iff [xs] is persistent
     and [f] is pure (every [f] this library is used with is pure).
-    Raises [Invalid_argument] when [window < 1] or [chunk < 1]. *)
-
-val map : ?chunk:int -> jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** One-shot convenience: [map ~jobs f xs] creates a pool, maps, and shuts
-    the pool down (also on exceptions). [~jobs:1] short-circuits to
-    [List.map f xs] with no domain machinery. Raises [Invalid_argument]
-    when [jobs < 1]. *)
+    Raises [Invalid_argument] when [chunk < 1]. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]: a sensible [~jobs] for this

@@ -138,7 +138,10 @@ let parse_header_line line =
     ( String.lowercase_ascii (String.sub line 0 i),
       String.trim (String.sub line (i + 1) (String.length line - i - 1)) )
 
-let read_request ?(max_header = 16 * 1024) ~max_body fd =
+(* Header-block bound; a longer block is answered 431. *)
+let max_header = 16 * 1024
+
+let read_request ~max_body fd =
   try
     (* Accumulate until the blank line that ends the header block; the
        read may run past it into the body — keep the excess. *)

@@ -36,20 +36,16 @@ val query_param : request -> string -> string option
 (** First query parameter with the given name. *)
 
 val read_request :
-  ?max_header:int ->
-  max_body:int ->
-  Unix.file_descr ->
-  (request, response) result
+  max_body:int -> Unix.file_descr -> (request, response) result
 (** Reads one request from the descriptor. [Error resp] is the response
     to send back for anything short of a valid request: 400 for a
     malformed request line, header or truncated body, 408 when a read
     times out (the descriptor's [SO_RCVTIMEO] fires), 411 for a missing
     [Content-Length] on a method with a body, 413 when the declared body
-    exceeds [max_body], 431 when the header block exceeds [max_header]
-    (default 16 KiB), 501 for chunked transfer coding. Never raises —
-    except the fatal runtime conditions ([Out_of_memory],
-    [Stack_overflow], [Sys.Break]), which propagate rather than
-    masquerade as a client error. *)
+    exceeds [max_body], 431 when the header block exceeds 16 KiB, 501 for
+    chunked transfer coding. Never raises — except the fatal runtime
+    conditions ([Out_of_memory], [Stack_overflow], [Sys.Break]), which
+    propagate rather than masquerade as a client error. *)
 
 val write_response : Unix.file_descr -> response -> unit
 (** Serializes the response with [Content-Length] and

@@ -28,7 +28,6 @@ let default_config =
 type t = {
   cfg : config;
   engine : Storage_engine.t;
-  caches : Eval_cache.t array;
   listen_fd : Unix.file_descr;
   bound_port : int;
   stop_flag : bool Atomic.t;
@@ -51,34 +50,20 @@ let obs_request_time = Storage_obs.Timer.make "serve.request_seconds"
 
 (* --- request handlers --- *)
 
-(* /evaluate cache shards, selected by design fingerprint to keep
-   concurrent requests off one mutex. *)
-let shards = 8
-
-(* Reports each /evaluate cache shard keeps (FIFO eviction beyond), so
-   request bodies from outside cannot grow the daemon's memory without
-   bound. *)
-let shard_entries = 8192
-
-let shard_for t design =
-  let n = Array.length t.caches in
-  t.caches.(Hashtbl.hash (Design.fingerprint design) mod n)
-
 let json_body j = Storage_report.Json.to_string_pretty j ^ "\n"
 
-let handle_evaluate t (req : Http.request) =
+(* Byte-identical to `ssdep evaluate --file ... --json`, which evaluates
+   the same way. Every request evaluates afresh: parsing the body already
+   costs an order of magnitude more than evaluating it, and a cache would
+   keep a report for every distinct body a client sends. *)
+let handle_evaluate (req : Http.request) =
   match Storage_spec.Spec.of_string req.body with
   | Error e -> Http.error 400 e
   | Ok (_, []) ->
     Http.error 400 "design defines no [scenario] sections to evaluate"
   | Ok (design, scenarios) ->
-    let cache = shard_for t design in
-    let named =
-      List.map
-        (fun (name, scenario) -> (name, Eval_cache.run cache design scenario))
-        scenarios
-    in
-    (* Byte-identical to `ssdep evaluate --file ... --json`. *)
+    let names, scenarios = List.split scenarios in
+    let named = List.combine names (Evaluate.run_all design scenarios) in
     Http.ok_json (json_body (Json_output.reports named))
 
 (* Byte-identical to `ssdep lint FILE --json`, and rejects what it
@@ -125,7 +110,7 @@ let route t (req : Http.request) =
   match (req.meth, req.path) with
   | "GET", "/healthz" -> Http.ok_text "ok\n"
   | "GET", "/stats" -> handle_stats ()
-  | "POST", "/evaluate" -> handle_evaluate t req
+  | "POST", "/evaluate" -> handle_evaluate req
   | "POST", "/lint" -> handle_lint req
   | ("POST" | "GET"), "/optimize" -> handle_optimize t req
   | _, ("/healthz" | "/stats" | "/evaluate" | "/lint" | "/optimize") ->
@@ -293,9 +278,6 @@ let start ?(config = default_config) engine =
     {
       cfg = config;
       engine;
-      caches =
-        Array.init shards (fun _ ->
-            Eval_cache.create ~max_entries:shard_entries ());
       listen_fd;
       bound_port;
       stop_flag = Atomic.make false;

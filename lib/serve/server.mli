@@ -1,12 +1,13 @@
-(** A long-lived evaluation service over a warm cache.
+(** A long-lived evaluation service.
 
     One {!start} owns one {!Storage_engine.t} for its whole lifetime: a
-    daemon amortizes engine construction, domain-pool spawning and —
-    above all — evaluation caching across every request, so a repeated
-    design answers from the {!Eval_cache} instead of re-walking the
-    model. The cache is split into 8 shards by design fingerprint to
-    keep concurrent requests off one mutex; each shard keeps at most
-    8,192 reports, evicting the oldest first.
+    daemon amortizes process start-up, engine construction and
+    domain-pool spawning across every request. It keeps no evaluation
+    cache: each [/evaluate] parses its body and evaluates it afresh,
+    exactly as [ssdep evaluate --file ... --json] does, because parsing
+    costs an order of magnitude more than the closed-form evaluation a
+    cache would save, and a cache would hold a report for every distinct
+    body a client sends.
 
     Concurrency and back-pressure: an acceptor domain takes connections
     off the listening socket and hands them to a {e bounded} admission
@@ -21,7 +22,7 @@
     Endpoints (one request per connection, [Connection: close]):
     - [GET /healthz] — liveness probe, [200 ok].
     - [GET /stats] — the live {!Storage_obs} registry as JSON: request
-      counters, latency histograms, cache hit/miss, queue depth.
+      counters, latency histograms, queue depth.
     - [POST /evaluate] — body is a design-language file with [[scenario]]
       sections; the response is byte-identical to
       [ssdep evaluate --file ... --json] for the same input.

@@ -137,7 +137,7 @@ let candidates d =
   drop_levels d @ halve_workload d @ collapse_burst d @ collapse_batch d
   @ halve_retentions d
 
-let minimize ?(max_steps = 64) ~keep d =
+let minimize ~keep d =
   let rec go d steps fuel =
     if fuel = 0 then (d, steps)
     else begin
@@ -146,4 +146,4 @@ let minimize ?(max_steps = 64) ~keep d =
       | Some d' -> go d' (steps + 1) (fuel - 1)
     end
   in
-  go d 0 max_steps
+  go d 0 64

@@ -12,13 +12,12 @@ open Storage_model
 val candidates : Design.t -> Design.t list
 (** The one-step simplifications of a design, most aggressive first. *)
 
-val minimize :
-  ?max_steps:int -> keep:(Design.t -> bool) -> Design.t -> Design.t * int
+val minimize : keep:(Design.t -> bool) -> Design.t -> Design.t * int
 (** [minimize ~keep d] greedily applies the first candidate for which
     [keep] still holds (i.e. the counterexample still fails its oracle)
-    until none does or [max_steps] (default 64) simplifications were
-    taken. Returns the shrunk design and the number of steps. [keep d]
-    itself is assumed true and is not re-checked. *)
+    until none does or 64 simplifications were taken. Returns the shrunk
+    design and the number of steps. [keep d] itself is assumed true and is
+    not re-checked. *)
 
 (** {2 Hierarchy-editing helpers}
 

@@ -76,9 +76,10 @@ let batch_curve t ~windows =
   in
   Batch_curve.of_samples (List.rev monotone)
 
-let to_workload ~name ?(read_write_ratio = 0.29) ~windows t =
+let to_workload ~name ~windows t =
   let avg_update = average_update_rate t in
-  let avg_access = Rate.scale (1. +. read_write_ratio) avg_update in
+  (* Reads per write: cello's 0.29 (1028/799). *)
+  let avg_access = Rate.scale (1. +. 0.29) avg_update in
   Workload.make ~name
     ~data_capacity:(Size.scale (float_of_int t.Trace.block_count) t.Trace.block_size)
     ~avg_access_rate:avg_access ~avg_update_rate:avg_update

@@ -30,11 +30,6 @@ val batch_curve : Trace.t -> windows:Duration.t list -> Batch_curve.t
     reject). *)
 
 val to_workload :
-  name:string ->
-  ?read_write_ratio:float ->
-  windows:Duration.t list ->
-  Trace.t ->
-  Workload.t
-(** Full Table 2 characterization. [read_write_ratio] is reads-per-write used
-    to synthesize the access rate from the update rate (default [0.29],
-    cello's 1028/799 ratio). *)
+  name:string -> windows:Duration.t list -> Trace.t -> Workload.t
+(** Full Table 2 characterization. The access rate is synthesized from the
+    update rate with cello's reads-per-write ratio, [0.29] (1028/799). *)

@@ -107,19 +107,22 @@ let test_eval_cache_slot_shared () =
 (* map_seq: the bounded streaming parallel map *)
 
 let test_map_seq_matches_seq_map () =
-  let xs = List.init 157 (fun i -> i - 5) in
+  (* 2,600 elements span more than one window (512 elements per domain)
+     at every [jobs], with an auto-sized or a forced chunk. *)
+  let xs = List.init 2600 (fun i -> i - 5) in
   let expected = List.map (fun x -> x * x) xs in
   List.iter
     (fun jobs ->
       List.iter
-        (fun window ->
+        (fun chunk ->
           Engine.with_engine ~jobs (fun e ->
               Alcotest.(check (list int))
-                (Printf.sprintf "jobs=%d window=%d" jobs window)
+                (Printf.sprintf "jobs=%d chunk=%s" jobs
+                   (Option.fold ~none:"auto" ~some:string_of_int chunk))
                 expected
                 (List.of_seq
-                   (Engine.map_seq ~window e (fun x -> x * x) (List.to_seq xs)))))
-        [ 1; 2; 7; 64; 1000 ])
+                   (Engine.map_seq ?chunk e (fun x -> x * x) (List.to_seq xs)))))
+        [ None; Some 1; Some 7; Some 1000 ])
     [ 1; 2; 4 ]
 
 let test_map_seq_is_lazy () =
@@ -129,7 +132,7 @@ let test_map_seq_is_lazy () =
       let calls = Atomic.make 0 in
       let xs = Seq.ints 0 |> Seq.take 10_000 in
       let out =
-        Engine.map_seq ~window:8 e
+        Engine.map_seq e
           (fun x ->
             Atomic.incr calls;
             x + 1)
@@ -142,20 +145,26 @@ let test_map_seq_is_lazy () =
       Alcotest.(check bool)
         (Printf.sprintf "only one window forced (%d calls)" (Atomic.get calls))
         true
-        (Atomic.get calls <= 8))
+        (Atomic.get calls <= 512 * 2))
 
 let test_map_seq_exception_propagates () =
+  (* Four domains read windows of 512 x 4 = 2,048 elements, so the
+     failing element sits in the third: the two windows before it are
+     yielded, then its exception. *)
   Engine.with_engine ~jobs:4 (fun e ->
-      let xs = List.to_seq (List.init 100 Fun.id) in
+      let xs = List.to_seq (List.init 5000 Fun.id) in
       let out =
-        Engine.map_seq ~window:10 e
-          (fun x -> if x = 37 then failwith "thirty-seven" else x)
+        Engine.map_seq e
+          (fun x -> if x = 4137 then failwith "forty-one thirty-seven" else x)
           xs
       in
-      match List.of_seq out with
-      | (_ : int list) -> Alcotest.fail "expected Failure"
+      let yielded = ref 0 in
+      match Seq.iter (fun _ -> incr yielded) out with
+      | () -> Alcotest.fail "expected Failure"
       | exception Failure msg ->
-        Alcotest.(check string) "failing element's exception" "thirty-seven" msg)
+        Alcotest.(check string) "failing element's exception"
+          "forty-one thirty-seven" msg;
+        Alcotest.(check int) "earlier windows yielded first" 4096 !yielded)
 
 (* ------------------------------------------------------------------ *)
 (* Streaming search == materialized legacy search *)
@@ -261,7 +270,7 @@ let suite =
       ] );
     ( "engine.map_seq",
       [
-        t "matches Seq.map across jobs and windows" test_map_seq_matches_seq_map;
+        t "matches Seq.map across jobs and chunks" test_map_seq_matches_seq_map;
         t "lazy: forces at most one window ahead" test_map_seq_is_lazy;
         t "first exception propagates" test_map_seq_exception_propagates;
       ] );

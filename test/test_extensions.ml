@@ -142,30 +142,6 @@ let test_risk_monte_carlo_large_lambda_regression () =
     expectation
     (Money.to_usd dist.Risk.mean)
 
-let test_risk_monte_carlo_jobs_invariant () =
-  (* Each sample owns a generator seeded off the master stream, so the
-     distribution is bit-identical however the sampling is spread across
-     the engine's domains. *)
-  let dists =
-    List.map
-      (fun jobs ->
-        Storage_engine.with_engine ~jobs (fun engine ->
-            Risk.monte_carlo ~engine ~samples:1000 Baseline.design weighted
-              ~horizon_years:10.))
-      [ 1; 2; 4 ]
-  in
-  match dists with
-  | serial :: rest ->
-    let reference = Marshal.to_string serial [ Marshal.No_sharing ] in
-    List.iteri
-      (fun i d ->
-        Alcotest.(check bool)
-          (Fmt.str "jobs=%d identical to serial" (List.nth [ 2; 4 ] i))
-          true
-          (String.equal reference (Marshal.to_string d [ Marshal.No_sharing ])))
-      rest
-  | [] -> assert false
-
 (* --- Degraded --- *)
 
 let test_degraded_backup_outage () =
@@ -555,8 +531,6 @@ let suite =
           test_risk_monte_carlo_lambda_regimes;
         Alcotest.test_case "monte carlo large-lambda regression" `Quick
           test_risk_monte_carlo_large_lambda_regression;
-        Alcotest.test_case "monte carlo jobs-invariant" `Quick
-          test_risk_monte_carlo_jobs_invariant;
       ] );
     ( "model.degraded",
       [

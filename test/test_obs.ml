@@ -1,11 +1,9 @@
 (* Observability layer: the metrics registry is inert while disabled,
-   records faithfully while enabled, never perturbs an evaluation result
-   either way, and the bounded memo evicts oldest-first without ever
-   changing a value. *)
+   records faithfully while enabled, and never perturbs an evaluation
+   result either way. *)
 
 open Storage_model
 open Storage_presets
-open Storage_parallel
 open Helpers
 
 let bytes_of x = Marshal.to_string x [ Marshal.No_sharing ]
@@ -147,48 +145,6 @@ let test_obs_never_perturbs_evaluate () =
   Alcotest.(check bool) "disabled again, reports unchanged" true
     (String.equal baseline (bytes_of (evaluate_everything ())))
 
-(* --- bounded memo --- *)
-
-let test_memo_fifo_eviction () =
-  let m = Memo.create ~max_entries:3 () in
-  for i = 0 to 5 do
-    let v = Memo.find_or_add m (string_of_int i) (fun () -> i * i) in
-    Alcotest.(check int) "computed value" (i * i) v;
-    Alcotest.(check bool) "bound respected" true (Memo.length m <= 3)
-  done;
-  Alcotest.(check int) "evicted the oldest three" 3 (Memo.evicted m);
-  Alcotest.(check (option int)) "oldest entry gone" None (Memo.find m "0");
-  Alcotest.(check (option int)) "newest entry present" (Some 25)
-    (Memo.find m "5");
-  (* An evicted key recomputes — a miss, never a wrong value. *)
-  let misses = Memo.misses m in
-  Alcotest.(check int) "recomputes identically" 0
-    (Memo.find_or_add m "0" (fun () -> 0));
-  Alcotest.(check int) "recompute is a miss" (misses + 1) (Memo.misses m)
-
-let test_memo_unbounded_default () =
-  let m = Memo.create () in
-  for i = 0 to 99 do
-    ignore (Memo.find_or_add m (string_of_int i) (fun () -> i))
-  done;
-  Alcotest.(check int) "nothing evicted" 0 (Memo.evicted m);
-  Alcotest.(check int) "everything kept" 100 (Memo.length m);
-  check_raises_invalid "max_entries < 1" (fun () ->
-      Memo.create ~max_entries:0 ())
-
-let test_eval_cache_eviction_preserves_values () =
-  let designs = List.filteri (fun i _ -> i < 4) Test_random_designs.pool in
-  let run cache =
-    List.concat_map (fun d -> Eval_cache.run_all cache d scenarios) designs
-  in
-  let unbounded = Eval_cache.create () in
-  let bounded = Eval_cache.create ~max_entries:2 () in
-  Alcotest.(check bool) "eviction never changes a report" true
-    (String.equal (bytes_of (run unbounded)) (bytes_of (run bounded)));
-  Alcotest.(check bool) "bound respected" true (Eval_cache.length bounded <= 2);
-  Alcotest.(check bool) "tight bound forced evictions" true
-    (Eval_cache.evicted bounded > 0)
-
 let suite =
   [
     ( "obs.registry",
@@ -202,13 +158,5 @@ let suite =
         Alcotest.test_case "snapshot shape" `Quick test_snapshot_shape;
         Alcotest.test_case "never perturbs evaluation" `Quick
           test_obs_never_perturbs_evaluate;
-      ] );
-    ( "obs.memo_bound",
-      [
-        Alcotest.test_case "FIFO eviction" `Quick test_memo_fifo_eviction;
-        Alcotest.test_case "unbounded by default" `Quick
-          test_memo_unbounded_default;
-        Alcotest.test_case "eval cache eviction preserves values" `Quick
-          test_eval_cache_eviction_preserves_values;
       ] );
   ]

@@ -1,7 +1,7 @@
-(* The multicore evaluation engine: Pool.map determinism and stress tests,
+(* The multicore evaluation engine: pool determinism and stress tests,
    Memo/Eval_cache semantics, and property proofs that every parallel entry
-   point (search, sensitivity, portfolio, failure-phase sweep) is
-   byte-identical to its serial run. *)
+   point (search, failure-phase sweep) is byte-identical to its serial
+   run. *)
 
 open Storage_units
 open Storage_model
@@ -23,7 +23,7 @@ let check_same_bytes msg a b =
   Alcotest.(check bool) msg true (String.equal (bytes_of a) (bytes_of b))
 
 (* ------------------------------------------------------------------ *)
-(* Pool.map *)
+(* Pool.map_on, through the engine's pool *)
 
 let square x = x * x
 
@@ -37,7 +37,7 @@ let test_map_matches_list_map () =
           Alcotest.(check (list int))
             (Printf.sprintf "map n=%d jobs=%d" n jobs)
             expected
-            (Pool.map ~jobs square xs))
+            (Engine.with_engine ~jobs (fun e -> Engine.map e square xs)))
         [ 1; 2; 4; 7 ])
     [ 0; 1; 2; 3; 5; 17; 100 ]
 
@@ -46,47 +46,50 @@ let test_map_jobs_exceed_length () =
   let xs = [ 10; 20; 30 ] in
   Alcotest.(check (list int))
     "jobs=8 over 3 elements" (List.map square xs)
-    (Pool.map ~jobs:8 square xs)
+    (Engine.with_engine ~jobs:8 (fun e -> Engine.map e square xs))
 
 let test_map_forced_chunks () =
   let xs = List.init 23 Fun.id in
-  List.iter
-    (fun chunk ->
-      Alcotest.(check (list int))
-        (Printf.sprintf "chunk=%d" chunk)
-        (List.map square xs)
-        (Pool.map ~chunk ~jobs:3 square xs))
-    [ 1; 2; 23; 100 ]
+  Engine.with_engine ~jobs:3 (fun e ->
+      List.iter
+        (fun chunk ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "chunk=%d" chunk)
+            (List.map square xs)
+            (List.of_seq (Engine.map_seq ~chunk e square (List.to_seq xs))))
+        [ 1; 2; 23; 100 ])
 
 let test_map_applies_each_input_once () =
   let calls = Atomic.make 0 in
   let xs = List.init 57 Fun.id in
   let ys =
-    Pool.map ~jobs:4
-      (fun x ->
-        Atomic.incr calls;
-        x + 1)
-      xs
+    Engine.with_engine ~jobs:4 (fun e ->
+        Engine.map e
+          (fun x ->
+            Atomic.incr calls;
+            x + 1)
+          xs)
   in
   Alcotest.(check int) "one application per input" 57 (Atomic.get calls);
   Alcotest.(check (list int)) "results" (List.map succ xs) ys
 
 let test_invalid_arguments () =
-  Helpers.check_raises_invalid "jobs=0" (fun () ->
-      Pool.map ~jobs:0 square [ 1 ]);
+  Helpers.check_raises_invalid "jobs=0" (fun () -> Pool.create ~jobs:0);
   Helpers.check_raises_invalid "jobs=-2" (fun () -> Pool.create ~jobs:(-2));
+  let p = Pool.create ~jobs:2 in
+  Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
   Helpers.check_raises_invalid "chunk=0" (fun () ->
-      Pool.with_pool ~jobs:2 (fun p -> Pool.map_on ~chunk:0 p square [ 1; 2 ]))
+      Pool.map_seq ~chunk:0 p square (List.to_seq [ 1; 2 ]))
 
 (* OCaml 5.1 runs at most 128 domains. A pool beyond that is an
    [Invalid_argument], and the workers it did spawn are joined: a large
    pool still starts right after. *)
 let test_create_beyond_domain_limit () =
   Helpers.check_raises_invalid "jobs=200" (fun () -> Pool.create ~jobs:200);
-  Pool.with_pool ~jobs:100 (fun p ->
+  Engine.with_engine ~jobs:100 (fun e ->
       Alcotest.(check (list int))
         "a 100-domain pool runs after the failure" [ 1; 4; 9 ]
-        (Pool.map_on p square [ 1; 2; 3 ]))
+        (Engine.map e square [ 1; 2; 3 ]))
 
 let test_exception_propagation () =
   (* Every element raises. Serially, and with everything in one chunk, the
@@ -95,13 +98,16 @@ let test_exception_propagation () =
      inputs'. *)
   let all_raise i : int = failwith (string_of_int i) in
   let xs = List.init 40 Fun.id in
-  (match Pool.map ~jobs:1 all_raise xs with
+  (match Engine.with_engine ~jobs:1 (fun e -> Engine.map e all_raise xs) with
   | _ -> Alcotest.fail "expected Failure"
   | exception Failure msg -> Alcotest.(check string) "serial" "0" msg);
-  (match Pool.map ~jobs:4 ~chunk:40 all_raise xs with
+  (match
+     Engine.with_engine ~jobs:4 (fun e ->
+         List.of_seq (Engine.map_seq ~chunk:40 e all_raise (List.to_seq xs)))
+   with
   | _ -> Alcotest.fail "expected Failure"
   | exception Failure msg -> Alcotest.(check string) "single chunk" "0" msg);
-  (match Pool.map ~jobs:4 all_raise xs with
+  (match Engine.with_engine ~jobs:4 (fun e -> Engine.map e all_raise xs) with
   | _ -> Alcotest.fail "expected Failure"
   | exception Failure msg -> (
     match int_of_string_opt msg with
@@ -109,34 +115,38 @@ let test_exception_propagation () =
     | _ -> Alcotest.failf "unexpected failure index %S" msg));
   (* A single raising element: its exception is the one the caller sees. *)
   let one_raises x = if x = 11 then failwith "eleven" else x in
-  (match Pool.map ~jobs:4 one_raises (List.init 30 Fun.id) with
+  match
+    Engine.with_engine ~jobs:4 (fun e ->
+        Engine.map e one_raises (List.init 30 Fun.id))
+  with
   | _ -> Alcotest.fail "expected Failure"
-  | exception Failure msg -> Alcotest.(check string) "sole failure" "eleven" msg)
+  | exception Failure msg -> Alcotest.(check string) "sole failure" "eleven" msg
 
 let test_pool_survives_batch_failure () =
   (* Cancellation is per-batch: after a failed map_on, the same pool still
      runs clean batches. *)
-  Pool.with_pool ~jobs:3 (fun p ->
-      (match Pool.map_on p (fun _ -> failwith "boom") [ 1; 2; 3; 4 ] with
-      | (_ : int list) -> Alcotest.fail "expected Failure"
-      | exception Failure _ -> ());
-      let xs = List.init 20 Fun.id in
-      Alcotest.(check (list int))
-        "pool usable after failure" (List.map square xs)
-        (Pool.map_on p square xs))
+  let p = Pool.create ~jobs:3 in
+  Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
+  (match Pool.map_on p (fun _ -> failwith "boom") [ 1; 2; 3; 4 ] with
+  | (_ : int list) -> Alcotest.fail "expected Failure"
+  | exception Failure _ -> ());
+  let xs = List.init 20 Fun.id in
+  Alcotest.(check (list int))
+    "pool usable after failure" (List.map square xs) (Pool.map_on p square xs)
 
 let test_pool_reuse_many_batches () =
-  Pool.with_pool ~jobs:4 (fun p ->
-      for round = 1 to 25 do
-        let xs = List.init (round * 3) (fun i -> i * round) in
-        Alcotest.(check (list int))
-          (Printf.sprintf "round %d" round)
-          (List.map square xs) (Pool.map_on p square xs)
-      done)
+  let p = Pool.create ~jobs:4 in
+  Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
+  for round = 1 to 25 do
+    let xs = List.init (round * 3) (fun i -> i * round) in
+    Alcotest.(check (list int))
+      (Printf.sprintf "round %d" round)
+      (List.map square xs) (Pool.map_on p square xs)
+  done
 
 let test_shutdown_idempotent () =
   let p = Pool.create ~jobs:3 in
-  Alcotest.(check int) "size" 3 (Pool.size p);
+  Alcotest.(check (list int)) "runs" [ 1; 4; 9 ] (Pool.map_on p square [ 1; 2; 3 ]);
   Pool.shutdown p;
   Pool.shutdown p
 
@@ -161,27 +171,30 @@ let test_queue_wait_skips_pre_enable_tasks () =
   Storage_obs.disable ();
   let before = Storage_obs.Histogram.count h in
   Fun.protect ~finally:(fun () -> Storage_obs.disable ()) @@ fun () ->
-  Pool.with_pool ~jobs:2 (fun p ->
-      (* All chunks are enqueued (with enqueued_at = 0.) before any
-         worker runs the function that flips recording on. *)
+  Engine.with_engine ~jobs:2 (fun e ->
+      (* One window, one task per element: all of them are enqueued (with
+         enqueued_at = 0.) before any domain runs the function that flips
+         recording on. *)
       let out =
-        Pool.map_on ~chunk:1 p
+        Engine.map_seq ~chunk:1 e
           (fun x ->
             Storage_obs.enable ();
             x * x)
-          (List.init 16 Fun.id)
+          (List.to_seq (List.init 16 Fun.id))
       in
       Alcotest.(check (list int))
         "results unaffected"
         (List.map square (List.init 16 Fun.id))
-        out);
+        (List.of_seq out));
   Alcotest.(check int) "no bogus epoch-sized waits recorded" before
     (Storage_obs.Histogram.count h);
   (* With recording on for the whole batch, waits do get observed —
      the guard skips only the sentinel timestamp. *)
   Storage_obs.enable ();
-  Pool.with_pool ~jobs:2 (fun p ->
-      ignore (Pool.map_on ~chunk:1 p square (List.init 8 Fun.id)));
+  Engine.with_engine ~jobs:2 (fun e ->
+      ignore
+        (List.of_seq
+           (Engine.map_seq ~chunk:1 e square (List.to_seq (List.init 8 Fun.id)))));
   Storage_obs.disable ();
   Alcotest.(check bool) "live batches still observed" true
     (Storage_obs.Histogram.count h > before)
@@ -192,38 +205,37 @@ let test_queue_wait_skips_pre_enable_tasks () =
 let seq_of_list xs = List.to_seq xs
 
 let test_map_seq_empty () =
-  Pool.with_pool ~jobs:3 (fun p ->
+  Engine.with_engine ~jobs:3 (fun e ->
       Alcotest.(check (list int))
         "empty input, empty output" []
-        (List.of_seq (Pool.map_seq p square Seq.empty)))
+        (List.of_seq (Engine.map_seq e square Seq.empty)))
 
 let test_map_seq_chunk_exceeds_input () =
   (* A chunk far larger than the input degenerates to one task; results
      and order are unchanged. *)
   let xs = List.init 10 Fun.id in
-  Pool.with_pool ~jobs:3 (fun p ->
+  Engine.with_engine ~jobs:3 (fun e ->
       Alcotest.(check (list int))
         "chunk=1000 over 10 elements" (List.map square xs)
-        (List.of_seq (Pool.map_seq ~chunk:1000 p square (seq_of_list xs))))
+        (List.of_seq (Engine.map_seq ~chunk:1000 e square (seq_of_list xs))))
 
 let test_map_seq_chunk_one_equivalence () =
   (* chunk=1 is one task per element — the pre-batching schedule. It must
      compute exactly what every other granularity computes. *)
   let xs = List.init 137 (fun i -> i - 5) in
   let expected = List.map square xs in
-  Pool.with_pool ~jobs:4 (fun p ->
+  Engine.with_engine ~jobs:4 (fun e ->
       List.iter
         (fun (label, result) ->
           Alcotest.(check (list int)) label expected (List.of_seq result))
         [
-          ("chunk=1", Pool.map_seq ~chunk:1 p square (seq_of_list xs));
-          ("chunk=7", Pool.map_seq ~chunk:7 p square (seq_of_list xs));
-          ( "chunk=window",
-            Pool.map_seq ~window:32 ~chunk:32 p square (seq_of_list xs) );
+          ("chunk=1", Engine.map_seq ~chunk:1 e square (seq_of_list xs));
+          ("chunk=7", Engine.map_seq ~chunk:7 e square (seq_of_list xs));
+          ("chunk=32", Engine.map_seq ~chunk:32 e square (seq_of_list xs));
           ( "chunk>n",
-            Pool.map_seq ~chunk:(List.length xs + 1) p square (seq_of_list xs)
-          );
-          ("auto", Pool.map_seq p square (seq_of_list xs));
+            Engine.map_seq ~chunk:(List.length xs + 1) e square
+              (seq_of_list xs) );
+          ("auto", Engine.map_seq e square (seq_of_list xs));
         ])
 
 let test_map_seq_exception_mid_chunk_first_wins () =
@@ -232,11 +244,12 @@ let test_map_seq_exception_mid_chunk_first_wins () =
      the one the caller sees, and it surfaces when the window is forced. *)
   let n = 40 in
   let boom x = if x = 17 then failwith "seventeen" else x in
-  Pool.with_pool ~jobs:4 (fun p ->
+  Engine.with_engine ~jobs:4 (fun e ->
       List.iter
         (fun chunk ->
           match
-            List.of_seq (Pool.map_seq ~chunk p boom (seq_of_list (List.init n Fun.id)))
+            List.of_seq
+              (Engine.map_seq ~chunk e boom (seq_of_list (List.init n Fun.id)))
           with
           | _ -> Alcotest.fail "expected Failure"
           | exception Failure msg ->
@@ -244,10 +257,11 @@ let test_map_seq_exception_mid_chunk_first_wins () =
               (Printf.sprintf "chunk=%d" chunk)
               "seventeen" msg)
         [ 1; 7; 40; 1000 ];
-      (* Everything raises: first input index wins within the window. *)
+      (* Everything raises: within one chunk, the first input index
+         wins. *)
       match
         List.of_seq
-          (Pool.map_seq ~window:8 ~chunk:8 p
+          (Engine.map_seq ~chunk:n e
              (fun i : int -> failwith (string_of_int i))
              (seq_of_list (List.init n Fun.id)))
       with
@@ -255,20 +269,21 @@ let test_map_seq_exception_mid_chunk_first_wins () =
       | exception Failure msg -> Alcotest.(check string) "first wins" "0" msg)
 
 let test_map_seq_windows_are_lazy () =
-  (* Forcing the head evaluates exactly one window, chunked or not. *)
+  (* Forcing the head evaluates exactly one window (512 elements per
+     domain), chunked or not. *)
   let calls = Atomic.make 0 in
-  Pool.with_pool ~jobs:2 (fun p ->
+  Engine.with_engine ~jobs:2 (fun e ->
       let out =
-        Pool.map_seq ~window:8 ~chunk:3 p
+        Engine.map_seq ~chunk:3 e
           (fun x ->
             Atomic.incr calls;
             x * 2)
-          (seq_of_list (List.init 100 Fun.id))
+          (seq_of_list (List.init 3000 Fun.id))
       in
       (match out () with
       | Seq.Cons (y, _) -> Alcotest.(check int) "head" 0 y
       | Seq.Nil -> Alcotest.fail "expected a head");
-      Alcotest.(check int) "one window evaluated" 8 (Atomic.get calls))
+      Alcotest.(check int) "one window evaluated" 1024 (Atomic.get calls))
 
 (* ------------------------------------------------------------------ *)
 (* Memo *)
@@ -282,26 +297,18 @@ let test_memo_computes_once () =
   Alcotest.(check int) "computed once" 1 !computed;
   Alcotest.(check int) "hits" 1 (Memo.hits m);
   Alcotest.(check int) "misses" 1 (Memo.misses m);
-  Alcotest.(check (option int)) "find" (Some 10) (Memo.find m "k");
-  Alcotest.(check (option int)) "find absent" None (Memo.find m "absent");
-  Alcotest.(check int) "length" 1 (Memo.length m)
+  Alcotest.(check int) "another key computes" 20
+    (Memo.find_or_add m "other" compute);
+  Alcotest.(check int) "misses per key" 2 (Memo.misses m)
 
 let test_memo_failed_compute_caches_nothing () =
   let m = Memo.create () in
   (match Memo.find_or_add m "k" (fun () -> failwith "no") with
   | (_ : int) -> Alcotest.fail "expected Failure"
   | exception Failure _ -> ());
-  Alcotest.(check (option int)) "nothing cached" None (Memo.find m "k");
-  Alcotest.(check int) "retry computes" 7 (Memo.find_or_add m "k" (fun () -> 7))
-
-let test_memo_clear () =
-  let m = Memo.create () in
-  ignore (Memo.find_or_add m "a" (fun () -> 1));
-  ignore (Memo.find_or_add m "a" (fun () -> 1));
-  Memo.clear m;
-  Alcotest.(check int) "length" 0 (Memo.length m);
-  Alcotest.(check int) "hits" 0 (Memo.hits m);
-  Alcotest.(check int) "misses" 0 (Memo.misses m)
+  Alcotest.(check int) "retry computes" 7 (Memo.find_or_add m "k" (fun () -> 7));
+  Alcotest.(check int) "retry was a miss" 2 (Memo.misses m);
+  Alcotest.(check int) "then cached" 7 (Memo.find_or_add m "k" (fun () -> 8))
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprints *)
@@ -438,39 +445,6 @@ let test_cache_reports_identical () =
         scenarios)
     pool_designs
 
-let test_sensitivity_parallel_equals_serial () =
-  let n = List.length pool_designs in
-  let build v = List.nth pool_designs (int_of_float v mod n) in
-  let values = List.init 24 float_of_int in
-  let serial =
-    Engine.with_engine ~jobs:1 (fun engine ->
-        Sensitivity.sweep ~engine build ~values Baseline.scenario_array)
-  in
-  let par =
-    Engine.with_engine ~jobs:4 (fun engine ->
-        Sensitivity.sweep ~engine build ~values Baseline.scenario_array)
-  in
-  check_same_bytes "sweep points" serial par
-
-let test_portfolio_parallel_equals_serial () =
-  (* Two members on the same hardware, evaluated per-member in parallel. *)
-  let rename name (d : Design.t) =
-    Design.make ~name ~workload:d.Design.workload ~hierarchy:d.Design.hierarchy
-      ~business:d.Design.business ~background:d.Design.background ()
-  in
-  let a = rename "tenant-a" (List.nth pool_designs 0) in
-  let b = rename "tenant-b" (List.nth pool_designs 1) in
-  let p = Portfolio.make_exn [ a; b ] in
-  let serial =
-    Engine.with_engine ~jobs:1 (fun engine ->
-        Portfolio.evaluate ~engine p Baseline.scenario_array)
-  in
-  let par =
-    Engine.with_engine ~jobs:4 (fun engine ->
-        Portfolio.evaluate ~engine p Baseline.scenario_array)
-  in
-  check_same_bytes "portfolio reports" serial par
-
 let test_sim_sweep_parallel_equals_serial () =
   let d = List.nth pool_designs 2 in
   let config =
@@ -527,7 +501,6 @@ let suite =
       [
         t "computes once, then hits" test_memo_computes_once;
         t "failed compute caches nothing" test_memo_failed_compute_caches_nothing;
-        t "clear resets table and counters" test_memo_clear;
       ] );
     ( "parallel_engine",
       [
@@ -544,10 +517,6 @@ let suite =
           test_search_shared_cache_equals_fresh;
         t "eval cache returns the very report evaluation would"
           test_cache_reports_identical;
-        t "sensitivity sweep: parallel == serial"
-          test_sensitivity_parallel_equals_serial;
-        t "portfolio evaluate: parallel == serial"
-          test_portfolio_parallel_equals_serial;
         t "failure-phase sweep: parallel == serial"
           test_sim_sweep_parallel_equals_serial;
       ] );

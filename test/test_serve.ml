@@ -157,8 +157,8 @@ let test_evaluate_byte_identical () =
   Alcotest.(check (option int)) "cold status" (Some 200) status;
   Alcotest.(check bool) "cold response byte-identical to the CLI" true
     (String.equal expected body);
-  (* Second hit answers from the warm cache — and must not change a
-     byte. *)
+  (* The daemon keeps no evaluation cache: a repeated body is evaluated
+     again, and must not change a byte. *)
   let status, body = post () in
   Alcotest.(check (option int)) "warm status" (Some 200) status;
   Alcotest.(check bool) "warm response byte-identical to the CLI" true
@@ -177,6 +177,8 @@ let test_lint_and_stats () =
   Alcotest.(check bool) "stats counts the requests served" true
     (Helpers.contains body "\"serve.requests\"")
 
+(* Concurrent repeats of one body: each handler domain evaluates its own
+   copy, and every answer is the CLI's. *)
 let test_concurrent_clients_identical () =
   with_server @@ fun port ->
   let expected = expected_evaluate_output () in
@@ -554,6 +556,49 @@ let with_ssdep f =
   | None -> Alcotest.fail "ssdep binary not found (SSDEP_BIN unset?)"
   | Some bin -> f bin
 
+(* One counter of a /stats body, which prints one ["name": value] per
+   line. *)
+let counter body name =
+  List.find_map
+    (fun line ->
+      match Scanf.sscanf_opt (String.trim line) "%S: %d" (fun k v -> (k, v)) with
+      | Some (k, v) when String.equal k name -> Some v
+      | Some _ | None -> None)
+    (String.split_on_char '\n' body)
+
+(* /evaluate keeps no cache: a body posted again is evaluated again, and
+   every answer is `ssdep evaluate --file ... --json` byte for byte. The
+   memo counters /stats still lists stay where they were, because no
+   memo sits on the request path. *)
+let test_evaluate_repeats_reevaluate () =
+  with_ssdep @@ fun bin ->
+  with_server @@ fun port ->
+  let counters () =
+    let status, body = request ~port ~meth:"GET" ~path:"/stats" "" in
+    Alcotest.(check (option int)) "stats status" (Some 200) status;
+    List.map
+      (fun name ->
+        match counter body name with
+        | Some v -> (name, v)
+        | None -> Alcotest.failf "/stats lists no %s" name)
+      [ "memo.hits"; "memo.misses" ]
+  in
+  let before = counters () in
+  List.iter
+    (fun (file, times) ->
+      let path = Filename.concat "../examples/designs" file in
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      let cli = cli_output bin [ "evaluate"; "--file"; path; "--json" ] in
+      for i = 1 to times do
+        let status, body = request ~port ~meth:"POST" ~path:"/evaluate" text in
+        let label = Printf.sprintf "%s, request %d" file i in
+        Alcotest.(check (option int)) (label ^ ": status") (Some 200) status;
+        Alcotest.(check string) (label ^ ": the CLI's bytes") cli body
+      done)
+    [ ("baseline.ssdep", 4); ("mail.ssdep", 1) ];
+  Alcotest.(check (list (pair string int)))
+    "memo counters unchanged" before (counters ())
+
 (* `serve --timeout` values the socket layer cannot hold. *)
 let test_real_binary_rejects_unholdable_timeout () =
   with_ssdep @@ fun bin ->
@@ -576,6 +621,8 @@ let suite =
         t "/lint and /stats answer" test_lint_and_stats;
         t "4 concurrent clients, identical cache-warm responses"
           test_concurrent_clients_identical;
+        t "/evaluate keeps no cache: repeats re-evaluate, memo counters still"
+          test_evaluate_repeats_reevaluate;
       ] );
     ( "serve.robustness",
       [
