@@ -455,7 +455,9 @@ type report = {
   rebuild_max : Duration.t option;
 }
 
-let nines x = if x >= 1. then Float.infinity else -.log10 (1. -. x)
+(* [-. log10 1.] is [-0.], which would print as "-0.00 nines". *)
+let nines x =
+  if x >= 1. then Float.infinity else if x <= 0. then 0. else -.log10 (1. -. x)
 
 let aggregate design (config : config) (trials : trial list) =
   let n = float_of_int config.trials in

@@ -20,3 +20,14 @@ val to_string : t -> string
 
 val to_string_pretty : t -> string
 (** Two-space indented serialization. *)
+
+val add_pretty : Buffer.t -> t -> unit
+(** Appends {!to_string_pretty}'s text to a buffer, for a caller that
+    frames it: the daemon's answer and its trailing newline come out of
+    one buffer, with no second copy to append the newline.
+
+    Rendering allocates the output and little else: floats go straight
+    to the C formatter [Printf] reaches ([%.1f] for integral values below
+    10{^15}, [%.12g] otherwise, byte for byte), strings are escaped into
+    the buffer without an intermediate copy, and indentation is written
+    in place. *)

@@ -92,8 +92,8 @@ exception Reject of response
 
 let reject status msg = raise (Reject (error status msg))
 
-let read_chunk fd buf len =
-  match Unix.read fd buf 0 len with
+let read_chunk fd buf off len =
+  match Unix.read fd buf off len with
   | n -> n
   | exception
       Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT), _, _)
@@ -141,27 +141,33 @@ let parse_header_line line =
 (* Header-block bound; a longer block is answered 431. *)
 let max_header = 16 * 1024
 
+(* The header buffer's first size: a typical head, and often its whole
+   body, arrive in one read, and the buffer stays in the minor heap. *)
+let first_read = 1024
+
 let read_request ~max_body fd =
   try
-    (* Accumulate until the blank line that ends the header block; the
-       read may run past it into the body — keep the excess. *)
-    let buf = Bytes.create max_header in
-    let chunk = Bytes.create 4096 in
+    (* Accumulate until the blank line that ends the header block,
+       doubling the buffer up to [max_header]; the read may run past it
+       into the body — keep the excess. *)
+    let buf = ref (Bytes.create first_read) in
     let filled = ref 0 in
     let header_end = ref None in
     while !header_end = None do
-      (match find_header_end buf !filled with
+      (match find_header_end !buf !filled with
       | Some e -> header_end := Some e
       | None ->
         if !filled >= max_header then
           reject 431 "request header block too large";
-        let n = read_chunk fd chunk (min 4096 (max_header - !filled)) in
+        if !filled = Bytes.length !buf then
+          buf := Bytes.extend !buf 0 (min !filled (max_header - !filled));
+        let n = read_chunk fd !buf !filled (Bytes.length !buf - !filled) in
         if n = 0 then
           if !filled = 0 then reject 400 "empty request"
           else reject 400 "connection closed mid-header";
-        Bytes.blit chunk 0 buf !filled n;
         filled := !filled + n)
     done;
+    let buf = !buf and filled = !filled in
     let header_end = Option.get !header_end in
     let head = Bytes.sub_string buf 0 (header_end - 4) in
     let meth, path, query, headers =
@@ -200,19 +206,18 @@ let read_request ~max_body fd =
     if content_length > max_body then
       reject 413
         (Printf.sprintf "request body exceeds the %d-byte limit" max_body);
-    let body = Buffer.create content_length in
-    Buffer.add_subbytes body buf header_end (!filled - header_end);
-    while Buffer.length body < content_length do
-      let n =
-        read_chunk fd chunk (min 4096 (content_length - Buffer.length body))
-      in
-      if n = 0 then reject 400 "connection closed mid-body";
-      Buffer.add_subbytes body chunk 0 n
-    done;
     (* Over-read past Content-Length (pipelined data) is ignored: one
        request per connection. *)
-    let body = String.sub (Buffer.contents body) 0 content_length in
-    Ok { meth; path; query; headers; body }
+    let body = Bytes.create content_length in
+    let got = ref (min content_length (filled - header_end)) in
+    Bytes.blit buf header_end body 0 !got;
+    while !got < content_length do
+      let n = read_chunk fd body !got (content_length - !got) in
+      if n = 0 then reject 400 "connection closed mid-body";
+      got := !got + n
+    done;
+    (* [body] is filled and never written again: hand it over uncopied. *)
+    Ok { meth; path; query; headers; body = Bytes.unsafe_to_string body }
   with
   | Reject resp -> Error resp
   | (Out_of_memory | Stack_overflow | Sys.Break) as fatal ->
@@ -224,17 +229,24 @@ let read_request ~max_body fd =
 
 let write_response fd resp =
   let payload =
-    Printf.sprintf
-      "HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n\
-       Connection: close\r\n\r\n%s"
-      resp.status (reason resp.status) resp.content_type
-      (String.length resp.body) resp.body
+    String.concat ""
+      [
+        "HTTP/1.1 ";
+        string_of_int resp.status;
+        " ";
+        reason resp.status;
+        "\r\nContent-Type: ";
+        resp.content_type;
+        "\r\nContent-Length: ";
+        string_of_int (String.length resp.body);
+        "\r\nConnection: close\r\n\r\n";
+        resp.body;
+      ]
   in
-  let bytes = Bytes.of_string payload in
-  let n = Bytes.length bytes in
+  let n = String.length payload in
   let rec go off =
     if off < n then
-      match Unix.write fd bytes off (n - off) with
+      match Unix.write_substring fd payload off (n - off) with
       | written -> go (off + written)
       | exception Unix.Unix_error _ -> ()
   in

@@ -45,10 +45,17 @@ val read_request :
     exceeds [max_body], 431 when the header block exceeds 16 KiB, 501 for
     chunked transfer coding. Never raises — except the fatal runtime
     conditions ([Out_of_memory], [Stack_overflow], [Sys.Break]), which
-    propagate rather than masquerade as a client error. *)
+    propagate rather than masquerade as a client error.
+
+    Buffers are sized to the request: the head is read into 1 KiB that
+    doubles as needed up to the 16 KiB bound, and the body into one
+    buffer of its declared length, which becomes [body] without a
+    copy. *)
 
 val write_response : Unix.file_descr -> response -> unit
 (** Serializes the response with [Content-Length] and
-    [Connection: close] headers and writes it fully. Write failures
-    (client went away, [SO_SNDTIMEO] fired) are swallowed: the
-    connection is about to be closed either way. *)
+    [Connection: close] headers and writes it fully. Head and body are
+    built in one string and sent with one write: a separate write for
+    the body would wait for the client's delayed ACK of the head
+    (Nagle). Write failures (client went away, [SO_SNDTIMEO] fired) are
+    swallowed: the connection is about to be closed either way. *)

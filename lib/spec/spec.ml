@@ -8,21 +8,27 @@ open Storage_model
 let ( let* ) = Result.bind
 let err fmt = Printf.ksprintf (fun m -> Error m) fmt
 
-let rec traverse f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* y = f x in
-    let* ys = traverse f rest in
-    Ok (y :: ys)
+(* Assembly runs in direct style and stops at the first error: [ok]
+   unwraps a result, [fail] raises, and [catch] turns the exception back
+   into an [Error] at each loader's boundary. A step allocates nothing
+   for the rest of its function, as a [let*] continuation would. *)
+exception Malformed of string
+
+let ok = function Ok v -> v | Error m -> raise (Malformed m)
+let fail fmt = Printf.ksprintf (fun m -> raise (Malformed m)) fmt
+let catch f x = match f x with v -> Ok v | exception Malformed m -> Error m
 
 let words s =
   String.split_on_char ' ' s |> List.filter (fun w -> w <> "")
 
+(* Copies only when [s] has an upper-case letter. *)
+let lowercase s = Slice.lower_sub s 0 (String.length s)
+
 let reject_unknown section ~known =
   match Ini.unknown_keys section ~known with
-  | [] -> Ok ()
+  | [] -> ()
   | ks ->
-    err "[%s%s]: unknown key%s %s" section.Ini.kind
+    fail "[%s%s]: unknown key%s %s" section.Ini.kind
       (match section.Ini.arg with Some a -> " " ^ a | None -> "")
       (if List.length ks > 1 then "s" else "")
       (String.concat ", " ks)
@@ -30,68 +36,66 @@ let reject_unknown section ~known =
 (* --- workload --- *)
 
 let parse_batch_curve raw =
-  let samples = String.split_on_char ',' raw in
-  let* parsed =
-    traverse
-      (fun sample ->
-        match String.index_opt sample ':' with
-        | None -> err "batch sample %S must be \"WINDOW: RATE\"" sample
-        | Some i ->
-          let* win = Values.duration (String.sub sample 0 i) in
-          let* rate =
-            Values.rate
-              (String.sub sample (i + 1) (String.length sample - i - 1))
-          in
-          Ok (win, rate))
-      samples
+  let sample s =
+    match String.index_opt s ':' with
+    | None -> fail "batch sample %S must be \"WINDOW: RATE\"" s
+    | Some i ->
+      let win = ok (Values.duration (String.sub s 0 i)) in
+      let rate =
+        ok (Values.rate (String.sub s (i + 1) (String.length s - i - 1)))
+      in
+      (win, rate)
   in
-  match Batch_curve.of_samples parsed with
-  | curve -> Ok curve
-  | exception Invalid_argument m -> Error m
+  let samples = List.map sample (String.split_on_char ',' raw) in
+  match Batch_curve.of_samples samples with
+  | curve -> curve
+  | exception Invalid_argument m -> raise (Malformed m)
 
 let parse_workload section =
-  let* () =
-    reject_unknown section
-      ~known:
-        [ "name"; "data_capacity"; "avg_access_rate"; "avg_update_rate";
-          "burst_multiplier"; "batch" ]
-  in
+  reject_unknown section
+    ~known:
+      [ "name"; "data_capacity"; "avg_access_rate"; "avg_update_rate";
+        "burst_multiplier"; "batch" ];
   let name = Option.value ~default:"workload" (Ini.get_opt section "name") in
-  let* data_capacity = Ini.get_parsed section "data_capacity" Values.size in
-  let* avg_access_rate = Ini.get_parsed section "avg_access_rate" Values.rate in
-  let* avg_update_rate = Ini.get_parsed section "avg_update_rate" Values.rate in
-  let* burst_multiplier =
-    Ini.get_parsed section "burst_multiplier" Values.float_pos
+  let data_capacity = ok (Ini.get_parsed section "data_capacity" Values.size) in
+  let avg_access_rate =
+    ok (Ini.get_parsed section "avg_access_rate" Values.rate)
   in
-  let* batch_curve = Ini.get_parsed section "batch" parse_batch_curve in
+  let avg_update_rate =
+    ok (Ini.get_parsed section "avg_update_rate" Values.rate)
+  in
+  let burst_multiplier =
+    ok (Ini.get_parsed section "burst_multiplier" Values.float_pos)
+  in
+  let batch_curve =
+    ok (Ini.get_parsed section "batch" (catch parse_batch_curve))
+  in
   match
     Workload.make ~name ~data_capacity ~avg_access_rate ~avg_update_rate
       ~burst_multiplier ~batch_curve
   with
-  | w -> Ok w
-  | exception Invalid_argument m -> err "[workload]: %s" m
+  | w -> w
+  | exception Invalid_argument m -> fail "[workload]: %s" m
 
 (* --- devices --- *)
 
 let parse_location raw =
   match String.split_on_char '/' raw with
-  | [ region; site; building ] ->
-    Ok (Location.make ~building ~site ~region)
-  | _ -> err "location %S must be \"region/site/building\"" raw
+  | [ region; site; building ] -> Location.make ~building ~site ~region
+  | _ -> fail "location %S must be \"region/site/building\"" raw
 
 let parse_spare raw =
-  match words (String.lowercase_ascii raw) with
-  | [ "none" ] -> Ok Spare.No_spare
+  match words (lowercase raw) with
+  | [ "none" ] -> Spare.No_spare
   | [ "dedicated"; dur ] ->
-    let* provisioning_time = Values.duration dur in
-    Ok (Spare.Dedicated { provisioning_time })
+    Spare.Dedicated { provisioning_time = ok (Values.duration dur) }
   | [ "shared"; dur; frac ] ->
-    let* provisioning_time = Values.duration dur in
-    let* discount = Values.float_pos frac in
-    if discount > 1. then err "spare discount %g must be in [0, 1]" discount
-    else Ok (Spare.Shared { provisioning_time; discount })
+    let provisioning_time = ok (Values.duration dur) in
+    let discount = ok (Values.float_pos frac) in
+    if discount > 1. then fail "spare discount %g must be in [0, 1]" discount
+    else Spare.Shared { provisioning_time; discount }
   | _ ->
-    err "spare %S must be \"none\", \"dedicated DUR\" or \"shared DUR FRAC\""
+    fail "spare %S must be \"none\", \"dedicated DUR\" or \"shared DUR FRAC\""
       raw
 
 let device_keys =
@@ -100,39 +104,42 @@ let device_keys =
     "cost_per_shipment"; "spare"; "remote_spare" ]
 
 let parse_device section =
-  let* name =
+  let name =
     match section.Ini.arg with
-    | Some a -> Ok a
-    | None -> err "line %d: [device] needs a name" section.Ini.line
+    | Some a -> a
+    | None -> fail "line %d: [device] needs a name" section.Ini.line
   in
-  let* () = reject_unknown section ~known:device_keys in
-  let* location = Ini.get_parsed section "location" parse_location in
-  let* cap_slots, slot_capacity =
-    let* raw = Ini.get section "capacity_slots" in
-    let* n, rest = Values.counted raw in
-    let* size = Values.size rest in
-    Ok (n, size)
+  reject_unknown section ~known:device_keys;
+  let location = ok (Ini.get_parsed section "location" (catch parse_location)) in
+  let cap_slots, rest =
+    ok (Values.counted (ok (Ini.get section "capacity_slots")))
   in
-  let* bw =
+  let slot_capacity = ok (Values.size rest) in
+  let bw =
     match Ini.get_opt section "bandwidth_slots" with
-    | None -> Ok None
+    | None -> None
     | Some raw ->
-      let* n, rest = Values.counted raw in
-      let* rate = Values.rate rest in
-      Ok (Some (n, rate))
+      let n, rest = ok (Values.counted raw) in
+      Some (n, ok (Values.rate rest))
   in
-  let* enclosure_bandwidth =
-    Ini.get_parsed_opt section "enclosure_bandwidth" Values.rate
+  let enclosure_bandwidth =
+    ok (Ini.get_parsed_opt section "enclosure_bandwidth" Values.rate)
   in
-  let* access_delay = Ini.get_parsed_opt section "access_delay" Values.duration in
-  let* fixed = Ini.get_parsed_opt section "cost_fixed" Values.money in
-  let* per_gib = Ini.get_parsed_opt section "cost_per_gib" Values.float_pos in
-  let* per_mib = Ini.get_parsed_opt section "cost_per_mibps" Values.float_pos in
-  let* per_shipment =
-    Ini.get_parsed_opt section "cost_per_shipment" Values.float_pos
+  let access_delay =
+    ok (Ini.get_parsed_opt section "access_delay" Values.duration)
   in
-  let* spare = Ini.get_parsed_opt section "spare" parse_spare in
-  let* remote_spare = Ini.get_parsed_opt section "remote_spare" parse_spare in
+  let fixed = ok (Ini.get_parsed_opt section "cost_fixed" Values.money) in
+  let per_gib = ok (Ini.get_parsed_opt section "cost_per_gib" Values.float_pos) in
+  let per_mib =
+    ok (Ini.get_parsed_opt section "cost_per_mibps" Values.float_pos)
+  in
+  let per_shipment =
+    ok (Ini.get_parsed_opt section "cost_per_shipment" Values.float_pos)
+  in
+  let spare = ok (Ini.get_parsed_opt section "spare" (catch parse_spare)) in
+  let remote_spare =
+    ok (Ini.get_parsed_opt section "remote_spare" (catch parse_spare))
+  in
   let cost =
     Cost_model.make
       ~fixed:(Option.value ~default:Money.zero fixed)
@@ -148,25 +155,27 @@ let parse_device section =
       ~cost
       ?spare ?remote_spare ()
   with
-  | d -> Ok d
-  | exception Invalid_argument m -> err "[device %s]: %s" name m
+  | d -> d
+  | exception Invalid_argument m -> fail "[device %s]: %s" name m
 
 (* --- links --- *)
 
 let link_keys = [ "type"; "bandwidth"; "delay"; "cost_per_mibps"; "cost_per_shipment" ]
 
 let parse_link section =
-  let* name =
+  let name =
     match section.Ini.arg with
-    | Some a -> Ok a
-    | None -> err "line %d: [link] needs a name" section.Ini.line
+    | Some a -> a
+    | None -> fail "line %d: [link] needs a name" section.Ini.line
   in
-  let* () = reject_unknown section ~known:link_keys in
-  let* kind = Ini.get section "type" in
-  let* delay = Ini.get_parsed_opt section "delay" Values.duration in
-  let* per_mib = Ini.get_parsed_opt section "cost_per_mibps" Values.float_pos in
-  let* per_shipment =
-    Ini.get_parsed_opt section "cost_per_shipment" Values.float_pos
+  reject_unknown section ~known:link_keys;
+  let kind = ok (Ini.get section "type") in
+  let delay = ok (Ini.get_parsed_opt section "delay" Values.duration) in
+  let per_mib =
+    ok (Ini.get_parsed_opt section "cost_per_mibps" Values.float_pos)
+  in
+  let per_shipment =
+    ok (Ini.get_parsed_opt section "cost_per_shipment" Values.float_pos)
   in
   let cost =
     Cost_model.make
@@ -174,106 +183,99 @@ let parse_link section =
       ~per_shipment:(Option.value ~default:0. per_shipment)
       ()
   in
-  let* transport =
-    match String.lowercase_ascii (String.trim kind) with
-    | "shipment" -> Ok Interconnect.Shipment
+  let transport =
+    match lowercase (String.trim kind) with
+    | "shipment" -> Interconnect.Shipment
     | "network" ->
-      let* raw = Ini.get section "bandwidth" in
-      let* links, rest = Values.counted raw in
-      let* link_bandwidth = Values.rate rest in
-      Ok (Interconnect.Network { link_bandwidth; links })
-    | other -> err "[link %s]: unknown type %S" name other
+      let links, rest = ok (Values.counted (ok (Ini.get section "bandwidth"))) in
+      Interconnect.Network { link_bandwidth = ok (Values.rate rest); links }
+    | other -> fail "[link %s]: unknown type %S" name other
   in
   match Interconnect.make ~name ~transport ?delay ~cost () with
-  | l -> Ok l
-  | exception Invalid_argument m -> err "[link %s]: %s" name m
+  | l -> l
+  | exception Invalid_argument m -> fail "[link %s]: %s" name m
 
 (* --- levels --- *)
 
 let parse_raid raw =
-  match String.lowercase_ascii (String.trim raw) with
-  | "raid0" | "raid-0" -> Ok Raid.Raid0
-  | "raid1" | "raid-1" -> Ok Raid.Raid1
-  | "raid10" | "raid-10" -> Ok Raid.Raid10
+  match lowercase (String.trim raw) with
+  | "raid0" | "raid-0" -> Raid.Raid0
+  | "raid1" | "raid-1" -> Raid.Raid1
+  | "raid10" | "raid-10" -> Raid.Raid10
   | other ->
     if String.length other >= 5 && String.sub other 0 5 = "raid5" then begin
       match String.index_opt other '(' with
-      | None -> Ok (Raid.Raid5 { stripe_width = 5 })
+      | None -> Raid.Raid5 { stripe_width = 5 }
       | Some i -> (
         let close = String.index_opt other ')' in
         match close with
         | Some j when j > i + 1 -> (
-          let* w = Values.int_pos (String.sub other (i + 1) (j - i - 1)) in
-          match Raid.Raid5 { stripe_width = w } with
-          | r ->
-            (* validate eagerly *)
-            let* _ =
-              match Raid.capacity_factor r with
-              | _ -> Ok ()
-              | exception Invalid_argument m -> Error m
-            in
-            Ok r)
-        | _ -> err "malformed raid5 spec %S" raw)
+          let w = ok (Values.int_pos (String.sub other (i + 1) (j - i - 1))) in
+          let r = Raid.Raid5 { stripe_width = w } in
+          (* validate eagerly *)
+          match Raid.capacity_factor r with
+          | _ -> r
+          | exception Invalid_argument m -> raise (Malformed m))
+        | _ -> fail "malformed raid5 spec %S" raw)
     end
-    else err "unknown raid organization %S" raw
+    else fail "unknown raid organization %S" raw
 
 let parse_incremental raw =
   match words raw with
-  | rep :: rest ->
-    let* representation =
-      match String.lowercase_ascii rep with
-      | "cumulative" -> Ok Schedule.Cumulative
-      | "differential" -> Ok Schedule.Differential
-      | other -> err "incremental kind %S (cumulative|differential)" other
+  | rep :: rest -> (
+    let representation =
+      match lowercase rep with
+      | "cumulative" -> Schedule.Cumulative
+      | "differential" -> Schedule.Differential
+      | other -> fail "incremental kind %S (cumulative|differential)" other
     in
-    let* kvs =
-      traverse
+    let kvs =
+      List.map
         (fun tok ->
           match String.index_opt tok '=' with
-          | None -> err "incremental token %S must be key=value" tok
+          | None -> fail "incremental token %S must be key=value" tok
           | Some i ->
-            Ok
-              ( String.lowercase_ascii (String.sub tok 0 i),
-                String.sub tok (i + 1) (String.length tok - i - 1) ))
+            ( Slice.lower_sub tok 0 i,
+              String.sub tok (i + 1) (String.length tok - i - 1) ))
         rest
     in
     let lookup k = List.assoc_opt k kvs in
-    let* acc =
+    let acc =
       match lookup "acc" with
-      | Some v -> Values.duration v
-      | None -> Error "incremental needs acc=DUR"
+      | Some v -> ok (Values.duration v)
+      | None -> raise (Malformed "incremental needs acc=DUR")
     in
-    let* count =
+    let count =
       match lookup "count" with
-      | Some v -> Values.int_pos v
-      | None -> Error "incremental needs count=N"
+      | Some v -> ok (Values.int_pos v)
+      | None -> raise (Malformed "incremental needs count=N")
     in
-    let* prop =
+    let prop =
       match lookup "prop" with
-      | Some v -> Values.duration v
-      | None -> Ok Duration.zero
+      | Some v -> ok (Values.duration v)
+      | None -> Duration.zero
     in
-    let* hold =
+    let hold =
       match lookup "hold" with
-      | Some v -> Values.duration v
-      | None -> Ok Duration.zero
+      | Some v -> ok (Values.duration v)
+      | None -> Duration.zero
     in
-    (match Schedule.windows ~acc ~prop ~hold () with
-    | w -> Ok (representation, w, count)
-    | exception Invalid_argument m -> Error m)
-  | [] -> Error "empty incremental spec"
+    match Schedule.windows ~acc ~prop ~hold () with
+    | w -> (representation, w, count)
+    | exception Invalid_argument m -> raise (Malformed m))
+  | [] -> raise (Malformed "empty incremental spec")
 
 let level_keys =
   [ "technique"; "device"; "link"; "raid"; "acc"; "prop"; "hold"; "retention";
     "incremental"; "fragments"; "required" ]
 
 let parse_schedule section =
-  let* acc = Ini.get_parsed section "acc" Values.duration in
-  let* prop = Ini.get_parsed_opt section "prop" Values.duration in
-  let* hold = Ini.get_parsed_opt section "hold" Values.duration in
-  let* retention = Ini.get_parsed section "retention" Values.int_pos in
-  let* incremental =
-    Ini.get_parsed_opt section "incremental" parse_incremental
+  let acc = ok (Ini.get_parsed section "acc" Values.duration) in
+  let prop = ok (Ini.get_parsed_opt section "prop" Values.duration) in
+  let hold = ok (Ini.get_parsed_opt section "hold" Values.duration) in
+  let retention = ok (Ini.get_parsed section "retention" Values.int_pos) in
+  let incremental =
+    ok (Ini.get_parsed_opt section "incremental" (catch parse_incremental))
   in
   match
     (match incremental with
@@ -287,32 +289,32 @@ let parse_schedule section =
         ~secondary:(representation, win) ~cycle_count:count
         ~retention_count:retention ())
   with
-  | s -> Ok s
-  | exception Invalid_argument m -> Error m
+  | s -> s
+  | exception Invalid_argument m -> raise (Malformed m)
 
 let parse_level ~devices ~links section =
-  let* index =
+  let index =
     match section.Ini.arg with
-    | Some a -> Values.int_pos a
-    | None -> err "line %d: [level] needs an index" section.Ini.line
+    | Some a -> ok (Values.int_pos a)
+    | None -> fail "line %d: [level] needs an index" section.Ini.line
   in
-  let* () = reject_unknown section ~known:level_keys in
-  let* device_name = Ini.get section "device" in
-  let* device =
+  reject_unknown section ~known:level_keys;
+  let device_name = ok (Ini.get section "device") in
+  let device =
     match
       List.find_opt
         (fun (d : Device.t) -> String.equal d.Device.name device_name)
         devices
     with
-    | Some d -> Ok d
+    | Some d -> d
     | None ->
-      err "[level %d]: unknown device %S (defined: %s)" index device_name
+      fail "[level %d]: unknown device %S (defined: %s)" index device_name
         (String.concat ", "
            (List.map (fun (d : Device.t) -> d.Device.name) devices))
   in
-  let* link =
+  let link =
     match Ini.get_opt section "link" with
-    | None -> Ok None
+    | None -> None
     | Some link_name -> (
       match
         List.find_opt
@@ -320,57 +322,51 @@ let parse_level ~devices ~links section =
             String.equal l.Interconnect.name link_name)
           links
       with
-      | Some l -> Ok (Some l)
+      | Some l -> Some l
       | None ->
-        err "[level %d]: unknown link %S (defined: %s)" index link_name
+        fail "[level %d]: unknown link %S (defined: %s)" index link_name
           (String.concat ", "
              (List.map
                 (fun (l : Interconnect.t) -> l.Interconnect.name)
                 links)))
   in
-  let* technique_name = Ini.get section "technique" in
-  let* technique =
-    match String.lowercase_ascii (String.trim technique_name) with
+  let technique_name = ok (Ini.get section "technique") in
+  let technique =
+    match lowercase (String.trim technique_name) with
     | "primary" | "primary_copy" ->
-      let* raid =
+      let raid =
         match Ini.get_opt section "raid" with
         | Some raw -> parse_raid raw
-        | None -> Ok Raid.Raid1
+        | None -> Raid.Raid1
       in
-      Ok (Technique.Primary_copy { raid })
-    | "split_mirror" ->
-      let* s = parse_schedule section in
-      Ok (Technique.Split_mirror s)
+      Technique.Primary_copy { raid }
+    | "split_mirror" -> Technique.Split_mirror (parse_schedule section)
     | "snapshot" | "virtual_snapshot" ->
-      let* s = parse_schedule section in
-      Ok (Technique.Virtual_snapshot s)
-    | "backup" ->
-      let* s = parse_schedule section in
-      Ok (Technique.Backup s)
-    | "vaulting" | "vault" ->
-      let* s = parse_schedule section in
-      Ok (Technique.Vaulting s)
+      Technique.Virtual_snapshot (parse_schedule section)
+    | "backup" -> Technique.Backup (parse_schedule section)
+    | "vaulting" | "vault" -> Technique.Vaulting (parse_schedule section)
     | "sync_mirror" ->
-      let* s = parse_schedule section in
-      Ok (Technique.Remote_mirror { mode = Technique.Synchronous; schedule = s })
+      Technique.Remote_mirror
+        { mode = Technique.Synchronous; schedule = parse_schedule section }
     | "async_mirror" ->
-      let* s = parse_schedule section in
-      Ok (Technique.Remote_mirror { mode = Technique.Asynchronous; schedule = s })
+      Technique.Remote_mirror
+        { mode = Technique.Asynchronous; schedule = parse_schedule section }
     | "async_batch_mirror" ->
-      let* s = parse_schedule section in
-      Ok
-        (Technique.Remote_mirror
-           { mode = Technique.Asynchronous_batch; schedule = s })
-    | "erasure_coded" -> (
-      let* s = parse_schedule section in
-      let* fragments = Ini.get_parsed section "fragments" Values.int_pos in
-      let* required = Ini.get_parsed section "required" Values.int_pos in
+      Technique.Remote_mirror
+        {
+          mode = Technique.Asynchronous_batch;
+          schedule = parse_schedule section;
+        }
+    | "erasure_coded" ->
+      let schedule = parse_schedule section in
+      let fragments = ok (Ini.get_parsed section "fragments" Values.int_pos) in
+      let required = ok (Ini.get_parsed section "required" Values.int_pos) in
       if required <= 0 || fragments < required then
-        err "[level %d]: need fragments >= required > 0" index
-      else Ok (Technique.Erasure_coded { fragments; required; schedule = s }))
-    | other -> err "[level %d]: unknown technique %S" index other
+        fail "[level %d]: need fragments >= required > 0" index
+      else Technique.Erasure_coded { fragments; required; schedule }
+    | other -> fail "[level %d]: unknown technique %S" index other
   in
-  Ok (index, { Hierarchy.technique; device; link })
+  (index, { Hierarchy.technique; device; link })
 
 (* --- business --- *)
 
@@ -378,134 +374,126 @@ let parse_penalty_rate raw =
   let raw = String.trim raw in
   let strip_suffix suffix =
     let n = String.length raw and m = String.length suffix in
-    if n >= m && String.lowercase_ascii (String.sub raw (n - m) m) = suffix
-    then Some (String.sub raw 0 (n - m))
-    else None
+    let rec ends_with k =
+      k = m
+      || Char.lowercase_ascii raw.[n - m + k] = suffix.[k] && ends_with (k + 1)
+    in
+    if n >= m && ends_with 0 then Some (String.sub raw 0 (n - m)) else None
   in
   match strip_suffix "/hr" with
   | Some amount ->
-    let* m = Values.money amount in
-    Ok (Money_rate.usd_per_hour (Money.to_usd m))
+    Money_rate.usd_per_hour (Money.to_usd (ok (Values.money amount)))
   | None -> (
     match strip_suffix "/s" with
     | Some amount ->
-      let* m = Values.money amount in
-      Ok (Money_rate.usd_per_sec (Money.to_usd m))
-    | None -> err "penalty rate %S must end in /hr or /s" raw)
+      Money_rate.usd_per_sec (Money.to_usd (ok (Values.money amount)))
+    | None -> fail "penalty rate %S must end in /hr or /s" raw)
 
 let business_keys =
   [ "outage_penalty"; "loss_penalty"; "rto"; "rpo"; "total_loss_equivalent" ]
 
 let parse_business section =
-  let* () = reject_unknown section ~known:business_keys in
-  let* outage_penalty_rate =
-    Ini.get_parsed section "outage_penalty" parse_penalty_rate
+  reject_unknown section ~known:business_keys;
+  let outage_penalty_rate =
+    ok (Ini.get_parsed section "outage_penalty" (catch parse_penalty_rate))
   in
-  let* loss_penalty_rate =
-    Ini.get_parsed section "loss_penalty" parse_penalty_rate
+  let loss_penalty_rate =
+    ok (Ini.get_parsed section "loss_penalty" (catch parse_penalty_rate))
   in
-  let* rto = Ini.get_parsed_opt section "rto" Values.duration in
-  let* rpo = Ini.get_parsed_opt section "rpo" Values.duration in
-  let* total_loss =
-    Ini.get_parsed_opt section "total_loss_equivalent" Values.duration
+  let rto = ok (Ini.get_parsed_opt section "rto" Values.duration) in
+  let rpo = ok (Ini.get_parsed_opt section "rpo" Values.duration) in
+  let total_loss =
+    ok (Ini.get_parsed_opt section "total_loss_equivalent" Values.duration)
   in
-  Ok
-    (Business.make ~outage_penalty_rate ~loss_penalty_rate
-       ?recovery_time_objective:rto ?recovery_point_objective:rpo
-       ?total_loss_equivalent:total_loss ())
+  Business.make ~outage_penalty_rate ~loss_penalty_rate
+    ?recovery_time_objective:rto ?recovery_point_objective:rpo
+    ?total_loss_equivalent:total_loss ()
 
 (* --- scenarios --- *)
 
 let parse_scope raw =
   let parse_one part =
     match words part with
-    | [ "object" ] -> Ok Location.Data_object
-    | [ "device"; n ] -> Ok (Location.Device n)
-    | [ "building"; n ] -> Ok (Location.Building n)
-    | [ "site"; n ] -> Ok (Location.Site n)
-    | [ "region"; n ] -> Ok (Location.Region n)
+    | [ "object" ] -> Location.Data_object
+    | [ "device"; n ] -> Location.Device n
+    | [ "building"; n ] -> Location.Building n
+    | [ "site"; n ] -> Location.Site n
+    | [ "region"; n ] -> Location.Region n
     | _ ->
-      err
+      fail
         "scope %S must be \"object\" or \"device|building|site|region NAME\" \
          (combine simultaneous failures with \"+\")"
         part
   in
   match String.split_on_char '+' raw with
   | [ one ] -> parse_one one
-  | parts ->
-    let* scopes = traverse parse_one parts in
-    Ok (Location.Multiple scopes)
+  | parts -> Location.Multiple (List.map parse_one parts)
 
 let scenario_keys = [ "scope"; "target_age"; "object_size" ]
 
 let parse_scenario section =
   let name =
-    Option.value ~default:(Printf.sprintf "line-%d" section.Ini.line)
-      section.Ini.arg
+    match section.Ini.arg with
+    | Some name -> name
+    | None -> "line-" ^ string_of_int section.Ini.line
   in
-  let* () = reject_unknown section ~known:scenario_keys in
-  let* scope = Ini.get_parsed section "scope" parse_scope in
-  let* target_age = Ini.get_parsed_opt section "target_age" Values.duration in
-  let* object_size = Ini.get_parsed_opt section "object_size" Values.size in
+  reject_unknown section ~known:scenario_keys;
+  let scope = ok (Ini.get_parsed section "scope" (catch parse_scope)) in
+  let target_age =
+    ok (Ini.get_parsed_opt section "target_age" Values.duration)
+  in
+  let object_size = ok (Ini.get_parsed_opt section "object_size" Values.size) in
   match Scenario.make ~scope ?target_age ?object_size () with
-  | s -> Ok (name, s)
-  | exception Invalid_argument m -> err "[scenario %s]: %s" name m
+  | s -> (name, s)
+  | exception Invalid_argument m -> fail "[scenario %s]: %s" name m
 
 (* --- assembly --- *)
 
 (* Both halves assemble from one parsed section list, so [of_string] runs
    the INI parser once per text. *)
 let design_of_sections ~validate sections =
-  let* workload_section = Ini.find_one sections ~kind:"workload" in
-  let* workload = parse_workload workload_section in
-  let* devices = traverse parse_device (Ini.find_all sections ~kind:"device") in
-  let* links = traverse parse_link (Ini.find_all sections ~kind:"link") in
-  let* business_section = Ini.find_one sections ~kind:"business" in
-  let* business = parse_business business_section in
+  let workload = parse_workload (ok (Ini.find_one sections ~kind:"workload")) in
+  let devices = List.map parse_device (Ini.find_all sections ~kind:"device") in
+  let links = List.map parse_link (Ini.find_all sections ~kind:"link") in
+  let business = parse_business (ok (Ini.find_one sections ~kind:"business")) in
   let level_sections = Ini.find_all sections ~kind:"level" in
-  if level_sections = [] then Error "a design needs at least [level 0]"
-  else begin
-    let* indexed = traverse (parse_level ~devices ~links) level_sections in
-    let sorted = List.sort (fun (a, _) (b, _) -> compare a b) indexed in
-    let* () =
-      let rec contiguous expected = function
-        | [] -> Ok ()
-        | (i, _) :: rest ->
-          if i = expected then contiguous (expected + 1) rest
-          else err "level indices must be contiguous from 0; found %d" i
-      in
-      contiguous 0 sorted
-    in
-    let* hierarchy =
-      match Hierarchy.make (List.map snd sorted) with
-      | Ok h -> Ok h
-      | Error m -> err "hierarchy: %s" m
-    in
-    let design =
-      Design.make ~name:workload.Workload.name ~workload ~hierarchy ~business
-        ()
-    in
-    if not validate then Ok design
-    else
-      match Design.validate design with
-      | Ok () -> Ok design
-      | Error es -> err "design invalid: %s" (String.concat "; " es)
-  end
+  if level_sections = [] then
+    raise (Malformed "a design needs at least [level 0]");
+  let indexed = List.map (parse_level ~devices ~links) level_sections in
+  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) indexed in
+  List.iteri
+    (fun expected (i, _) ->
+      if i <> expected then
+        fail "level indices must be contiguous from 0; found %d" i)
+    sorted;
+  let hierarchy =
+    match Hierarchy.make (List.map snd sorted) with
+    | Ok h -> h
+    | Error m -> fail "hierarchy: %s" m
+  in
+  let design =
+    Design.make ~name:workload.Workload.name ~workload ~hierarchy ~business ()
+  in
+  (if validate then
+     match Design.validate design with
+     | Ok () -> ()
+     | Error es -> fail "design invalid: %s" (String.concat "; " es));
+  design
 
 let scenarios_of_sections sections =
-  traverse parse_scenario (Ini.find_all sections ~kind:"scenario")
+  List.map parse_scenario (Ini.find_all sections ~kind:"scenario")
 
 let of_string ?(validate = true) text =
-  let* sections = Ini.parse text in
-  let* design = design_of_sections ~validate sections in
-  let* scenarios = scenarios_of_sections sections in
-  Ok (design, scenarios)
+  Result.bind (Ini.parse text)
+    (catch (fun sections ->
+         let design = design_of_sections ~validate sections in
+         (design, scenarios_of_sections sections)))
 
 let design_of_string ?(validate = true) text =
-  Result.bind (Ini.parse text) (design_of_sections ~validate)
+  Result.bind (Ini.parse text) (catch (design_of_sections ~validate))
 
 let scenarios_of_string text =
-  Result.bind (Ini.parse text) scenarios_of_sections
+  Result.bind (Ini.parse text) (catch scenarios_of_sections)
 
 (* --- serialization --- *)
 
@@ -562,14 +550,12 @@ let raid_str = function
   | Raid.Raid5 { stripe_width } -> Printf.sprintf "raid5(%d)" stripe_width
 
 let rec scope_str = function
-  | Location.Data_object -> Ok "object"
-  | Location.Device n -> Ok ("device " ^ n)
-  | Location.Building n -> Ok ("building " ^ n)
-  | Location.Site n -> Ok ("site " ^ n)
-  | Location.Region n -> Ok ("region " ^ n)
-  | Location.Multiple scopes ->
-    let* parts = traverse scope_str scopes in
-    Ok (String.concat "+" parts)
+  | Location.Data_object -> "object"
+  | Location.Device n -> "device " ^ n
+  | Location.Building n -> "building " ^ n
+  | Location.Site n -> "site " ^ n
+  | Location.Region n -> "region " ^ n
+  | Location.Multiple scopes -> String.concat "+" (List.map scope_str scopes)
 
 let emit_schedule buf (s : Schedule.t) =
   if s.Schedule.copy_representation <> Schedule.Full then
@@ -684,15 +670,13 @@ let emit_link buf (l : Interconnect.t) =
 let emit_scenario buf (name, (sc : Scenario.t)) =
   let kv k v = Buffer.add_string buf (Printf.sprintf "%s = %s\n" k v) in
   Buffer.add_string buf (Printf.sprintf "[scenario %s]\n" name);
-  let* scope = scope_str sc.Scenario.scope in
-  kv "scope" scope;
+  kv "scope" (scope_str sc.Scenario.scope);
   if not (Duration.is_zero sc.Scenario.target_age) then
     kv "target_age" (duration_str sc.Scenario.target_age);
   (match sc.Scenario.object_size with
   | None -> ()
   | Some s -> kv "object_size" (size_str s));
-  Buffer.add_char buf '\n';
-  Ok ()
+  Buffer.add_char buf '\n'
 
 let design_to_string ?(scenarios = []) (d : Design.t) =
   let buf = Buffer.create 1024 in
@@ -761,14 +745,11 @@ let design_to_string ?(scenarios = []) (d : Design.t) =
   | None -> ()
   | Some rpo -> kv "rpo" (duration_str rpo));
   kv "total_loss_equivalent" (duration_str b.Business.total_loss_equivalent);
-  let* () =
-    List.fold_left
-      (fun acc named ->
-        let* () = acc in
-        Buffer.add_char buf '\n';
-        emit_scenario buf named)
-      (Ok ()) scenarios
-  in
+  List.iter
+    (fun named ->
+      Buffer.add_char buf '\n';
+      emit_scenario buf named)
+    scenarios;
   Ok (Buffer.contents buf)
 
 type load_error = Unreadable of string | Invalid of string

@@ -107,6 +107,59 @@ let test_json_structures () =
   let pretty = to_string_pretty (Obj [ ("a", List [ Int 1 ]) ]) in
   Alcotest.(check bool) "pretty is multiline" true (String.contains pretty '\n')
 
+(* The renderer's exact bytes, compact and pretty, for the values whose
+   formatting is easy to get subtly wrong: integral floats near the 1e15
+   switch, [%.12g] rounding up to an integer without a trailing dot,
+   subnormals, non-finite floats, [min_int], every control byte, and
+   indentation of empty and nested containers. *)
+let test_json_bytes_pinned () =
+  let open Json in
+  let same text = (text, text) in
+  List.iter
+    (fun (label, v, (compact, pretty)) ->
+      Alcotest.(check string) (label ^ " (compact)") compact (to_string v);
+      Alcotest.(check string) (label ^ " (pretty)") pretty (to_string_pretty v))
+    [
+      ("-0.0", Float (-0.0), same "-0.0");
+      ("0.0", Float 0.0, same "0.0");
+      ("999999999999999.", Float 999999999999999., same "999999999999999.0");
+      ("1e15", Float 1e15, same "1e+15");
+      ("-1e15", Float (-1e15), same "-1e+15");
+      ("99999999999.99999", Float 99999999999.99999, same "100000000000");
+      ("0.1", Float 0.1, same "0.1");
+      ("1/3", Float (1. /. 3.), same "0.333333333333");
+      ("5e-324", Float 5e-324, same "4.94065645841e-324");
+      ("max_float", Float max_float, same "1.79769313486e+308");
+      ("nan", Float Float.nan, same "null");
+      ("infinity", Float Float.infinity, same "null");
+      ("neg_infinity", Float Float.neg_infinity, same "null");
+      ("min_int", Int min_int, same "-4611686018427387904");
+      ( "bytes 0x00-0x1f",
+        String (String.init 32 Char.chr),
+        same
+          "\"\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007\\u0008\\t\\n\\u000b\\u000c\\r\\u000e\\u000f\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f\""
+      );
+      ( "quote, backslash, 0x7f, UTF-8",
+        String "\"\\\127caf\xc3\xa9 \xe6\x97\xa5",
+        same "\"\\\"\\\\\127caf\195\169 \230\151\165\"" );
+      ("empty list", List [], same "[]");
+      ("empty object", Obj [], same "{}");
+      ( "nested",
+        Obj
+          [
+            ("a", List [ Int 1; List []; Obj [] ]);
+            ("b\n", Obj [ ("c", List [ Obj [ ("d", Null) ]; Bool false ]) ]);
+            ("e", String "");
+          ],
+        ( "{\"a\":[1,[],{}],\"b\\n\":{\"c\":[{\"d\":null},false]},\"e\":\"\"}",
+          "{\n  \"a\": [\n    1,\n    [],\n    {}\n  ],\n  \"b\\n\": {\n    \"c\": [\n      {\n        \"d\": null\n      },\n      false\n    ]\n  },\n  \"e\": \"\"\n}"
+        ) );
+      ( "list of lists",
+        List [ List [ List [ Int 1 ] ]; Float 2.5 ],
+        ( "[[[1]],2.5]",
+          "[\n  [\n    [\n      1\n    ]\n  ],\n  2.5\n]" ) );
+    ]
+
 let test_json_report_fields () =
   let r =
     Storage_model.Evaluate.run Storage_presets.Baseline.design
@@ -140,6 +193,7 @@ let suite =
         Alcotest.test_case "json scalars" `Quick test_json_scalars;
         Alcotest.test_case "json escaping" `Quick test_json_escaping;
         Alcotest.test_case "json structures" `Quick test_json_structures;
+        Alcotest.test_case "json bytes pinned" `Quick test_json_bytes_pinned;
         Alcotest.test_case "json evaluation report" `Quick
           test_json_report_fields;
       ] );

@@ -611,6 +611,154 @@ let test_real_binary_rejects_too_many_workers () =
   with_ssdep @@ fun bin ->
   check_rejected_before_listening bin [ "--workers"; "200" ]
 
+(* --- the codec over a socket pair, in this domain --- *)
+
+module Http = Storage_serve.Http
+
+(* Write [payload] into one end of a fresh socket pair (optionally
+   half-closing it) and run [f] on the other. A Unix socket buffers far
+   more than any payload here, so no second domain is needed. *)
+let with_socketpair ?(eof = false) payload f =
+  let client, server =
+    Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close client;
+      Unix.close server)
+    (fun () ->
+      send_all client payload;
+      if eof then Unix.shutdown client Unix.SHUTDOWN_SEND;
+      f ~client ~server)
+
+let post_bytes ?(extra_headers = "") body =
+  Printf.sprintf
+    "POST /evaluate HTTP/1.1\r\nHost: x\r\n%sContent-Length: %d\r\n\r\n%s"
+    extra_headers (String.length body) body
+
+(* The reader starts small and grows to what the request needs: a head
+   many times its first buffer, a body arriving over many reads, and
+   pipelined bytes past Content-Length (ignored) all read exactly; the
+   16 KiB header bound and a short body still answer 431 and 400. *)
+let test_http_buffers_sized_to_request () =
+  let read ?eof payload =
+    with_socketpair ?eof payload (fun ~client:_ ~server ->
+        Http.read_request ~max_body:(1 lsl 20) server)
+  in
+  let pad n =
+    String.concat ""
+      (List.init n (fun i ->
+           Printf.sprintf "X-Pad-%d: %s\r\n" i (String.make 40 'p')))
+  in
+  let body_of what = function
+    | Ok (req : Http.request) -> req.Http.body
+    | Error (resp : Http.response) ->
+      Alcotest.failf "%s: answered %d" what resp.Http.status
+  in
+  Alcotest.(check string) "10 KiB head" "abc"
+    (body_of "10 KiB head" (read (post_bytes ~extra_headers:(pad 180) "abc")));
+  let big = String.init 100_000 (fun i -> Char.chr (32 + (i mod 95))) in
+  Alcotest.(check string) "100 kB body" big
+    (body_of "100 kB body" (read (post_bytes big)));
+  Alcotest.(check string) "pipelined bytes ignored" "abc"
+    (body_of "pipelined" (read (post_bytes "abc" ^ "GET / HTTP/1.1\r\n\r\n")));
+  let status = function
+    | Ok _ -> 200
+    | Error (resp : Http.response) -> resp.Http.status
+  in
+  Alcotest.(check int) "head past 16 KiB" 431
+    (status (read (post_bytes ~extra_headers:(pad 400) "abc")));
+  Alcotest.(check int) "body shorter than Content-Length" 400
+    (status
+       (read ~eof:true
+          "POST /evaluate HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc"))
+
+(* --- allocation budgets for the request path --- *)
+
+(* The seven Table 7 designs with the array-failure and site-disaster
+   scenarios: perfbench's hot /evaluate bodies. *)
+let table7_bodies =
+  lazy
+    (List.filter_map
+       (fun (_, design) ->
+         Result.to_option
+           (Spec.design_to_string
+              ~scenarios:
+                [
+                  ("array failure", Baseline.scenario_array);
+                  ("site disaster", Baseline.scenario_site);
+                ]
+              design))
+       Whatif.all)
+
+let evaluate_body text =
+  match Spec.of_string text with
+  | Error e -> Alcotest.failf "a Table 7 body does not parse: %s" e
+  | Ok (design, scenarios) ->
+    let names, scenarios = List.split scenarios in
+    Storage_report.Json.to_string_pretty
+      (Json_output.reports
+         (List.combine names (Evaluate.run_all design scenarios)))
+    ^ "\n"
+
+(* Minor-heap words to parse, evaluate and render one /evaluate body,
+   averaged over the Table 7 bodies. Allocation is deterministic, unlike
+   service time: this fails if the parser goes back to copying every
+   line, key and value, assembly to a closure per step, or the renderer
+   to a [Printf] per float (before: ~17,300 words per body). *)
+let test_evaluate_alloc_budget () =
+  let bodies = Lazy.force table7_bodies in
+  Alcotest.(check int) "seven bodies" 7 (List.length bodies);
+  List.iter (fun b -> ignore (evaluate_body b)) bodies;
+  let w0 = Gc.minor_words () in
+  List.iter (fun b -> ignore (Sys.opaque_identity (evaluate_body b))) bodies;
+  let per_body = (Gc.minor_words () -. w0) /. 7. in
+  let budget = 12_600. in
+  Printf.printf "%.0f minor words per /evaluate body (budget %.0f)\n" per_body
+    budget;
+  if per_body > budget then
+    Alcotest.failf "%.0f minor words per /evaluate body exceeds %.0f" per_body
+      budget
+
+(* Words one Http.read_request + write_response of a Table 7 request
+   (~1.7 KB) allocates directly in the major heap, where the handler pays
+   for them in major slices. Only the response (head and body in one
+   string) needs a block that large; this fails if the reader goes back
+   to fixed 16 KiB + 4 KiB buffers (2,560 words before a byte arrives)
+   or the writer to a second copy of the response. *)
+let test_http_alloc_budget () =
+  let text = List.hd (Lazy.force table7_bodies) in
+  let response = Http.ok_json (evaluate_body text) in
+  let payload = post_bytes text in
+  let direct () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let rounds = 20 in
+  let words = ref 0. in
+  for _ = 1 to rounds do
+    with_socketpair payload (fun ~client ~server ->
+        let d0 = direct () in
+        (match Http.read_request ~max_body:(1 lsl 20) server with
+        | Ok _ -> ()
+        | Error resp -> Alcotest.failf "answered %d" resp.Http.status);
+        Http.write_response server response;
+        words := !words +. (direct () -. d0);
+        Unix.shutdown server Unix.SHUTDOWN_SEND;
+        Alcotest.(check (option int)) "response" (Some 200)
+          (status_of (recv_all client)))
+  done;
+  let per_request = !words /. float_of_int rounds in
+  let budget = 540. in
+  Printf.printf
+    "%.0f words directly in the major heap per request of %d bytes (budget \
+     %.0f)\n"
+    per_request (String.length payload) budget;
+  if per_request > budget then
+    Alcotest.failf
+      "%.0f words allocated directly in the major heap per request exceeds %.0f"
+      per_request budget
+
 let suite =
   [
     ( "serve.endpoints",
@@ -636,6 +784,13 @@ let suite =
           test_back_pressure_rejects_with_429;
         t "timeouts the socket layer cannot hold fail at start"
           test_unholdable_timeouts_rejected;
+        t "request buffers grow to the request, within the bounds"
+          test_http_buffers_sized_to_request;
+      ] );
+    ( "serve.allocation",
+      [
+        t "minor words per /evaluate body" test_evaluate_alloc_budget;
+        t "major-heap words per request read and answer" test_http_alloc_budget;
       ] );
     ( "serve.binary",
       [

@@ -64,6 +64,69 @@ let test_values_counted () =
   expect_error "no x" (Values.counted "256 73GiB");
   expect_error "zero count" (Values.counted "0 x 73GiB")
 
+(* Exact messages of the scalar parsers. *)
+let test_values_messages_pinned () =
+  let message = function Ok _ -> "Ok" | Error e -> e in
+  List.iter
+    (fun (label, got, expected) ->
+      Alcotest.(check string) label expected (message got))
+    [
+      ( "duration without unit",
+        Result.map ignore (Values.duration "5"),
+        "duration \"5\" needs a unit (s/min/hr/d/wk/yr)" );
+      ( "duration unit",
+        Result.map ignore (Values.duration "5 Parsecs"),
+        "unknown duration unit \"parsecs\"" );
+      ( "duration words",
+        Result.map ignore (Values.duration " soon "),
+        "expected a number in \"soon\"" );
+      ( "negative term of a sum",
+        Result.map ignore (Values.duration "4wk + -3hr"),
+        "negative duration \" -3hr\"" );
+      ( "malformed number",
+        Result.map ignore (Values.duration "1.2.3hr"),
+        "malformed number in \"1.2.3hr\"" );
+      ( "size without unit",
+        Result.map ignore (Values.size "34"),
+        "size \"34\" needs a unit (B/KiB/MiB/GiB/TiB)" );
+      ( "negative size",
+        Result.map ignore (Values.size "-1 GiB"),
+        "negative size \"-1 GiB\"" );
+      ( "size unit",
+        Result.map ignore (Values.size "3 XB"),
+        "unknown size unit \"xb\"" );
+      ( "rate without unit",
+        Result.map ignore (Values.rate "12"),
+        "unknown rate \"\" (use e.g. \"25 MiB/s\" or \"155 Mbps\")" );
+      ( "rate unit",
+        Result.map ignore (Values.rate "12 furlongs"),
+        "unknown rate \"furlongs\" (use e.g. \"25 MiB/s\" or \"155 Mbps\")" );
+      ( "size per second",
+        Result.map ignore (Values.rate "12 XB/s"),
+        "unknown size unit \"xb\"" );
+      ( "money",
+        Result.map ignore (Values.money "a lot"),
+        "expected a number in \"a lot\"" );
+      ( "money suffix",
+        Result.map ignore (Values.money "$5 B"),
+        "unknown money suffix \"b\"" );
+      ( "counted",
+        Result.map ignore (Values.counted "256 73GiB"),
+        "expected \"COUNT x VALUE\" in \"256 73GiB\"" );
+      ( "zero count",
+        Result.map ignore (Values.counted "0 x 73GiB"),
+        "count must be positive in \"0 x 73GiB\"" );
+      ( "float with a unit",
+        Result.map ignore (Values.float_pos "2 x"),
+        "unexpected unit \"x\"" );
+      ( "negative float",
+        Result.map ignore (Values.float_pos "-0.5"),
+        "expected a non-negative number, got -0.5" );
+      ( "fractional integer",
+        Result.map ignore (Values.int_pos "2.5"),
+        "expected an integer, got 2.5" );
+    ]
+
 (* --- Ini --- *)
 
 let test_ini_basic () =
@@ -105,6 +168,153 @@ let test_ini_unknown_keys () =
   let s = ok_or_fail (Ini.find_one sections ~kind:"s") in
   Alcotest.(check (list string)) "typo flagged" [ "typo" ]
     (Ini.unknown_keys s ~known:[ "good" ])
+
+(* [Ini.parse]'s whole answer as text: each section's kind, argument,
+   line and entries, or the error message. *)
+let ini_answer text =
+  match Ini.parse text with
+  | Error e -> "Error " ^ e
+  | Ok sections ->
+    String.concat "\n"
+      (List.map
+         (fun (s : Ini.section) ->
+           Printf.sprintf "[%S %s line %d] %s" s.Ini.kind
+             (match s.Ini.arg with
+             | None -> "-"
+             | Some a -> Printf.sprintf "%S" a)
+             s.Ini.line
+             (String.concat "; "
+                (List.map
+                   (fun (k, v) -> Printf.sprintf "%S=%S" k v)
+                   s.Ini.entries)))
+         sections)
+
+(* Exact sections or exact messages: every syntax error, the precedence
+   of a bad line over an earlier duplicate section (duplicates are
+   reported only once the whole text parses), the whitespace [trim]
+   strips (CR, tab, form feed), which [#] start a comment, case folding
+   of kinds and keys, and how a header's argument is cut. *)
+let test_ini_answers_pinned () =
+  List.iter
+    (fun (label, text, answer) ->
+      Alcotest.(check string) label answer (ini_answer text))
+    [
+      ( "key outside a section",
+        "key = value\n",
+        "Error line 1: key \"key\" outside any section" );
+      ( "upper-case key outside a section",
+        "KEY = v\n",
+        "Error line 1: key \"key\" outside any section" );
+      ( "duplicate key",
+        "[s]\na = 1\na = 2\n",
+        "Error line 3: duplicate key \"a\" in [s]" );
+      ( "duplicate key, other case",
+        "[s]\nA = 1\na = 2\n",
+        "Error line 3: duplicate key \"a\" in [s]" );
+      ( "duplicate section",
+        "[s]\na = 1\n[s]\nb = 2\n",
+        "Error line 3: duplicate section [s]" );
+      ( "duplicate section, other case",
+        "[S]\n[s]\n",
+        "Error line 2: duplicate section [s]" );
+      ( "duplicate section with argument",
+        "[a x]\nk = 1\n[a]\n[a y]\n[a x]\n",
+        "Error line 5: duplicate section [a x]" );
+      ( "unterminated header",
+        "[s\na = 1\n",
+        "Error line 1: unterminated section header" );
+      ( "comment after a header",
+        "[s] # c\n",
+        "Error line 1: unterminated section header" );
+      ( "garbage line",
+        "[s]\nnot a key value line\n",
+        "Error line 2: expected \"key = value\" or a [section]" );
+      ( "empty section name",
+        "[]\n",
+        "Error line 1: empty section name" );
+      ( "section name after a space",
+        "[ x]\n",
+        "Error line 1: empty section name" );
+      ( "empty key",
+        "[s]\n = v\n",
+        "Error line 2: empty key" );
+      ( "empty key at top",
+        "= v\n",
+        "Error line 1: empty key" );
+      ( "bad line after a duplicate section",
+        "[s]\na = 1\n[s]\nb = 2\nbad line\n",
+        "Error line 5: expected \"key = value\" or a [section]" );
+      ( "bad line after a duplicate section, later",
+        "[a]\n[b]\n[a]\nbad\n",
+        "Error line 4: expected \"key = value\" or a [section]" );
+      ( "CRLF, tab and form feed",
+        "[s]\r\n\tkey\t=\tvalue \r\n\012other = x\012\r\n  \t\r\n\nlast=1",
+        "[\"s\" - line 1] \"key\"=\"value\"; \"other\"=\"x\"; \"last\"=\"1\"" );
+      ( "comments",
+        "# c\n[s]\na = x#y\nb = x #y\nc = x\t#y\nd = #y\n  # indented comment\ne = x  #  y  \nf = x \t# y\ng = #\n",
+        "[\"s\" - line 2] \"a\"=\"x#y\"; \"b\"=\"x\"; \"c\"=\"x\\t#y\"; \"d\"=\"#y\"; \"e\"=\"x\"; \"f\"=\"x \\t# y\"; \"g\"=\"#\"" );
+      ( "commented-out header and key",
+        "#[not a section]\n[s]\n#k = v\n",
+        "[\"s\" - line 2] " );
+      ( "upper-case kind, argument and keys",
+        "[DEVICE Big Array]\nKEY = Value\nMixed_Case = V2\n",
+        "[\"device\" \"Big Array\" line 1] \"key\"=\"Value\"; \"mixed_case\"=\"V2\"" );
+      ( "section arguments",
+        "[device  spaced name ]\n[device ]\n[device\tx]\n[Level\t0]\n",
+        "[\"device\" \"spaced name\" line 1] \n[\"device\" \"\" line 2] \n[\"device\\tx\" - line 3] \n[\"level\\t0\" - line 4] " );
+      ( "blank lines, two comments, '=' in a value",
+        "[s]\n\n\n[t]\nk = v # c # d\nk2 == x\n",
+        "[\"s\" - line 1] \n[\"t\" - line 4] \"k\"=\"v\"; \"k2\"=\"= x\"" );
+      ( "empty text",
+        "",
+        "" );
+      ( "blank lines only",
+        "\n\n",
+        "" );
+    ]
+
+let test_ini_lookups_pinned () =
+  let s =
+    match Ini.parse "[DEVICE Big Array]\nKEY = Value\nMixed_Case = V2\n" with
+    | Ok [ s ] -> s
+    | _ -> Alcotest.fail "expected one section"
+  in
+  let result = Alcotest.(result string string) in
+  Alcotest.check result "get KEY" (Ok "Value") (Ini.get s "KEY");
+  Alcotest.check result "get key" (Ok "Value") (Ini.get s "key");
+  Alcotest.check result "get mIxed_case" (Ok "V2") (Ini.get s "mIxed_case");
+  Alcotest.check result "missing key keeps its spelling"
+    (Error "[device Big Array] (line 1): missing key \"Missing\"")
+    (Ini.get s "Missing");
+  Alcotest.(check (option string)) "get_opt Key" (Some "Value")
+    (Ini.get_opt s "Key");
+  Alcotest.(check (option string)) "get_opt absent" None (Ini.get_opt s "ke");
+  Alcotest.check result "get_parsed error"
+    (Error "[device Big Array]: key \"Key\": nope")
+    (Ini.get_parsed s "Key" (fun _ -> Error "nope"));
+  Alcotest.(check (result (option string) string)) "get_parsed_opt error"
+    (Error "[device Big Array]: key \"KEY\": nope")
+    (Ini.get_parsed_opt s "KEY" (fun _ -> Error "nope"));
+  Alcotest.(check (list string)) "unknown_keys ~known:[Key]" [ "mixed_case" ]
+    (Ini.unknown_keys s ~known:[ "Key" ]);
+  Alcotest.(check (list string)) "unknown_keys, all known upper-case" []
+    (Ini.unknown_keys s ~known:[ "KEY"; "MIXED_CASE" ]);
+  Alcotest.(check (list string)) "unknown_keys, in file order"
+    [ "key"; "mixed_case" ]
+    (Ini.unknown_keys s ~known:[ "other" ]);
+  let plain =
+    match Ini.parse "[s]\nk = v\n" with
+    | Ok [ s ] -> s
+    | _ -> Alcotest.fail "expected one section"
+  in
+  Alcotest.check result "missing key, no argument"
+    (Error "[s] (line 1): missing key \"x\"") (Ini.get plain "x");
+  Alcotest.check result "find_one missing"
+    (Error "missing required section [t]")
+    (Result.map (fun _ -> "") (Ini.find_one [ plain ] ~kind:"t"));
+  Alcotest.check result "find_one duplicated"
+    (Error "section [s] appears more than once")
+    (Result.map (fun _ -> "") (Ini.find_one [ plain; plain ] ~kind:"s"))
 
 (* --- Spec assembly --- *)
 
@@ -292,6 +502,75 @@ let test_spec_scope_parse () =
             Storage_device.Location.Site "b" ])
   | _ -> Alcotest.fail "expected one scenario"
 
+(* Exact assembly messages, and the name an unnamed [[scenario]] gets
+   from its header's line. *)
+let test_spec_messages_pinned () =
+  let answer text =
+    match Spec.of_string text with
+    | Error e -> "Error " ^ e
+    | Ok (d, scenarios) ->
+      Printf.sprintf "Ok %s [%s]" d.Design.name
+        (String.concat "; " (List.map fst scenarios))
+  in
+  let two_devices =
+    mutate ~old_s:"[level 0]\ntechnique = primary\ndevice = d"
+      ~new_s:
+        "[device e]\nlocation = r/s/c\ncapacity_slots = 1 x 1 GiB\n\n\
+         [level 0]\ntechnique = primary\ndevice = nope"
+  in
+  List.iter
+    (fun (label, text, expected) ->
+      Alcotest.(check string) label expected (answer text))
+    [
+      ("minimal", minimal, "Ok workload []");
+      ( "unknown key",
+        mutate ~old_s:"burst_multiplier = 2"
+          ~new_s:"burst_multiplier = 2\nbogus = 1",
+        "Error [workload]: unknown key bogus" );
+      ( "unknown keys",
+        mutate ~old_s:"burst_multiplier = 2"
+          ~new_s:"burst_multiplier = 2\nBogus = 1\nother = 2",
+        "Error [workload]: unknown keys bogus, other" );
+      ( "unknown device",
+        mutate ~old_s:"device = d\nraid" ~new_s:"device = nope\nraid",
+        "Error [level 0]: unknown device \"nope\" (defined: d)" );
+      ( "unknown device, two defined",
+        two_devices,
+        "Error [level 0]: unknown device \"nope\" (defined: d, e)" );
+      ( "missing key",
+        mutate ~old_s:"retention = 2" ~new_s:"",
+        "Error [level 1] (line 19): missing key \"retention\"" );
+      ( "missing section",
+        mutate ~old_s:"[business]" ~new_s:"[busyness]",
+        "Error missing required section [business]" );
+      ( "upper-case kinds, keys and values",
+        mutate ~old_s:"[level 1]\ntechnique = split_mirror"
+          ~new_s:"[LEVEL 1]\nTECHNIQUE = Split_Mirror",
+        "Ok workload []" );
+      ( "bad value",
+        mutate ~old_s:"acc = 6hr" ~new_s:"acc = 6 parsecs",
+        "Error [level 1]: key \"acc\": unknown duration unit \"parsecs\"" );
+      ( "bad counted value",
+        mutate ~old_s:"capacity_slots = 10 x 100 GiB"
+          ~new_s:"capacity_slots = 10 100 GiB",
+        "Error expected \"COUNT x VALUE\" in \"10 100 GiB\"" );
+      ( "non-negative",
+        mutate ~old_s:"burst_multiplier = 2" ~new_s:"burst_multiplier = -2",
+        "Error [workload]: key \"burst_multiplier\": expected a non-negative \
+         number, got -2" );
+      ( "integer",
+        mutate ~old_s:"retention = 2" ~new_s:"retention = 2.5",
+        "Error [level 1]: key \"retention\": expected an integer, got 2.5" );
+      ( "scenario default name",
+        minimal
+        ^ "\n[scenario]\nscope = object\n\n[scenario named]\nscope = device d\n",
+        "Ok workload [line-29; named]" );
+      ( "scenario default name in an error",
+        minimal ^ "\n[scenario]\nscope = site s\nobject_size = 1 MiB\n",
+        "Error [scenario line-29]: Scenario.make: object_size only applies \
+         to scopes that corrupt the data object" );
+    ]
+
 (* [of_string] is the two half-loaders over one parse: the same design
    and scenarios, or the same error, for every shipped design and corpus
    entry, validated or not. *)
@@ -361,6 +640,7 @@ let suite =
         Alcotest.test_case "rates" `Quick test_values_rate;
         Alcotest.test_case "money" `Quick test_values_money;
         Alcotest.test_case "counted" `Quick test_values_counted;
+        Alcotest.test_case "messages pinned" `Quick test_values_messages_pinned;
       ] );
     ( "spec.ini",
       [
@@ -370,6 +650,8 @@ let suite =
         Alcotest.test_case "syntax errors" `Quick test_ini_errors;
         Alcotest.test_case "trailing comments" `Quick test_ini_trailing_comments;
         Alcotest.test_case "unknown-key detection" `Quick test_ini_unknown_keys;
+        Alcotest.test_case "answers pinned" `Quick test_ini_answers_pinned;
+        Alcotest.test_case "lookups pinned" `Quick test_ini_lookups_pinned;
       ] );
     ( "spec.design",
       [
@@ -387,5 +669,7 @@ let suite =
           test_spec_of_string_agrees;
         Alcotest.test_case "design errors before scenario errors" `Quick
           test_spec_of_string_error_order;
+        Alcotest.test_case "assembly messages pinned" `Quick
+          test_spec_messages_pinned;
       ] );
   ]
