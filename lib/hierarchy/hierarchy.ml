@@ -146,37 +146,68 @@ let level t i =
 let levels t = Array.to_list t.levels
 let primary t = t.levels.(0)
 
+(* One step of the upstream fold: level [i]'s onward hold and propagation
+   windows added to the lag accumulated below it. [upstream_lag] and
+   [lags] both advance with it, so their sums agree bit for bit. *)
+let add_onward t i acc =
+  let w = Schedule.onward_windows (schedule_exn t.levels.(i)) in
+  Duration.sum [ acc; w.Schedule.hold; w.Schedule.propagation ]
+
 let upstream_lag t j =
   if j < 0 || j >= Array.length t.levels then
     invalid_arg "Hierarchy.upstream_lag: index out of range";
   let acc = ref Duration.zero in
   for i = 1 to j - 1 do
-    let w = Schedule.onward_windows (schedule_exn t.levels.(i)) in
-    acc :=
-      Duration.sum [ !acc; w.Schedule.hold; w.Schedule.propagation ]
+    acc := add_onward t i !acc
   done;
   !acc
 
-let worst_lag t j =
+let worst_lag_after t j ~upstream =
   if j = 0 then Duration.zero
-  else Schedule.worst_lag (schedule_exn t.levels.(j)) ~upstream:(upstream_lag t j)
+  else Schedule.worst_lag (schedule_exn t.levels.(j)) ~upstream
 
-let best_lag t j =
+let best_lag_after t j ~upstream =
   if j = 0 then Duration.zero
-  else Schedule.best_lag (schedule_exn t.levels.(j)) ~upstream:(upstream_lag t j)
+  else Schedule.best_lag (schedule_exn t.levels.(j)) ~upstream
 
 let retention_span t j =
   if j = 0 then Duration.zero
   else Schedule.retention_span (schedule_exn t.levels.(j))
 
-let guaranteed_range t j =
+let range_after t j ~upstream =
   if j = 0 then Some (Age_range.make ~newest_age:Duration.zero ~oldest_age:Duration.zero)
   else begin
-    let newest = worst_lag t j in
-    let oldest = Duration.add (best_lag t j) (retention_span t j) in
+    let newest = worst_lag_after t j ~upstream in
+    let oldest =
+      Duration.add (best_lag_after t j ~upstream) (retention_span t j)
+    in
     if Duration.compare newest oldest > 0 then None
     else Some (Age_range.make ~newest_age:newest ~oldest_age:oldest)
   end
+
+let worst_lag t j = worst_lag_after t j ~upstream:(upstream_lag t j)
+let best_lag t j = best_lag_after t j ~upstream:(upstream_lag t j)
+let guaranteed_range t j = range_after t j ~upstream:(upstream_lag t j)
+
+type lag = {
+  worst : Duration.t;
+  range : Age_range.t option;
+  rp_interval_min : Duration.t;
+}
+
+let lags t =
+  let n = Array.length t.levels in
+  let upstream = ref Duration.zero in
+  Array.init n (fun j ->
+      let up = !upstream in
+      if j >= 1 && j < n - 1 then upstream := add_onward t j up;
+      {
+        worst = worst_lag_after t j ~upstream:up;
+        range = range_after t j ~upstream:up;
+        rp_interval_min =
+          (if j = 0 then Duration.zero
+           else Schedule.rp_interval_min (schedule_exn t.levels.(j)));
+      })
 
 let surviving_levels t ~scope =
   let n = Array.length t.levels in

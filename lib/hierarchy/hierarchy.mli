@@ -78,6 +78,18 @@ val guaranteed_range : t -> int -> Age_range.t option
     shallow to guarantee anything (the interval is empty). Level 0 is
     [Some [0 ... 0]]: the current state. *)
 
+type lag = {
+  worst : Duration.t;  (** {!worst_lag} *)
+  range : Age_range.t option;  (** {!guaranteed_range} *)
+  rp_interval_min : Duration.t;
+      (** the shortest interval between the level's RPs; zero for level 0 *)
+}
+
+val lags : t -> lag array
+(** Every level's lag table, in level order, equal bit for bit to
+    {!worst_lag} and {!guaranteed_range} level by level. One pass: each
+    level's {!upstream_lag} is computed once, by the same fold step. *)
+
 val surviving_levels : t -> scope:Location.scope -> int list
 (** Indices of levels whose RPs remain usable under the failure scope, in
     increasing order. Hardware destruction follows device locations; a

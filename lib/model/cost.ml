@@ -11,88 +11,98 @@ type outlays = {
   total : Money.t;
 }
 
-let device_items design (dev : Device.t) =
+(* The outlay items in list order, as a fold: [outlays] names each item
+   and [total] only adds the amounts, so the two agree bit for bit by
+   construction. A device contributes each technique share's fixed,
+   capacity and bandwidth charges (zero charges skipped), then the same
+   charges shadowed by its spare, then by its remote spare (§3.3.5:
+   spares are "allocated in a similar fashion"); after every device, each
+   distinct link contributes one charge. [part] and [shadow] say which
+   component an item is, so a walk that only sums builds no name. *)
+type part = Fixed | Capacity | Bandwidth
+type shadow = Own | Spare | Remote_spare
+
+let fold_device design ~device acc (dev : Device.t) =
   let owner = Design.primary_technique_of_device design dev in
   let shares = Demand.by_technique (Design.demands_on design dev) in
-  (* Component names vary only by device, not by technique share. *)
-  let name_fixed = dev.Device.name ^ " fixed" in
-  let name_capacity = dev.Device.name ^ " capacity" in
-  let name_bandwidth = dev.Device.name ^ " bandwidth" in
-  let base_items =
-    List.concat_map
-      (fun (technique, demand) ->
-        let tail = [] in
-        let bw =
-          Cost_model.bandwidth_cost dev.Device.cost (Demand.total_bw demand)
-        in
-        let tail =
-          if Money.is_zero bw then tail
-          else { technique; component = name_bandwidth; amount = bw } :: tail
-        in
-        let cap =
-          Cost_model.capacity_cost dev.Device.cost demand.Demand.capacity
-        in
-        let tail =
-          if Money.is_zero cap then tail
-          else { technique; component = name_capacity; amount = cap } :: tail
-        in
-        let fixed = dev.Device.cost.Cost_model.fixed in
-        if String.equal technique owner && not (Money.is_zero fixed) then
-          { technique; component = name_fixed; amount = fixed } :: tail
-        else tail)
-      shares
+  let cost = dev.Device.cost in
+  let charge shadow technique part amount acc =
+    if Money.is_zero amount then acc
+    else
+      let amount =
+        match shadow with
+        | Own -> amount
+        | Spare -> Spare.cost dev.Device.spare ~original:amount
+        | Remote_spare -> Spare.cost dev.Device.remote_spare ~original:amount
+      in
+      if Money.is_zero amount then acc
+      else device acc dev technique part shadow amount
   in
-  (* Spares shadow the device: each technique's share is multiplied by the
-     spare's cost factor (§3.3.5, "allocated in a similar fashion"). *)
-  let spare_items label spare =
-    match (spare : Spare.t) with
-    | Spare.No_spare -> [] (* every shadowed cost would be zero *)
-    | Spare.Dedicated _ | Spare.Shared _ ->
-      List.filter_map
-        (fun { technique; component; amount } ->
-          let cost = Spare.cost spare ~original:amount in
-          if Money.is_zero cost then None
-          else
-            Some
-              { technique; component = component ^ " " ^ label; amount = cost })
-        base_items
+  let pass shadow acc =
+    List.fold_left
+      (fun acc (technique, demand) ->
+        let acc =
+          if String.equal technique owner then
+            charge shadow technique Fixed cost.Cost_model.fixed acc
+          else acc
+        in
+        acc
+        |> charge shadow technique Capacity
+             (Cost_model.capacity_cost cost demand.Demand.capacity)
+        |> charge shadow technique Bandwidth
+             (Cost_model.bandwidth_cost cost (Demand.total_bw demand)))
+      acc shares
   in
-  match
-    (spare_items "spare" dev.Device.spare,
-     spare_items "remote spare" dev.Device.remote_spare)
-  with
-  | [], [] -> base_items
-  | spares, remote_spares -> base_items @ spares @ remote_spares
+  (* A [No_spare] pass would only find zero charges. *)
+  let shadowed shadow (spare : Spare.t) acc =
+    match spare with Spare.No_spare -> acc | _ -> pass shadow acc
+  in
+  pass Own acc
+  |> shadowed Spare dev.Device.spare
+  |> shadowed Remote_spare dev.Device.remote_spare
 
-let link_items design =
-  let seen = ref [] in
-  List.filter_map
-    (fun (l : Hierarchy.level) ->
+let fold_links design ~link acc =
+  let rec go seen acc = function
+    | [] -> acc
+    | (l : Hierarchy.level) :: rest -> (
       match l.Hierarchy.link with
-      | None -> None
-      | Some link ->
-        if List.mem link.Interconnect.name !seen then None
-        else begin
-          seen := link.Interconnect.name :: !seen;
-          let shipments =
-            match (link.Interconnect.transport, Technique.schedule l.technique)
-            with
-            | Interconnect.Shipment, Some s -> Demands.shipments_per_year s
-            | _ -> 0.
-          in
-          let amount =
-            Interconnect.annual_cost link ~shipments_per_year:shipments
-          in
-          if Money.is_zero amount then None
-          else
-            Some
-              {
-                technique = Technique.name l.technique;
-                component = "link " ^ link.Interconnect.name;
-                amount;
-              }
-        end)
-    (Hierarchy.levels design.Design.hierarchy)
+      | Some ic when not (List.mem ic.Interconnect.name seen) ->
+        let shipments =
+          match (ic.Interconnect.transport, Technique.schedule l.technique) with
+          | Interconnect.Shipment, Some s -> Demands.shipments_per_year s
+          | _ -> 0.
+        in
+        let amount = Interconnect.annual_cost ic ~shipments_per_year:shipments in
+        let acc =
+          if Money.is_zero amount then acc
+          else link acc ic (Technique.name l.technique) amount
+        in
+        go (ic.Interconnect.name :: seen) acc rest
+      | Some _ | None -> go seen acc rest)
+  in
+  go [] acc (Hierarchy.levels design.Design.hierarchy)
+
+let fold_items design ~device ~link acc =
+  List.fold_left (fold_device design ~device) acc (Design.devices design)
+  |> fold_links design ~link
+
+let total design =
+  fold_items design Money.zero
+    ~device:(fun acc _ _ _ _ amount -> Money.add acc amount)
+    ~link:(fun acc _ _ amount -> Money.add acc amount)
+
+let component (dev : Device.t) part shadow =
+  let name =
+    dev.Device.name
+    ^ match part with
+      | Fixed -> " fixed"
+      | Capacity -> " capacity"
+      | Bandwidth -> " bandwidth"
+  in
+  match shadow with
+  | Own -> name
+  | Spare -> name ^ " spare"
+  | Remote_spare -> name ^ " remote spare"
 
 (* Techniques in first-appearance order, amounts summed; like
    [Demand.by_technique], the handful of entries makes an in-order
@@ -111,8 +121,13 @@ let group_by_technique items =
 
 let outlays design =
   let items =
-    List.concat_map (device_items design) (Design.devices design)
-    @ link_items design
+    List.rev
+      (fold_items design []
+         ~device:(fun acc dev technique part shadow amount ->
+           { technique; component = component dev part shadow; amount } :: acc)
+         ~link:(fun acc ic technique amount ->
+           { technique; component = "link " ^ ic.Interconnect.name; amount }
+           :: acc))
   in
   {
     items;

@@ -30,6 +30,11 @@ type outlays = private {
 
 val outlays : Design.t -> outlays
 
+val total : Design.t -> Money.t
+(** [(outlays d).total], bit for bit: both walk one item sequence in list
+    order and add the amounts from zero. [total] builds no item, name or
+    per-technique grouping. *)
+
 type penalties = private {
   outage : Money.t;
   loss : Money.t;

@@ -10,12 +10,6 @@ open Storage_hierarchy
    marshaled by the byte-identity test suites, and the whole record is
    always computed in one shot, so two structurally equal designs that have
    both been touched by any accessor marshal identically. *)
-type level_lag = {
-  lag_worst : Duration.t;
-  lag_range : Age_range.t option;
-  lag_rp_min : Duration.t;  (** zero for level 0 (no schedule) *)
-}
-
 type derived = {
   d_placements : (int * Hierarchy.level * Demands.placement) list;
   d_devices : Device.t list;
@@ -24,7 +18,7 @@ type derived = {
   d_utilization : (string * Device.utilization) list;
   d_link_demands : (string * Rate.t) list;
   d_validation : (unit, string list) result;
-  d_level_lags : level_lag array;
+  d_level_lags : Hierarchy.lag array;
 }
 
 type t = {
@@ -194,20 +188,6 @@ let compute_validation t ~utilization ~link_demands =
     (distinct_links t);
   match !errors with [] -> Ok () | es -> Error (List.rev es)
 
-let compute_level_lags t =
-  let h = t.hierarchy in
-  Array.init (Hierarchy.length h) (fun j ->
-      {
-        lag_worst = Hierarchy.worst_lag h j;
-        lag_range = Hierarchy.guaranteed_range h j;
-        lag_rp_min =
-          (match
-             Technique.schedule (Hierarchy.level h j).Hierarchy.technique
-           with
-          | Some s -> Schedule.rp_interval_min s
-          | None -> Duration.zero);
-      })
-
 let compute_derived t =
   let d_placements = compute_placements t in
   let d_devices = compute_devices t in
@@ -246,7 +226,7 @@ let compute_derived t =
     d_utilization;
     d_link_demands;
     d_validation;
-    d_level_lags = compute_level_lags t;
+    d_level_lags = Hierarchy.lags t.hierarchy;
   }
 
 let derived t =
@@ -294,9 +274,9 @@ let level_lag_exn t j =
     invalid_arg "Design.level_lag: level out of range";
   lags.(j)
 
-let worst_lag t j = (level_lag_exn t j).lag_worst
-let guaranteed_range t j = (level_lag_exn t j).lag_range
-let rp_interval_min t j = (level_lag_exn t j).lag_rp_min
+let worst_lag t j = (level_lag_exn t j).Hierarchy.worst
+let guaranteed_range t j = (level_lag_exn t j).Hierarchy.range
+let rp_interval_min t j = (level_lag_exn t j).Hierarchy.rp_interval_min
 
 let primary_technique_of_device t dev =
   let owner =

@@ -19,16 +19,6 @@ let run t design scenario =
   Memo.find_or_add t (key design scenario) (fun () ->
       Evaluate.run design scenario)
 
-let run_all t design scenarios =
-  (* Share the scenario-independent stages across this design's misses;
-     when every scenario hits, nothing is prepared at all. *)
-  let prep = lazy (Evaluate.prepare design) in
-  List.map
-    (fun scenario ->
-      Memo.find_or_add t (key design scenario) (fun () ->
-          Evaluate.run_prepared (Lazy.force prep) scenario))
-    scenarios
-
 let hits t = Memo.hits t
 let misses t = Memo.misses t
 let evicted (_ : t) = 0

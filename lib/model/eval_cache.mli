@@ -7,9 +7,11 @@
     same pairs recur and the key is cheaper than the evaluation. Nothing
     in the program is such a caller: the optimize loops and [serve]'s
     [/evaluate] evaluate directly, because keying a freshly built or
-    freshly parsed design costs about as much as evaluating it. What is
-    left is {!of_engine}, for [Objective.summarize ~engine], and the
-    testkit's [cache-invariance] oracle.
+    freshly parsed design costs about as much as evaluating it, and
+    [Objective.summarize] builds no report at all. What is left is
+    {!run}, for the testkit's [cache-invariance] oracle and the
+    benchmark's [serve] replay, and {!of_engine} with the counters, which
+    the benchmark's [sweep] replay reads.
 
     Keys are {!Design.fingerprint} + {!Scenario.fingerprint}: purely
     structural, so it never matters how or where a design was built. A
@@ -24,17 +26,15 @@ val create : unit -> t
 val of_engine : Storage_engine.t -> t
 (** The engine's session cache: unbounded, created on first use and
     stored in an engine slot, so every call on the same engine shares
-    it. Only the optimize layer's [Objective.summarize ~engine] consults
-    it. *)
+    it. Nothing in the library fills it: [Objective.summarize] ignores
+    its [?engine], so the counters of a cache obtained here stay at
+    [0]. *)
 
 val key : Design.t -> Scenario.t -> string
 (** The cache key: both fingerprints, joined. *)
 
 val run : t -> Design.t -> Scenario.t -> Evaluate.report
 (** Memoized {!Evaluate.run}. *)
-
-val run_all : t -> Design.t -> Scenario.t list -> Evaluate.report list
-(** Memoized {!Evaluate.run_all}. *)
 
 val hits : t -> int
 val misses : t -> int

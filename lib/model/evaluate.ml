@@ -50,11 +50,23 @@ let prepare design =
   in
   { design; validation_errors; utilization; outlays }
 
-let run_prepared p scenario =
+(* The per-scenario half, in the paper's order: data loss picks the
+   recovery source (§3.3.3), recovery time follows from it (§3.3.4), and
+   both are priced (§3.3.5) and checked against the RTO and RPO. Reports
+   ([run_prepared]) and scores ([Objective.summarize]) both read it, so
+   the compliance rules live here once. *)
+type outcome = {
+  o_data_loss : Data_loss.t;
+  o_recovery : Recovery_time.timeline option;
+  o_recovery_time : Duration.t;
+  o_penalties : Cost.penalties;
+  o_meets_rto : bool option;
+  o_meets_rpo : bool option;
+  o_errors : string list;
+}
+
+let assess design scenario =
   Storage_obs.Timer.time t_run @@ fun () ->
-  let design = p.design in
-  let validation_errors = p.validation_errors in
-  let utilization = p.utilization in
   let data_loss =
     Storage_obs.Timer.time t_data_loss (fun () ->
         Data_loss.compute design scenario)
@@ -75,7 +87,6 @@ let run_prepared p scenario =
     | None -> Duration.zero
   in
   let business = design.Design.business in
-  let outlays = p.outlays in
   let penalties =
     Storage_obs.Timer.time t_cost (fun () ->
         Cost.penalties business ~recovery_time ~loss:data_loss.Data_loss.loss)
@@ -89,22 +100,34 @@ let run_prepared p scenario =
     | Data_loss.Entire_object -> None
   in
   {
-    design_name = design.Design.name;
-    scenario;
-    utilization;
-    data_loss;
-    recovery;
-    recovery_time;
-    outlays;
-    penalties;
-    total_cost = Money.add outlays.Cost.total penalties.Cost.total;
-    meets_rto = meets business.Business.recovery_time_objective recovery_time;
-    meets_rpo =
+    o_data_loss = data_loss;
+    o_recovery = recovery;
+    o_recovery_time = recovery_time;
+    o_penalties = penalties;
+    o_meets_rto = meets business.Business.recovery_time_objective recovery_time;
+    o_meets_rpo =
       (match loss_duration with
       | Some d -> meets business.Business.recovery_point_objective d
       | None ->
         Option.map (fun _ -> false) business.Business.recovery_point_objective);
-    errors = validation_errors @ recovery_errors;
+    o_errors = recovery_errors;
+  }
+
+let run_prepared p scenario =
+  let o = assess p.design scenario in
+  {
+    design_name = p.design.Design.name;
+    scenario;
+    utilization = p.utilization;
+    data_loss = o.o_data_loss;
+    recovery = o.o_recovery;
+    recovery_time = o.o_recovery_time;
+    outlays = p.outlays;
+    penalties = o.o_penalties;
+    total_cost = Money.add p.outlays.Cost.total o.o_penalties.Cost.total;
+    meets_rto = o.o_meets_rto;
+    meets_rpo = o.o_meets_rpo;
+    errors = p.validation_errors @ o.o_errors;
   }
 
 let run design scenario = run_prepared (prepare design) scenario

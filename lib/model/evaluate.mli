@@ -42,6 +42,30 @@ val run_prepared : prepared -> Scenario.t -> report
 (** [run_prepared (prepare d) sc] is {!run}[ d sc]; preparing once and
     running many scenarios skips the recomputation {!run} would do. *)
 
+type outcome = {
+  o_data_loss : Data_loss.t;
+  o_recovery : Recovery_time.timeline option;
+  o_recovery_time : Duration.t;
+  o_penalties : Cost.penalties;
+  o_meets_rto : bool option;
+  o_meets_rpo : bool option;
+  o_errors : string list;
+      (** unrecoverable-path errors only; design-validation errors come
+          from {!Design.validate} *)
+}
+(** A report's per-scenario fields, under [o_] names: what one scenario
+    adds to a design, without the scenario-independent utilization and
+    outlays. *)
+
+val assess : Design.t -> Scenario.t -> outcome
+(** The per-scenario stages in the paper's order: data loss and the
+    recovery source, recovery time, penalties, then RTO/RPO compliance.
+    {!run_prepared} builds every report from it, and
+    [Objective.summarize] scores with it, so both apply one set of
+    compliance rules. Runs under the [evaluate.run] timer, with the
+    [evaluate.stage.data_loss], [evaluate.stage.recovery_time] and
+    [evaluate.stage.cost] (penalties) timers inside. *)
+
 val pp : report Fmt.t
 val pp_summary : report Fmt.t
 (** One-line summary: scenario, RT, DL, penalties, total. *)

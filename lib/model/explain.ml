@@ -142,7 +142,7 @@ let cost_section buf design (dl : Data_loss.t) recovery_time =
     (Money.to_string penalties.Cost.outage)
     (Money.to_string penalties.Cost.loss)
     (Money.to_string penalties.Cost.total)
-    (Money.to_string (Cost.outlays design).Cost.total)
+    (Money.to_string (Cost.total design))
 
 let narrative design scenario =
   let buf = Buffer.create 1024 in

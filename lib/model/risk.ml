@@ -117,7 +117,7 @@ let monte_carlo ?(samples = 10_000) design weighted_list ~horizon_years =
       weighted_list
   in
   let outlays =
-    horizon_years *. Money.to_usd (Cost.outlays design).Cost.total
+    horizon_years *. Money.to_usd (Cost.total design)
   in
   (* One generator per sample, seeded from a master stream. *)
   let master =

@@ -26,7 +26,7 @@ let judge ~incumbent prefix =
       match incumbent with
       | None -> Admit
       | Some best ->
-        if Money.compare (Cost.outlays p).Cost.total best >= 0 then Cut_cost
+        if Money.compare (Cost.total p) best >= 0 then Cut_cost
         else Admit
     end
 

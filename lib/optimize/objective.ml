@@ -12,54 +12,46 @@ type summary = {
   feasible : bool;
 }
 
-let summarize_reports design reports =
-  let outlays = (List.hd reports).Evaluate.outlays.Cost.total in
-  let worst_recovery_time =
-    List.fold_left
-      (fun acc r -> Duration.max acc r.Evaluate.recovery_time)
-      Duration.zero reports
-  in
-  let worst_loss =
-    List.fold_left
-      (fun acc r ->
-        let l = r.Evaluate.data_loss.Data_loss.loss in
-        if Data_loss.compare_loss l acc > 0 then l else acc)
-      (Data_loss.Updates Duration.zero)
-      reports
-  in
-  let worst_penalties =
-    List.fold_left
-      (fun acc r -> Money.max acc r.Evaluate.penalties.Cost.total)
-      Money.zero reports
-  in
-  let feasible =
-    List.for_all
-      (fun r ->
-        r.Evaluate.errors = []
-        && r.Evaluate.data_loss.Data_loss.loss <> Data_loss.Entire_object
-        && Option.value ~default:true r.Evaluate.meets_rto
-        && Option.value ~default:true r.Evaluate.meets_rpo)
-      reports
-  in
-  {
-    design;
-    reports;
-    outlays;
-    worst_recovery_time;
-    worst_loss;
-    worst_penalties;
-    worst_total_cost = Money.add outlays worst_penalties;
-    feasible;
-  }
+(* The outlay total counts toward the cost stage, with the penalties
+   [Evaluate.assess] prices under the same timer. *)
+let t_cost = Storage_obs.Timer.make "evaluate.stage.cost"
 
-let summarize ?engine design scenarios =
+(* The score reads only what it ranks by: validation, the outlay total
+   and each scenario's {!Evaluate.assess}, folded in scenario order. No
+   report is built, so no utilization report, outlay item list or
+   component name either. *)
+let summarize ?engine:_ design scenarios =
   if scenarios = [] then invalid_arg "Objective.summarize: no scenarios";
-  let reports =
-    match engine with
-    | None -> Evaluate.run_all design scenarios
-    | Some e -> Eval_cache.run_all (Eval_cache.of_engine e) design scenarios
+  let valid = Result.is_ok (Design.validate design) in
+  let outlays = Storage_obs.Timer.time t_cost (fun () -> Cost.total design) in
+  let rec worst recovery_time loss penalties feasible = function
+    | [] ->
+      {
+        design;
+        reports = [];
+        outlays;
+        worst_recovery_time = recovery_time;
+        worst_loss = loss;
+        worst_penalties = penalties;
+        worst_total_cost = Money.add outlays penalties;
+        feasible;
+      }
+    | scenario :: rest ->
+      let o = Evaluate.assess design scenario in
+      let l = o.Evaluate.o_data_loss.Data_loss.loss in
+      worst
+        (Duration.max recovery_time o.Evaluate.o_recovery_time)
+        (if Data_loss.compare_loss l loss > 0 then l else loss)
+        (Money.max penalties o.Evaluate.o_penalties.Cost.total)
+        (feasible
+        && o.Evaluate.o_errors = []
+        && l <> Data_loss.Entire_object
+        && Option.value ~default:true o.Evaluate.o_meets_rto
+        && Option.value ~default:true o.Evaluate.o_meets_rpo)
+        rest
   in
-  summarize_reports design reports
+  worst Duration.zero (Data_loss.Updates Duration.zero) Money.zero valid
+    scenarios
 
 let pp ppf s =
   Fmt.pf ppf "%-32s out %-9s worst RT %-9s worst DL %-10s total %-9s%s"

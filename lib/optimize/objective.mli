@@ -9,7 +9,9 @@ open Storage_model
 
 type summary = {
   design : Design.t;
-  reports : Evaluate.report list;  (** one per scenario, in input order *)
+  reports : Evaluate.report list;
+      (** always [[]]: a leftover the benchmark's [sweep] replay still
+          updates; it goes with [?engine] *)
   outlays : Money.t;  (** scenario-independent *)
   worst_recovery_time : Duration.t;
   worst_loss : Data_loss.loss;
@@ -23,10 +25,14 @@ type summary = {
 
 val summarize :
   ?engine:Storage_engine.t -> Design.t -> Scenario.t list -> summary
-(** Raises [Invalid_argument] on an empty scenario list. Without
-    [?engine] it evaluates directly, as every optimize loop calls it.
-    With an [?engine], the per-(design, scenario) evaluations go through
-    the engine's session cache ({!Eval_cache.of_engine}); the summary is
-    identical either way. *)
+(** Scores a design without building a report: [outlays] is
+    {!Cost.total}; the worst recovery time, loss and penalties fold each
+    scenario's {!Evaluate.assess} in input order; [feasible] is
+    {!Design.validate} succeeding and, in every scenario, no recovery
+    error, no total loss and no unmet RTO or RPO. Every number is bit for
+    bit the worst case over {!Evaluate.run_all}'s reports (the testkit's
+    [summary-vs-reports] oracle). Raises [Invalid_argument] on an empty
+    scenario list. [?engine] is accepted and ignored, a leftover the
+    benchmark's [sweep] replay still passes. *)
 
 val pp : summary Fmt.t

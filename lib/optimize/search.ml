@@ -68,8 +68,8 @@ let run ?engine ?top_k candidates scenarios =
     Storage_obs.Timer.time t_search @@ fun () ->
     (* Static pre-filter, applied per element as the grid streams by:
        candidates carrying lint errors would only come back as infeasible
-       reports full of validation errors — reject them before paying for
-       [Evaluate.run] (the [lint.pruned] counter shows how many were
+       summaries that fail validation — reject them before paying for
+       their evaluation (the [lint.pruned] counter shows how many were
        saved). The surviving results are identical to a run over a
        hand-filtered candidate list. *)
     let candidates =
@@ -91,24 +91,19 @@ let run ?engine ?top_k candidates scenarios =
         candidates
     in
     let keep_all = top_k = None in
-    (* In [~top_k] mode the accumulators hold slim summaries — the
-       per-scenario reports dropped, an order of magnitude fewer words
-       per entry. The frontier can bulge transiently (a large antichain
-       within one design family, later evicted wholesale by a dominating
-       family), and holding full reports through the bulge is what would
-       make peak memory scale with the grid. The few survivors are
-       re-summarized at the end: evaluation is pure, so the rebuilt
-       reports are the very ones the fold dropped. *)
+    (* In [~top_k] mode the accumulators hold slim summaries: the design
+       stripped of its memoized derived data (placements, per-device
+       utilizations, lag tables), several times its own size. The
+       frontier can bulge transiently (a large antichain within one
+       design family, later evicted wholesale by a dominating family),
+       and holding that data through the bulge is what would make peak
+       memory scale with the grid. The few survivors are re-summarized
+       at the end, which restores their memos, as [run_materialized]'s
+       designs carry them: evaluation is pure, so every number is the
+       one the fold saw. *)
     let slim s =
       if keep_all then s
-      else
-        (* Dropping the design's memoized derived data matters as much as
-           dropping the reports: a design that has been evaluated carries
-           its placements, per-device utilizations and lag tables, several
-           times its own size. The stripped copy recomputes on demand. *)
-        { s with
-          Objective.reports = [];
-          design = Design.strip s.Objective.design }
+      else { s with Objective.design = Design.strip s.Objective.design }
     in
     let rehydrate s =
       if keep_all then s else Objective.summarize s.Objective.design scenarios

@@ -41,7 +41,12 @@ val run :
     are retained — O(frontier + k) — which is what lets a million-design
     grid stream through a constant-size working set. [evaluated] is
     [[]] in that mode; [considered]/[feasible_count] still report the
-    totals. Raises [Invalid_argument] when [top_k < 1].
+    totals. The retained summaries hold their designs stripped of the
+    memoized derived data ({!Design.strip}); each returned survivor is
+    re-summarized at the end, which restores its design's memos (a
+    summary carries no reports to restore), so each returned summary is
+    byte-identical to the one {!run_materialized} gives that design. Raises
+    [Invalid_argument] when [top_k < 1].
 
     The stream is statically pre-filtered with {!Storage_lint.accepts}:
     candidates carrying a lint {e error} (overcommitted devices,

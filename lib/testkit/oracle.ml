@@ -103,6 +103,101 @@ let cache_invariance =
           scenarios);
   }
 
+(* --- the score against the reports it summarizes --- *)
+
+(* The worst-case fold over full reports that [Objective.summarize] ran
+   before it scored without building them. *)
+let reference_summary design scenarios =
+  let reports = Evaluate.run_all design scenarios in
+  let outlays = (List.hd reports).Evaluate.outlays.Cost.total in
+  let worst_recovery_time =
+    List.fold_left
+      (fun acc r -> Duration.max acc r.Evaluate.recovery_time)
+      Duration.zero reports
+  in
+  let worst_loss =
+    List.fold_left
+      (fun acc r ->
+        let l = r.Evaluate.data_loss.Data_loss.loss in
+        if Data_loss.compare_loss l acc > 0 then l else acc)
+      (Data_loss.Updates Duration.zero)
+      reports
+  in
+  let worst_penalties =
+    List.fold_left
+      (fun acc r -> Money.max acc r.Evaluate.penalties.Cost.total)
+      Money.zero reports
+  in
+  let feasible =
+    List.for_all
+      (fun r ->
+        r.Evaluate.errors = []
+        && r.Evaluate.data_loss.Data_loss.loss <> Data_loss.Entire_object
+        && Option.value ~default:true r.Evaluate.meets_rto
+        && Option.value ~default:true r.Evaluate.meets_rpo)
+      reports
+  in
+  {
+    Objective.design;
+    reports;
+    outlays;
+    worst_recovery_time;
+    worst_loss;
+    worst_penalties;
+    worst_total_cost = Money.add outlays worst_penalties;
+    feasible;
+  }
+
+let score_mismatch design scenarios =
+  let s = Objective.summarize design scenarios in
+  let r = reference_summary design scenarios in
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  let number name a b =
+    if same a b then None
+    else Some (Printf.sprintf "%s: %.17g, reports give %.17g" name a b)
+  in
+  let usd name a b = number name (Money.to_usd a) (Money.to_usd b) in
+  let loss = function
+    | Data_loss.Updates d -> Some (Duration.to_seconds d)
+    | Data_loss.Entire_object -> None
+  in
+  List.find_map Fun.id
+    [
+      usd "outlays" s.Objective.outlays r.Objective.outlays;
+      number "worst recovery time"
+        (Duration.to_seconds s.Objective.worst_recovery_time)
+        (Duration.to_seconds r.Objective.worst_recovery_time);
+      (match (loss s.Objective.worst_loss, loss r.Objective.worst_loss) with
+      | Some a, Some b -> number "worst loss" a b
+      | None, None -> None
+      | _ -> Some "worst loss: total loss on one side only");
+      usd "worst penalties" s.Objective.worst_penalties
+        r.Objective.worst_penalties;
+      usd "worst total cost" s.Objective.worst_total_cost
+        r.Objective.worst_total_cost;
+      (if s.Objective.feasible = r.Objective.feasible then None
+       else
+         Some
+           (Printf.sprintf "feasible: %b, reports give %b" s.Objective.feasible
+              r.Objective.feasible));
+      usd "Cost.total" (Cost.total design) (Cost.outlays design).Cost.total;
+    ]
+
+let summary_vs_reports =
+  {
+    name = "summary-vs-reports";
+    doc =
+      "Objective.summarize's outlays, worst RT, worst loss, worst \
+       penalties, total and feasibility equal, bit for bit, the worst case \
+       over Evaluate.run_all's reports; Cost.total equals the outlay \
+       items' total";
+    check =
+      (fun _ d scenarios ->
+        match score_mismatch d (List.map snd scenarios) with
+        | None -> Pass
+        | Some m -> Fail m);
+  }
+
 (* --- streaming == materialized --- *)
 
 let stream_vs_materialized =
@@ -680,6 +775,7 @@ let defaults =
   [
     lint_coincidence;
     cache_invariance;
+    summary_vs_reports;
     stream_vs_materialized;
     parallel_invariance;
     monotone_shorter_window;

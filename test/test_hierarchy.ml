@@ -232,6 +232,32 @@ let prop_range_newest_is_worst_lag =
           Duration.equal (Age_range.newest_age r) (Hierarchy.worst_lag h2 1)
         | None -> false))
 
+(* [lags] computes each level's upstream lag once, in one pass; it must
+   agree bit for bit (signed zeros included, hence Marshal) with the
+   per-level functions, each of which folds its own upstream lag. *)
+let test_lags_table_matches_per_level () =
+  let bytes x = Marshal.to_string x [ Marshal.No_sharing ] in
+  List.iter
+    (fun (d : Storage_model.Design.t) ->
+      let h = d.Storage_model.Design.hierarchy in
+      let per_level =
+        Array.init (Hierarchy.length h) (fun j ->
+            {
+              Hierarchy.worst = Hierarchy.worst_lag h j;
+              range = Hierarchy.guaranteed_range h j;
+              rp_interval_min =
+                (match
+                   Technique.schedule (Hierarchy.level h j).Hierarchy.technique
+                 with
+                | Some s -> Schedule.rp_interval_min s
+                | None -> Duration.zero);
+            })
+      in
+      if bytes (Hierarchy.lags h) <> bytes per_level then
+        Alcotest.failf "%s: lag table differs from the per-level lags"
+          d.Storage_model.Design.name)
+    (List.map snd Whatif.all @ Storage_testkit.Seeded.pool ())
+
 let suite =
   [
     ( "hierarchy",
@@ -249,6 +275,8 @@ let suite =
         Alcotest.test_case "hold-window warning" `Quick test_warnings_baseline_hold;
         Alcotest.test_case "lags (Figure 3 goldens)" `Quick test_lags_baseline;
         Alcotest.test_case "ranges (Figure 3 goldens)" `Quick test_ranges_baseline;
+        Alcotest.test_case "lag table = per-level lags" `Quick
+          test_lags_table_matches_per_level;
         Alcotest.test_case "shallow retention empty range" `Quick
           test_shallow_retention_range_empty;
         Alcotest.test_case "survivors per scope" `Quick test_survivors;

@@ -30,9 +30,34 @@ let business ?rto ?rpo () =
 
 (* --- Objective --- *)
 
+(* [Objective.summarize] scores without reports; every number must still
+   be the worst case over the full reports, bit for bit. *)
+let check_score_matches_reports label d scs =
+  match Storage_testkit.Oracle.score_mismatch d scs with
+  | None -> ()
+  | Some m -> Alcotest.failf "%s: %s" label m
+
 let test_summary_baseline () =
   let s = Objective.summarize Baseline.design scenarios in
-  Alcotest.(check int) "two reports" 2 (List.length s.Objective.reports);
+  Alcotest.(check bool) "no reports" true (s.Objective.reports = []);
+  List.iter
+    (fun (name, d) -> check_score_matches_reports name d Baseline.scenarios)
+    Whatif.all;
+  (* The scale-2 grid under objectives that make feasibility vary. *)
+  List.iter
+    (fun (rto, rpo) ->
+      Seq.iter
+        (fun d ->
+          check_score_matches_reports d.Design.name d Baseline.scenarios)
+        (Candidate.enumerate
+           (kit (business ?rto ?rpo ()))
+           (Whatif.search_space ~scale:2 ())))
+    [
+      (None, None);
+      (Some (Duration.hours 24.), Some (Duration.hours 24.));
+      (None, Some (Duration.hours 1.));
+      (Some (Duration.hours 2.), Some (Duration.hours 2.));
+    ];
   close ~tol:0.01 "worst RT is site" 25.73
     (Duration.to_hours s.Objective.worst_recovery_time);
   (match s.Objective.worst_loss with
@@ -240,6 +265,33 @@ let test_search_feasible_sorted () =
   in
   Alcotest.(check bool) "ascending" true
     (costs = List.sort Float.compare costs)
+
+(* --- Allocation budget --- *)
+
+(* Minor-heap words per candidate of a [~top_k:10] search over the scale-2
+   grid (1,927 candidates), stats off. Allocation is deterministic, so this
+   pins the per-candidate cost without depending on the host: it fails if
+   scoring goes back to building a full report (utilization, outlay items
+   and their names) per scenario, which cost ~3,770 words per candidate. *)
+let search_words_budget = 3_350.
+
+let test_search_alloc_budget () =
+  let was_enabled = Storage_obs.enabled () in
+  Storage_obs.disable ();
+  let grid () =
+    Candidate.enumerate (kit (business ())) (Whatif.search_space ~scale:2 ())
+  in
+  ignore (Search.run ~top_k:10 (grid ()) scenarios);
+  let w0 = Gc.minor_words () in
+  let r = Search.run ~top_k:10 (grid ()) scenarios in
+  let words = Gc.minor_words () -. w0 in
+  if was_enabled then Storage_obs.enable ();
+  let per_candidate = words /. float_of_int r.Search.considered in
+  Printf.printf "%d candidates, %.0f minor words/candidate (budget %.0f)\n"
+    r.Search.considered per_candidate search_words_budget;
+  if per_candidate > search_words_budget then
+    Alcotest.failf "%.0f minor words per candidate exceeds the budget %.0f"
+      per_candidate search_words_budget
 
 (* Synthetic summaries over a tiny value lattice: small ranges force
    duplicates and per-axis ties, including [Entire_object] ties, which is
@@ -553,6 +605,7 @@ let suite =
         Alcotest.test_case "top-k truncation" `Quick test_search_top_k_truncates;
         Alcotest.test_case "feasible sorted by cost" `Quick
           test_search_feasible_sorted;
+        Alcotest.test_case "allocation budget" `Quick test_search_alloc_budget;
       ] );
     ( "optimize.solver",
       [
