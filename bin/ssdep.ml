@@ -412,7 +412,11 @@ let lint_cmd =
 
 let simulate_cmd =
   let warmup =
-    let doc = "Normal-mode warmup before the failure, in days." in
+    let doc =
+      "Normal-mode warmup before the failure, in days: at most 10^7 \
+       intervals between the retrieval points of the design's most \
+       frequent level."
+    in
     Arg.(value & opt days_conv 84. & info [ "warmup" ] ~docv:"DAYS" ~doc)
   in
   let sweep =
@@ -471,6 +475,19 @@ let simulate_cmd =
       with
       | Error e -> Error e
       | Ok outage ->
+      match Storage_sim.Sim.shortest_rp_interval d with
+      | Some (level, interval)
+        when Duration.ratio (Duration.days warmup) interval
+             > Storage_sim.Sim.max_warmup_intervals ->
+        Error
+          (Printf.sprintf
+             "--warmup %g days spans %g retrieval-point intervals of level \
+              %d (every %s); a run simulates at most %g"
+             warmup
+             (Duration.ratio (Duration.days warmup) interval)
+             level (Duration.to_string interval)
+             Storage_sim.Sim.max_warmup_intervals)
+      | _ ->
         let config =
           { Storage_sim.Sim.warmup = Duration.days warmup; outage;
             record_events = trace > 0 }

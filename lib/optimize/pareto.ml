@@ -1,14 +1,21 @@
 open Storage_units
 open Storage_model
 
+(* Outlays first, and no further comparison once one objective rules
+   domination out: most insertions during a search are of dominated
+   candidates, tested against every survivor. *)
 let dominates (a : Objective.summary) (b : Objective.summary) =
   let cost = Money.compare a.Objective.outlays b.Objective.outlays in
+  cost <= 0
+  &&
   let rt =
     Duration.compare a.Objective.worst_recovery_time
       b.Objective.worst_recovery_time
   in
+  rt <= 0
+  &&
   let dl = Data_loss.compare_loss a.Objective.worst_loss b.Objective.worst_loss in
-  cost <= 0 && rt <= 0 && dl <= 0 && (cost < 0 || rt < 0 || dl < 0)
+  dl <= 0 && (cost < 0 || rt < 0 || dl < 0)
 
 let same_score (a : Objective.summary) (b : Objective.summary) =
   Money.compare a.Objective.outlays b.Objective.outlays = 0

@@ -13,6 +13,33 @@ type config = {
 let default_config =
   { warmup = Duration.weeks 12.; outage = None; record_events = false }
 
+(* A warmup simulates every retrieval point its levels create, so its cost
+   grows with the intervals it spans at the most frequent level: the
+   10-link async mirror's 840-day warmup (~1.2M one-minute intervals)
+   takes under a second, 10^7 intervals a few seconds, and a 1e303-day
+   warmup would never finish. *)
+let max_warmup_intervals = 1e7
+
+let shortest_rp_interval design =
+  let _, shortest =
+    List.fold_left
+      (fun (level, shortest) (l : Hierarchy.level) ->
+        let shortest =
+          match Technique.schedule l.Hierarchy.technique with
+          | None -> shortest
+          | Some s ->
+            let interval = Schedule.rp_interval_min s in
+            (match shortest with
+            | Some (_, best) when Duration.compare best interval <= 0 ->
+              shortest
+            | _ -> Some (level, interval))
+        in
+        (level + 1, shortest))
+      (0, None)
+      (Hierarchy.levels design.Design.hierarchy)
+  in
+  shortest
+
 type measured = {
   source_level : int option;
   data_loss : Data_loss.loss;

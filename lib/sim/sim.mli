@@ -40,6 +40,17 @@ type config = {
 val default_config : config
 (** 12 weeks of warmup, no outage, no event recording. *)
 
+val max_warmup_intervals : float
+(** [1e7]: the longest warmup [ssdep simulate] accepts, in intervals of
+    the design's {!shortest_rp_interval}. A run simulates every retrieval
+    point of its warmup, so beyond this it runs for minutes or more.
+    {!run} itself does not enforce it. *)
+
+val shortest_rp_interval : Design.t -> (int * Duration.t) option
+(** The protection level whose retrieval points arrive most often, and
+    its {!Storage_protection.Schedule.rp_interval_min} (the lowest such
+    level on a tie); [None] when the design has no protection level. *)
+
 type measured = {
   source_level : int option;
   data_loss : Data_loss.loss;

@@ -130,6 +130,34 @@ let scenarios rng d =
       ]
   else base
 
+let objectives rng (d : Design.t) =
+  if Prng.float rng >= 0.5 then d
+  else begin
+    (* Log-uniform over ranges that straddle the generated designs' worst
+       recovery times (about 9 h to days) and losses (none for a mirror,
+       otherwise days to weeks), so an objective is met about as often as
+       missed. Each [let] is one draw, in order. *)
+    let draw hi = Duration.hours (log_uniform rng 1. hi) in
+    let rto, rpo =
+      match Prng.int rng 3 with
+      | 0 -> (Some (draw 168.), None)
+      | 1 -> (None, Some (draw 1008.))
+      | _ ->
+        let rto = draw 168. in
+        let rpo = draw 1008. in
+        (Some rto, Some rpo)
+    in
+    let b = d.Design.business in
+    Design.make ~name:d.Design.name ~workload:d.Design.workload
+      ~hierarchy:d.Design.hierarchy ~background:d.Design.background
+      ~business:
+        (Business.make ~outage_penalty_rate:b.Business.outage_penalty_rate
+           ~loss_penalty_rate:b.Business.loss_penalty_rate
+           ?recovery_time_objective:rto ?recovery_point_objective:rpo
+           ~total_loss_equivalent:b.Business.total_loss_equivalent ())
+      ()
+  end
+
 let case ~seed ~index =
   let rng = Prng.create ~seed in
   let mutate = Prng.float rng >= 0.65 in
@@ -141,4 +169,7 @@ let case ~seed ~index =
     end
     else (Valid, base)
   in
-  { index; seed; kind; design = d; scenarios = scenarios rng d }
+  let scenarios = scenarios rng d in
+  (* Drawn last: a case's structure, mutation factor and scenarios do not
+     depend on whether it carries objectives. *)
+  { index; seed; kind; design = objectives rng d; scenarios }

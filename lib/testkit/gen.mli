@@ -48,5 +48,15 @@ val scenarios : Prng.t -> Design.t -> (string * Scenario.t) list
 (** Array-failure and site-disaster scenarios for the design's primary
     device (plus, sometimes, an aged user-error rollback). *)
 
+val objectives : Prng.t -> Design.t -> Design.t
+(** Half the time, the design with a recovery time objective, a recovery
+    point objective or both (log-uniform, 1 h to 1 week and 1 h to
+    6 weeks) in its business requirements, its penalty rates kept;
+    otherwise the design itself. Without it no generated design would
+    carry an objective (the baseline business sets none), and no oracle
+    would judge RTO or RPO compliance. *)
+
 val case : seed:int64 -> index:int -> case
-(** The deterministic case for a per-case seed. *)
+(** The deterministic case for a per-case seed. The objectives are drawn
+    last, so the design's structure, the mutation factor and the
+    scenarios do not depend on them. *)

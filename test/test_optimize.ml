@@ -332,6 +332,33 @@ let prop_incremental_frontier_matches_reference =
       && List.length online = List.length reference
       && List.for_all2 ( == ) online reference)
 
+(* The three-comparison definition [Pareto.dominates] short-circuits.
+   The mask forces ties: bit 0 copies [a]'s outlays into [b], bit 1 its
+   worst recovery time, bit 2 its loss (codes 4 and 5 are both
+   [Entire_object]). *)
+let dominates_reference (a : Objective.summary) (b : Objective.summary) =
+  let cost = Money.compare a.Objective.outlays b.Objective.outlays in
+  let rt =
+    Duration.compare a.Objective.worst_recovery_time
+      b.Objective.worst_recovery_time
+  in
+  let dl = Data_loss.compare_loss a.Objective.worst_loss b.Objective.worst_loss in
+  cost <= 0 && rt <= 0 && dl <= 0 && (cost < 0 || rt < 0 || dl < 0)
+
+let prop_dominates_matches_reference =
+  QCheck.Test.make ~name:"dominates = three-comparison definition" ~count:500
+    QCheck.(
+      triple
+        (triple (int_range 0 3) (int_range 0 3) (int_range 0 5))
+        (triple (int_range 0 3) (int_range 0 3) (int_range 0 5))
+        (int_range 0 7))
+    (fun (((ca, ra, la) as ta), (cb, rb, lb), mask) ->
+      let pick bit x y = if mask land bit <> 0 then x else y in
+      let a = synthetic_summary ta in
+      let b = synthetic_summary (pick 1 ca cb, pick 2 ra rb, pick 4 la lb) in
+      Pareto.dominates a b = dominates_reference a b
+      && Pareto.dominates b a = dominates_reference b a)
+
 (* Two structurally distinct designs with byte-equal scores: the frontier
    must order them the same way whichever arrived first (the tie-break
    regression the incremental frontier used to leak input order on). *)
@@ -587,6 +614,7 @@ let suite =
           test_pareto_tie_break_order_independent;
         qcheck prop_frontier_subset;
         qcheck prop_incremental_frontier_matches_reference;
+        qcheck prop_dominates_matches_reference;
       ] );
     ( "optimize.candidate",
       [
