@@ -20,13 +20,13 @@ let bandwidth_cost t rate = Money.usd (t.per_mib_per_sec *. Rate.to_mib_per_sec 
 let outlay t ~capacity ~bandwidth ~shipments_per_year =
   if shipments_per_year < 0. then
     invalid_arg "Cost_model.outlay: negative shipment count";
-  Money.sum
-    [
-      t.fixed;
-      capacity_cost t capacity;
-      bandwidth_cost t bandwidth;
-      Money.usd (t.per_shipment *. shipments_per_year);
-    ]
+  (* [Money.sum]'s additions, from zero and left to right, without its
+     argument list. *)
+  Money.add
+    (Money.add
+       (Money.add (Money.add Money.zero t.fixed) (capacity_cost t capacity))
+       (bandwidth_cost t bandwidth))
+    (Money.usd (t.per_shipment *. shipments_per_year))
 
 let pp ppf t =
   Fmt.pf ppf "%a + c*%.1f + b*%.1f + s*%.1f" Money.pp t.fixed t.per_gib

@@ -67,9 +67,20 @@ type utilization = {
 let slots_for amount per_slot =
   if per_slot <= 0. then 0 else int_of_float (ceil (amount /. per_slot))
 
+(* [Demand.sum] of the labeled demands, component by component: the same
+   additions in the same order, without the demand list or a record per
+   step. *)
+let rec sum_labeled read write cap = function
+  | [] -> (cap, Rate.add read write)
+  | { Demand.demand = d; _ } :: rest ->
+    sum_labeled
+      (Rate.add read d.Demand.read_bw)
+      (Rate.add write d.Demand.write_bw)
+      (Size.add cap d.Demand.capacity)
+      rest
+
 let utilization t labeled =
-  let total = Demand.sum (List.map (fun l -> l.Demand.demand) labeled) in
-  let cap = total.Demand.capacity and bw = Demand.total_bw total in
+  let cap, bw = sum_labeled Rate.zero Rate.zero Size.zero labeled in
   let dev_cap = max_capacity t and dev_bw = max_bandwidth t in
   {
     capacity_used = cap;

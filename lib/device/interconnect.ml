@@ -30,9 +30,9 @@ let bandwidth t =
 
 let annual_cost t ~shipments_per_year =
   match t.transport with
-  | Network _ ->
-    let bw = Option.get (bandwidth t) in
-    Cost_model.outlay t.cost ~capacity:Size.zero ~bandwidth:bw
+  | Network { link_bandwidth; links } ->
+    Cost_model.outlay t.cost ~capacity:Size.zero
+      ~bandwidth:(Rate.scale (float_of_int links) link_bandwidth)
       ~shipments_per_year:0.
   | Shipment ->
     Cost_model.outlay t.cost ~capacity:Size.zero ~bandwidth:Rate.zero

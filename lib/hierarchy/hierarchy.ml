@@ -147,11 +147,15 @@ let levels t = Array.to_list t.levels
 let primary t = t.levels.(0)
 
 (* One step of the upstream fold: level [i]'s onward hold and propagation
-   windows added to the lag accumulated below it. [upstream_lag] and
-   [lags] both advance with it, so their sums agree bit for bit. *)
+   windows added to the lag accumulated below it, in [Duration.sum]'s
+   order (from zero, left to right) without its argument list.
+   [upstream_lag] and [lags] both advance with it, so their sums agree bit
+   for bit. *)
 let add_onward t i acc =
   let w = Schedule.onward_windows (schedule_exn t.levels.(i)) in
-  Duration.sum [ acc; w.Schedule.hold; w.Schedule.propagation ]
+  Duration.add
+    (Duration.add (Duration.add Duration.zero acc) w.Schedule.hold)
+    w.Schedule.propagation
 
 let upstream_lag t j =
   if j < 0 || j >= Array.length t.levels then
@@ -174,16 +178,19 @@ let retention_span t j =
   if j = 0 then Duration.zero
   else Schedule.retention_span (schedule_exn t.levels.(j))
 
+let current = Some (Age_range.make ~newest_age:Duration.zero ~oldest_age:Duration.zero)
+
+(* The guaranteed range of level [j >= 1] whose worst lag is [newest]. *)
+let range_from t j ~upstream ~newest =
+  let oldest =
+    Duration.add (best_lag_after t j ~upstream) (retention_span t j)
+  in
+  if Duration.compare newest oldest > 0 then None
+  else Some (Age_range.make ~newest_age:newest ~oldest_age:oldest)
+
 let range_after t j ~upstream =
-  if j = 0 then Some (Age_range.make ~newest_age:Duration.zero ~oldest_age:Duration.zero)
-  else begin
-    let newest = worst_lag_after t j ~upstream in
-    let oldest =
-      Duration.add (best_lag_after t j ~upstream) (retention_span t j)
-    in
-    if Duration.compare newest oldest > 0 then None
-    else Some (Age_range.make ~newest_age:newest ~oldest_age:oldest)
-  end
+  if j = 0 then current
+  else range_from t j ~upstream ~newest:(worst_lag_after t j ~upstream)
 
 let worst_lag t j = worst_lag_after t j ~upstream:(upstream_lag t j)
 let best_lag t j = best_lag_after t j ~upstream:(upstream_lag t j)
@@ -195,19 +202,26 @@ type lag = {
   rp_interval_min : Duration.t;
 }
 
+let primary_lag = { worst = Duration.zero; range = current; rp_interval_min = Duration.zero }
+
+(* Level [j]'s worst lag is computed once and is also its range's newest
+   age, as [range_after] would recompute it. *)
 let lags t =
   let n = Array.length t.levels in
+  let table = Array.make n primary_lag in
   let upstream = ref Duration.zero in
-  Array.init n (fun j ->
-      let up = !upstream in
-      if j >= 1 && j < n - 1 then upstream := add_onward t j up;
+  for j = 1 to n - 1 do
+    let up = !upstream in
+    if j < n - 1 then upstream := add_onward t j up;
+    let worst = worst_lag_after t j ~upstream:up in
+    table.(j) <-
       {
-        worst = worst_lag_after t j ~upstream:up;
-        range = range_after t j ~upstream:up;
-        rp_interval_min =
-          (if j = 0 then Duration.zero
-           else Schedule.rp_interval_min (schedule_exn t.levels.(j)));
-      })
+        worst;
+        range = range_from t j ~upstream:up ~newest:worst;
+        rp_interval_min = Schedule.rp_interval_min (schedule_exn t.levels.(j));
+      }
+  done;
+  table
 
 let surviving_levels t ~scope =
   let n = Array.length t.levels in

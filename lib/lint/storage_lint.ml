@@ -114,22 +114,6 @@ let check_cost_model loc ~owner (c : Cost_model.t) =
     bad ~what:"per-shipment cost" c.Cost_model.per_shipment;
   List.rev !ds
 
-let design_links (d : Design.t) =
-  List.fold_left
-    (fun acc (l : Hierarchy.level) ->
-      match l.link with
-      | Some link
-        when not
-               (List.exists
-                  (fun (k : Interconnect.t) ->
-                    String.equal k.Interconnect.name link.Interconnect.name)
-                  acc) ->
-        link :: acc
-      | Some _ | None -> acc)
-    []
-    (Hierarchy.levels d.Design.hierarchy)
-  |> List.rev
-
 let check_design (d : Design.t) =
   let ds = ref [] in
   let add x = ds := x :: !ds in
@@ -213,7 +197,7 @@ let check_design (d : Design.t) =
   (* Aggregate oversubscription per interconnect: several levels may share
      one link; the sum of their sustained propagation demands must fit. *)
   List.iter
-    (fun (link : Interconnect.t) ->
+    (fun ((link : Interconnect.t), _) ->
       match Interconnect.bandwidth link with
       | None -> ()
       | Some bw ->
@@ -223,7 +207,7 @@ let check_design (d : Design.t) =
             (err ~code:"SSDEP-E018" Error (Link link.Interconnect.name)
                "aggregate propagation demand %s exceeds link bandwidth %s"
                (Rate.to_string demand) (Rate.to_string bw)))
-    (design_links d);
+    (Design.links d);
   (* Workload parameter sanity. *)
   List.iter add (check_workload d.Design.workload);
   if
@@ -244,12 +228,12 @@ let check_design (d : Design.t) =
            ~owner:"device" dev.Device.cost))
     (Design.devices d);
   List.iter
-    (fun (link : Interconnect.t) ->
+    (fun ((link : Interconnect.t), _) ->
       List.iter add
         (check_cost_model
            (Diagnostic.Link link.Interconnect.name)
            ~owner:"link" link.Interconnect.cost))
-    (design_links d);
+    (Design.links d);
   let b = d.Design.business in
   List.iter
     (fun (what, rate) ->
@@ -396,8 +380,9 @@ let accepts d =
        (fun (dev : Device.t) -> cost_model_finite dev.Device.cost)
        (Design.devices d)
   && List.for_all
-       (fun (link : Interconnect.t) -> cost_model_finite link.Interconnect.cost)
-       (design_links d)
+       (fun ((link : Interconnect.t), _) ->
+         cost_model_finite link.Interconnect.cost)
+       (Design.links d)
   && nonneg_finite
        (Money_rate.to_usd_per_hour d.Design.business.Business.outage_penalty_rate)
   && nonneg_finite

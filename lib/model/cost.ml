@@ -1,7 +1,6 @@
 open Storage_units
 open Storage_device
 open Storage_protection
-open Storage_hierarchy
 
 type item = { technique : string; component : string; amount : Money.t }
 
@@ -22,69 +21,84 @@ type outlays = {
 type part = Fixed | Capacity | Bandwidth
 type shadow = Own | Spare | Remote_spare
 
+(* An amount as the pass's shadow charges it: spares are priced as a
+   multiple of the resources they shadow. *)
+let[@inline] shadowed (dev : Device.t) shadow amount =
+  match shadow with
+  | Own -> amount
+  | Spare -> Spare.cost dev.Device.spare ~original:amount
+  | Remote_spare -> Spare.cost dev.Device.remote_spare ~original:amount
+
+(* Inlined into [pass], so an amount is boxed only when it is handed on. *)
+let[@inline] charge ~device dev shadow technique part amount acc =
+  if Money.is_zero amount then acc
+  else
+    let amount = shadowed dev shadow amount in
+    if Money.is_zero amount then acc
+    else device acc dev technique part shadow amount
+
+(* One pass over a device's per-technique shares: the owner's fixed
+   charge, then each share's capacity and bandwidth charges. *)
+let rec pass ~device dev owner shadow acc = function
+  | [] -> acc
+  | (technique, demand) :: shares ->
+    let cost = dev.Device.cost in
+    let acc =
+      if String.equal technique owner then
+        charge ~device dev shadow technique Fixed cost.Cost_model.fixed acc
+      else acc
+    in
+    let acc =
+      charge ~device dev shadow technique Capacity
+        (Cost_model.capacity_cost cost demand.Demand.capacity)
+        acc
+    in
+    let acc =
+      charge ~device dev shadow technique Bandwidth
+        (Cost_model.bandwidth_cost cost (Demand.total_bw demand))
+        acc
+    in
+    pass ~device dev owner shadow acc shares
+
+(* The device's owner and shares are read from the design's derived
+   table. A [No_spare] pass would only find zero charges. *)
 let fold_device design ~device acc (dev : Device.t) =
   let owner = Design.primary_technique_of_device design dev in
-  let shares = Demand.by_technique (Design.demands_on design dev) in
-  let cost = dev.Device.cost in
-  let charge shadow technique part amount acc =
-    if Money.is_zero amount then acc
-    else
-      let amount =
-        match shadow with
-        | Own -> amount
-        | Spare -> Spare.cost dev.Device.spare ~original:amount
-        | Remote_spare -> Spare.cost dev.Device.remote_spare ~original:amount
-      in
-      if Money.is_zero amount then acc
-      else device acc dev technique part shadow amount
+  let shares = Design.demand_shares design dev in
+  let acc = pass ~device dev owner Own acc shares in
+  let acc =
+    match dev.Device.spare with
+    | Spare.No_spare -> acc
+    | _ -> pass ~device dev owner Spare acc shares
   in
-  let pass shadow acc =
-    List.fold_left
-      (fun acc (technique, demand) ->
-        let acc =
-          if String.equal technique owner then
-            charge shadow technique Fixed cost.Cost_model.fixed acc
-          else acc
-        in
-        acc
-        |> charge shadow technique Capacity
-             (Cost_model.capacity_cost cost demand.Demand.capacity)
-        |> charge shadow technique Bandwidth
-             (Cost_model.bandwidth_cost cost (Demand.total_bw demand)))
-      acc shares
-  in
-  (* A [No_spare] pass would only find zero charges. *)
-  let shadowed shadow (spare : Spare.t) acc =
-    match spare with Spare.No_spare -> acc | _ -> pass shadow acc
-  in
-  pass Own acc
-  |> shadowed Spare dev.Device.spare
-  |> shadowed Remote_spare dev.Device.remote_spare
+  match dev.Device.remote_spare with
+  | Spare.No_spare -> acc
+  | _ -> pass ~device dev owner Remote_spare acc shares
 
-let fold_links design ~link acc =
-  let rec go seen acc = function
-    | [] -> acc
-    | (l : Hierarchy.level) :: rest -> (
-      match l.Hierarchy.link with
-      | Some ic when not (List.mem ic.Interconnect.name seen) ->
-        let shipments =
-          match (ic.Interconnect.transport, Technique.schedule l.technique) with
-          | Interconnect.Shipment, Some s -> Demands.shipments_per_year s
-          | _ -> 0.
-        in
-        let amount = Interconnect.annual_cost ic ~shipments_per_year:shipments in
-        let acc =
-          if Money.is_zero amount then acc
-          else link acc ic (Technique.name l.technique) amount
-        in
-        go (ic.Interconnect.name :: seen) acc rest
-      | Some _ | None -> go seen acc rest)
-  in
-  go [] acc (Hierarchy.levels design.Design.hierarchy)
+let rec fold_links ~link acc = function
+  | [] -> acc
+  | ((ic : Interconnect.t), technique) :: links ->
+    let shipments =
+      match ic.Interconnect.transport with
+      | Interconnect.Network _ -> 0.
+      | Interconnect.Shipment -> (
+        match Technique.schedule technique with
+        | Some s -> Demands.shipments_per_year s
+        | None -> 0.)
+    in
+    let amount = Interconnect.annual_cost ic ~shipments_per_year:shipments in
+    let acc =
+      if Money.is_zero amount then acc
+      else link acc ic (Technique.name technique) amount
+    in
+    fold_links ~link acc links
 
 let fold_items design ~device ~link acc =
-  List.fold_left (fold_device design ~device) acc (Design.devices design)
-  |> fold_links design ~link
+  let rec devices acc = function
+    | [] -> acc
+    | dev :: devs -> devices (fold_device design ~device acc dev) devs
+  in
+  fold_links ~link (devices acc (Design.devices design)) (Design.links design)
 
 let total design =
   fold_items design Money.zero

@@ -5,18 +5,34 @@ open Storage_protection
 open Storage_hierarchy
 
 (* Everything the evaluation pipeline derives from a design's structure,
-   computed once per design and memoized. Each record field is pure
-   marshalable data (no closures, no lazies): designs are routinely
+   filled in one walk over the level array and memoized. Each record field
+   is pure marshalable data (no closures, no lazies): designs are routinely
    marshaled by the byte-identity test suites, and the whole record is
    always computed in one shot, so two structurally equal designs that have
-   both been touched by any accessor marshal identically. *)
+   both been touched by any accessor marshal identically.
+
+   One entry per distinct device (identity by name), in first-appearance
+   order: the technique of the lowest level hosted on it (the owner
+   §3.3.5 charges the fixed cost), this design's own labeled demands on
+   it, those plus the background tenants' (the same list when there are
+   none), the own demands' per-technique shares, and the utilization under
+   the loaded demands. *)
+type device_entry = {
+  e_device : Device.t;
+  e_owner : string;
+  e_demands : Demand.labeled list;
+  e_loaded : Demand.labeled list;
+  e_shares : (string * Demand.t) list;
+  e_utilization : Device.utilization;
+}
+
+(* [d_devices] and [d_links] are what {!devices} and {!links} return;
+   [d_entries] and [d_link_demands] follow them entry for entry. *)
 type derived = {
-  d_placements : (int * Hierarchy.level * Demands.placement) list;
   d_devices : Device.t list;
-  d_demands : (string * Demand.labeled list) list;
-  d_loaded : (string * Demand.labeled list) list;
-  d_utilization : (string * Device.utilization) list;
-  d_link_demands : (string * Rate.t) list;
+  d_entries : device_entry list;
+  d_links : (Interconnect.t * Technique.t) list;
+  d_link_demands : Rate.t list;
   d_validation : (unit, string list) result;
   d_level_lags : Hierarchy.lag array;
 }
@@ -46,18 +62,6 @@ let primary_raid t =
   | Technique.Primary_copy { raid } -> raid
   | _ -> assert false (* enforced by Hierarchy.make *)
 
-let compute_devices t =
-  let seen = Hashtbl.create 8 in
-  List.filter_map
-    (fun (l : Hierarchy.level) ->
-      let name = l.device.Device.name in
-      if Hashtbl.mem seen name then None
-      else begin
-        Hashtbl.add seen name ();
-        Some l.device
-      end)
-    (Hierarchy.levels t.hierarchy)
-
 (* The RAID capacity factor charged for a level's copies: colocated
    techniques inherit the primary array's organization; everything else is
    charged logical capacity (§3.2.3 charges mirror destinations "the data
@@ -66,167 +70,161 @@ let host_raid_for t (l : Hierarchy.level) =
   if Technique.colocated_with_primary l.technique then primary_raid t
   else Raid.Raid0
 
-let compute_placements t =
+let placement t j =
   let h = t.hierarchy in
-  List.mapi
-    (fun j (l : Hierarchy.level) ->
-      let upstream =
-        if j = 0 then None
-        else Technique.schedule (Hierarchy.level h (j - 1)).Hierarchy.technique
-      in
-      let placement =
-        Demands.of_technique ~workload:t.workload
-          ~host_raid:(host_raid_for t l) ?upstream l.technique
-      in
-      (j, l, placement))
-    (Hierarchy.levels h)
-
-let compute_demands_on t placements name =
-  let h = t.hierarchy in
-  List.concat_map
-    (fun (j, (l : Hierarchy.level), (p : Demands.placement)) ->
-      let target =
-        if String.equal l.device.Device.name name then
-          [ { Demand.technique = Technique.name l.technique;
-              demand = p.on_target } ]
-        else []
-      in
-      let source =
-        if j > 0 && not (Demand.is_zero p.on_source) then begin
-          let src = (Hierarchy.level h (j - 1)).Hierarchy.device in
-          if String.equal src.Device.name name then
-            [ { Demand.technique = Technique.name l.technique;
-                demand = p.on_source } ]
-          else []
-        end
-        else []
-      in
-      target @ source)
-    placements
-  |> List.filter (fun l -> not (Demand.is_zero l.Demand.demand))
+  let l = Hierarchy.level h j in
+  let upstream =
+    if j = 0 then None
+    else Technique.schedule (Hierarchy.level h (j - 1)).Hierarchy.technique
+  in
+  Demands.of_technique ~workload:t.workload ~host_raid:(host_raid_for t l)
+    ?upstream l.technique
 
 let background_on t name =
   match List.assoc_opt name t.background with
   | Some demands -> demands
   | None -> []
 
-let compute_link_demand placements (link : Interconnect.t) =
-  List.fold_left
-    (fun acc (_, (l : Hierarchy.level), (p : Demands.placement)) ->
-      match l.Hierarchy.link with
-      | Some lk when String.equal lk.Interconnect.name link.Interconnect.name
-        ->
-        Rate.add acc p.on_link
-      | Some _ | None -> acc)
-    Rate.zero placements
-
-let distinct_links t =
-  let seen = Hashtbl.create 4 in
-  List.filter_map
-    (fun (l : Hierarchy.level) ->
-      match l.Hierarchy.link with
-      | Some link when not (Hashtbl.mem seen link.Interconnect.name) ->
-        Hashtbl.add seen link.Interconnect.name ();
-        Some link
-      | Some _ | None -> None)
-    (Hierarchy.levels t.hierarchy)
+(* The index of the entry named [name] among the first [count] of
+   [names], or [count] when there is none. *)
+let slot_of names count name =
+  let rec go i =
+    if i = count || String.equal names.(i) name then i else go (i + 1)
+  in
+  go 0
 
 (* The error conditions here must stay in one-to-one correspondence with
    [Storage_lint]'s design-wide error rules (E010-E013, E018): [validate]
    is the evaluation-time shim (it cannot call the lint library, which
    sits above this one), and the [test_lint] property suite checks that a
    design fails here iff it carries a lint error. *)
-let compute_validation t ~utilization ~link_demands =
+let compute_validation t entries links link_demands =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
   List.iter
-    (fun (name, (u : Device.utilization)) ->
+    (fun e ->
+      let name = e.e_device.Device.name and u = e.e_utilization in
       if u.Device.capacity_fraction > 1. then
         err "device %s capacity overcommitted: %.1f%%" name
           (100. *. u.Device.capacity_fraction);
       if u.Device.bandwidth_fraction > 1. then
         err "device %s bandwidth overcommitted: %.1f%%" name
           (100. *. u.Device.bandwidth_fraction))
-    utilization;
-  List.iter
-    (fun (l : Hierarchy.level) ->
-      let required =
-        Demands.required_link_bandwidth ~workload:t.workload l.technique
-      in
-      if not (Rate.is_zero required) then begin
-        match l.link with
-        | None ->
-          err "%s requires an interconnect" (Technique.name l.technique)
-        | Some link -> (
-          match Interconnect.bandwidth link with
-          | Some bw when Rate.compare bw required < 0 ->
-            err "link %s (%s) cannot sustain %s traffic (%s required)"
-              link.Interconnect.name (Rate.to_string bw)
-              (Technique.name l.technique)
-              (Rate.to_string required)
-          | Some _ | None -> ())
-      end)
-    (Hierarchy.levels t.hierarchy);
+    entries;
+  for j = 0 to Hierarchy.length t.hierarchy - 1 do
+    let l = Hierarchy.level t.hierarchy j in
+    let required =
+      Demands.required_link_bandwidth ~workload:t.workload l.technique
+    in
+    if not (Rate.is_zero required) then begin
+      match l.link with
+      | None -> err "%s requires an interconnect" (Technique.name l.technique)
+      | Some link -> (
+        match Interconnect.bandwidth link with
+        | Some bw when Rate.compare bw required < 0 ->
+          err "link %s (%s) cannot sustain %s traffic (%s required)"
+            link.Interconnect.name (Rate.to_string bw)
+            (Technique.name l.technique)
+            (Rate.to_string required)
+        | Some _ | None -> ())
+    end
+  done;
   (* Aggregate oversubscription: levels sharing an interconnect must fit
      on it together (§3.3.1's global check applied to links). *)
-  List.iter
-    (fun link ->
+  List.iter2
+    (fun ((link : Interconnect.t), _) demand ->
       match Interconnect.bandwidth link with
-      | Some bw ->
-        let demand =
-          match List.assoc link.Interconnect.name link_demands with
-          | d -> d
-          | exception Not_found -> Rate.zero
-        in
-        if Rate.compare demand bw > 0 then
-          err
-            "link %s oversubscribed: aggregate propagation demand %s \
-             exceeds bandwidth %s"
-            link.Interconnect.name (Rate.to_string demand)
-            (Rate.to_string bw)
-      | None -> ())
-    (distinct_links t);
+      | Some bw when Rate.compare demand bw > 0 ->
+        err
+          "link %s oversubscribed: aggregate propagation demand %s exceeds \
+           bandwidth %s"
+          link.Interconnect.name (Rate.to_string demand) (Rate.to_string bw)
+      | Some _ | None -> ())
+    links link_demands;
   match !errors with [] -> Ok () | es -> Error (List.rev es)
 
+(* One walk up the level array places every level's demands (§3.2.3):
+   its [on_target] lands on its own device, its [on_source] on the
+   previous level's, its [on_link] on its interconnect. Devices and links
+   are numbered by first appearance; a link's demand is summed from zero
+   in level order. A second walk, down the levels, conses each device's
+   demand list in level order (target before source within a level)
+   without reversing it; zero demands are left out. *)
 let compute_derived t =
-  let d_placements = compute_placements t in
-  let d_devices = compute_devices t in
-  let d_demands =
-    List.map
-      (fun (d : Device.t) ->
-        (d.Device.name, compute_demands_on t d_placements d.Device.name))
-      d_devices
+  let h = t.hierarchy in
+  let n = Hierarchy.length h in
+  let placements = Array.init n (placement t) in
+  let primary = Hierarchy.primary h in
+  let device_slot = Array.make n 0 in
+  let devices = Array.make n primary.Hierarchy.device in
+  let device_names = Array.make n "" in
+  let owners = Array.make n "" in
+  let device_count = ref 0 in
+  let link_names = Array.make n "" in
+  let link_sums = Array.make n Rate.zero in
+  let links = ref [] in
+  let link_count = ref 0 in
+  for j = 0 to n - 1 do
+    let l = Hierarchy.level h j in
+    let name = l.device.Device.name in
+    let i = slot_of device_names !device_count name in
+    if i = !device_count then begin
+      devices.(i) <- l.device;
+      device_names.(i) <- name;
+      owners.(i) <- Technique.name l.technique;
+      incr device_count
+    end;
+    device_slot.(j) <- i;
+    match l.link with
+    | None -> ()
+    | Some link ->
+      let k = slot_of link_names !link_count link.Interconnect.name in
+      if k = !link_count then begin
+        link_names.(k) <- link.Interconnect.name;
+        links := (link, l.technique) :: !links;
+        incr link_count
+      end;
+      link_sums.(k) <- Rate.add link_sums.(k) placements.(j).Demands.on_link
+  done;
+  let own = Array.make !device_count [] in
+  for j = n - 1 downto 0 do
+    let p = placements.(j) in
+    let technique = Technique.name (Hierarchy.level h j).Hierarchy.technique in
+    if j > 0 && not (Demand.is_zero p.Demands.on_source) then begin
+      let i = device_slot.(j - 1) in
+      own.(i) <- { Demand.technique; demand = p.Demands.on_source } :: own.(i)
+    end;
+    if not (Demand.is_zero p.Demands.on_target) then begin
+      let i = device_slot.(j) in
+      own.(i) <- { Demand.technique; demand = p.Demands.on_target } :: own.(i)
+    end
+  done;
+  let entries =
+    List.init !device_count (fun i ->
+        let device = devices.(i) and demands = own.(i) in
+        let loaded =
+          match background_on t device.Device.name with
+          | [] -> demands
+          | background -> demands @ background
+        in
+        {
+          e_device = device;
+          e_owner = owners.(i);
+          e_demands = demands;
+          e_loaded = loaded;
+          e_shares = Demand.by_technique demands;
+          e_utilization = Device.utilization device loaded;
+        })
   in
-  let d_loaded =
-    List.map
-      (fun (name, demands) -> (name, demands @ background_on t name))
-      d_demands
-  in
-  let d_utilization =
-    List.map2
-      (fun (d : Device.t) (_, loaded) ->
-        (d.Device.name, Device.utilization d loaded))
-      d_devices d_loaded
-  in
-  let d_link_demands =
-    List.map
-      (fun (link : Interconnect.t) ->
-        (link.Interconnect.name, compute_link_demand d_placements link))
-      (distinct_links t)
-  in
-  let d_validation =
-    compute_validation t ~utilization:d_utilization
-      ~link_demands:d_link_demands
-  in
+  let links = List.rev !links in
+  let link_demands = List.init !link_count (Array.get link_sums) in
   {
-    d_placements;
-    d_devices;
-    d_demands;
-    d_loaded;
-    d_utilization;
-    d_link_demands;
-    d_validation;
-    d_level_lags = Hierarchy.lags t.hierarchy;
+    d_devices = List.map (fun e -> e.e_device) entries;
+    d_entries = entries;
+    d_links = links;
+    d_link_demands = link_demands;
+    d_validation = compute_validation t entries links link_demands;
+    d_level_lags = Hierarchy.lags h;
   }
 
 let derived t =
@@ -240,31 +238,54 @@ let derived t =
     d
 
 let devices t = (derived t).d_devices
+let links t = (derived t).d_links
 
 let device t name =
   List.find_opt (fun d -> String.equal d.Device.name name) (devices t)
 
-let placements t = (derived t).d_placements
+let rec entry_named name = function
+  | [] -> raise Not_found
+  | e :: rest ->
+    if String.equal e.e_device.Device.name name then e
+    else entry_named name rest
+
+let entry t (dev : Device.t) = entry_named dev.Device.name (derived t).d_entries
 
 let demands_on t dev =
-  match List.assoc_opt dev.Device.name (derived t).d_demands with
-  | Some demands -> demands
-  | None -> [] (* not a hierarchy device: it carries none of our demands *)
+  match entry t dev with
+  | e -> e.e_demands
+  | exception Not_found ->
+    [] (* not a hierarchy device: it carries none of our demands *)
 
 let loaded_demands_on t dev =
-  match List.assoc_opt dev.Device.name (derived t).d_loaded with
-  | Some demands -> demands
-  | None -> background_on t dev.Device.name
+  match entry t dev with
+  | e -> e.e_loaded
+  | exception Not_found -> background_on t dev.Device.name
 
 let device_utilization t dev =
-  match List.assoc_opt dev.Device.name (derived t).d_utilization with
-  | Some u -> u
-  | None -> Device.utilization dev (loaded_demands_on t dev)
+  match entry t dev with
+  | e -> e.e_utilization
+  | exception Not_found -> Device.utilization dev (loaded_demands_on t dev)
+
+let demand_shares t dev =
+  match entry t dev with e -> e.e_shares | exception Not_found -> []
+
+let primary_technique_of_device t dev =
+  match entry t dev with
+  | e -> e.e_owner
+  | exception Not_found ->
+    invalid_arg "Design.primary_technique_of_device: unknown device"
+
+let rec demand_of_link name links demands =
+  match (links, demands) with
+  | ((link : Interconnect.t), _) :: links, demand :: demands ->
+    if String.equal link.Interconnect.name name then demand
+    else demand_of_link name links demands
+  | _ -> Rate.zero (* not a hierarchy link: no level propagates over it *)
 
 let link_demand t (link : Interconnect.t) =
-  match List.assoc_opt link.Interconnect.name (derived t).d_link_demands with
-  | Some d -> d
-  | None -> compute_link_demand (placements t) link
+  let d = derived t in
+  demand_of_link link.Interconnect.name d.d_links d.d_link_demands
 
 let validate t = (derived t).d_validation
 
@@ -277,17 +298,6 @@ let level_lag_exn t j =
 let worst_lag t j = (level_lag_exn t j).Hierarchy.worst
 let guaranteed_range t j = (level_lag_exn t j).Hierarchy.range
 let rp_interval_min t j = (level_lag_exn t j).Hierarchy.rp_interval_min
-
-let primary_technique_of_device t dev =
-  let owner =
-    List.find_opt
-      (fun (l : Hierarchy.level) ->
-        String.equal l.device.Device.name dev.Device.name)
-      (Hierarchy.levels t.hierarchy)
-  in
-  match owner with
-  | Some l -> Technique.name l.technique
-  | None -> invalid_arg "Design.primary_technique_of_device: unknown device"
 
 (* Structural fingerprint: an explicit walk over every design parameter,
    folded into a {!Storage_units.Struct_hash} accumulator. Compared with

@@ -13,11 +13,14 @@ open Storage_hierarchy
     and cost models. *)
 
 type derived
-(** Everything the evaluation pipeline derives from the design's structure
-    (demand placements, per-device loads and utilizations, link demands,
-    validation, per-level lag tables), computed once per design on first
-    access and memoized. Purely an acceleration: accessors behave as if
-    they recomputed from scratch on every call. *)
+(** Everything the evaluation pipeline derives from the design's structure,
+    filled in one walk over the level array on first access and memoized:
+    one entry per distinct device (the device, its owning technique, its
+    own and loaded labeled demands, the own demands' per-technique shares
+    and its utilization), one entry per distinct link (the interconnect,
+    the technique it is charged to and its demand), the validation result
+    and the per-level lag table. Purely an acceleration: accessors behave
+    as if they recomputed from scratch on every call, bit for bit. *)
 
 type t = private {
   name : string;
@@ -65,6 +68,11 @@ val devices : t -> Device.t list
 
 val device : t -> string -> Device.t option
 
+val links : t -> (Interconnect.t * Technique.t) list
+(** The distinct interconnects of the hierarchy, in first-appearance order
+    (identity by name), each with the technique of the lowest level that
+    propagates over it: the technique its annual cost is charged to. *)
+
 val demands_on : t -> Device.t -> Demand.labeled list
 (** This design's own normal-mode demands landing on one device, labeled
     by technique: a level's [on_target] lands on its own device, its
@@ -86,8 +94,13 @@ val device_utilization : t -> Device.t -> Device.utilization
     design: the normal-mode utilization the evaluation, validation and
     lint layers all need for every device. *)
 
+val demand_shares : t -> Device.t -> (string * Demand.t) list
+(** [Demand.by_technique (demands_on t dev)], memoized per design: the
+    per-technique shares {!Cost} charges. *)
+
 val link_demand : t -> Interconnect.t -> Rate.t
-(** Sustained normal-mode bandwidth demand on an interconnect. *)
+(** Sustained normal-mode bandwidth demand on an interconnect: the levels
+    propagating over it, summed in level order. *)
 
 val worst_lag : t -> int -> Duration.t
 (** Memoized {!Storage_hierarchy.Hierarchy.worst_lag} of the design's

@@ -46,23 +46,13 @@ let device_report design dev =
   in
   { device = dev; shares; total = Design.device_utilization design dev }
 
-let links design =
-  let seen = Hashtbl.create 4 in
-  Storage_hierarchy.Hierarchy.levels design.Design.hierarchy
-  |> List.filter_map (fun (l : Storage_hierarchy.Hierarchy.level) ->
-         match l.link with
-         | Some link when not (Hashtbl.mem seen link.Interconnect.name) ->
-           Hashtbl.add seen link.Interconnect.name ();
-           Some link
-         | Some _ | None -> None)
-
 let compute design =
   let device_reports =
     List.map (device_report design) (Design.devices design)
   in
   let link_reports =
     List.map
-      (fun link ->
+      (fun (link, _) ->
         let demand = Design.link_demand design link in
         let fraction =
           match Interconnect.bandwidth link with
@@ -70,7 +60,7 @@ let compute design =
           | Some bw -> Some (Rate.ratio demand bw)
         in
         { link; demand; fraction })
-      (links design)
+      (Design.links design)
   in
   let max_over f =
     List.fold_left (fun acc r -> Float.max acc (f r)) 0. device_reports

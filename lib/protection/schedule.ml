@@ -64,9 +64,14 @@ let propagation_max t =
 
 let onward_windows t = t.full
 
+(* [Duration.sum]'s additions, from zero and left to right, without its
+   argument list: this runs for every level of every candidate. *)
 let worst_lag t ~upstream =
-  Duration.sum
-    [ upstream; t.full.hold; propagation_max t; rp_interval_min t ]
+  Duration.add
+    (Duration.add
+       (Duration.add (Duration.add Duration.zero upstream) t.full.hold)
+       (propagation_max t))
+    (rp_interval_min t)
 
 let best_lag t ~upstream =
   let own =

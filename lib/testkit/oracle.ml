@@ -80,6 +80,90 @@ let lint_coincidence =
             scenarios);
   }
 
+(* --- the derived table against its from-scratch reference --- *)
+
+(* A device and a link no design names, for the accessors' answers about
+   hardware outside the hierarchy. *)
+let foreign_device =
+  Device.make ~name:"(no such device)"
+    ~location:(Location.make ~building:"" ~site:"" ~region:"")
+    ~max_capacity_slots:1 ~slot_capacity:(Size.gib 1.) ()
+
+let foreign_link =
+  Interconnect.make ~name:"(no such link)" ~transport:Interconnect.Shipment ()
+
+let outcome f =
+  match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+let derived_mismatch (d : Design.t) =
+  let h = d.Design.hierarchy in
+  let differ what a b () =
+    if String.equal (bytes_of a) (bytes_of b) then None
+    else Some (what ^ " differs from the reference")
+  in
+  let per_device (dev : Device.t) =
+    let on what = Printf.sprintf "%s on %s" what dev.Device.name in
+    [
+      differ (on "demands_on") (Design.demands_on d dev)
+        (Reference.demands_on d dev);
+      differ (on "loaded_demands_on")
+        (Design.loaded_demands_on d dev)
+        (Reference.loaded_demands_on d dev);
+      differ (on "device_utilization")
+        (Design.device_utilization d dev)
+        (Reference.device_utilization d dev);
+      differ (on "demand_shares")
+        (Design.demand_shares d dev)
+        (Reference.demand_shares d dev);
+      differ
+        (on "primary_technique_of_device")
+        (outcome (fun () -> Design.primary_technique_of_device d dev))
+        (outcome (fun () -> Reference.primary_technique_of_device d dev));
+    ]
+  in
+  let per_link (link : Interconnect.t) =
+    differ
+      (Printf.sprintf "link_demand on %s" link.Interconnect.name)
+      (Design.link_demand d link)
+      (Reference.link_demand d link)
+  in
+  let per_level j =
+    let at what = Printf.sprintf "%s at level %d" what j in
+    [
+      differ (at "worst_lag") (Design.worst_lag d j) (Hierarchy.worst_lag h j);
+      differ (at "guaranteed_range")
+        (Design.guaranteed_range d j)
+        (Hierarchy.guaranteed_range h j);
+      differ (at "rp_interval_min")
+        (Design.rp_interval_min d j)
+        (Reference.rp_interval_min d j);
+    ]
+  in
+  let links = List.map fst (Reference.links d) in
+  List.find_map
+    (fun check -> check ())
+    ([
+       differ "devices" (Design.devices d) (Reference.devices d);
+       differ "links" (Design.links d) (Reference.links d);
+       differ "validate" (Design.validate d) (Reference.validate d);
+     ]
+    @ List.concat_map per_device (Reference.devices d @ [ foreign_device ])
+    @ List.map per_link (links @ [ foreign_link ])
+    @ List.concat_map per_level (List.init (Hierarchy.length h) Fun.id))
+
+let derived_vs_reference =
+  {
+    name = "derived-vs-reference";
+    doc =
+      "every Design derived accessor (devices, links, validate, per-device \
+       demands, loaded demands, utilization, shares and owner, per-link \
+       demand, per-level lags) is byte-identical to its recomputation from \
+       the public per-level functions";
+    check =
+      (fun _ d _ ->
+        match derived_mismatch d with None -> Pass | Some m -> Fail m);
+  }
+
 (* --- cached == uncached --- *)
 
 let cache_invariance =
@@ -774,6 +858,7 @@ let self_test_fail =
 let defaults =
   [
     lint_coincidence;
+    derived_vs_reference;
     cache_invariance;
     summary_vs_reports;
     stream_vs_materialized;

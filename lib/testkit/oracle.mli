@@ -27,7 +27,7 @@ type t = {
 
 val defaults : t list
 (** The production registry, cheapest first: [lint-coincidence],
-    [cache-invariance], [summary-vs-reports], [stream-vs-materialized],
+    [derived-vs-reference], [cache-invariance], [summary-vs-reports], [stream-vs-materialized],
     [parallel-invariance],
     [monotone-shorter-window], [monotone-bandwidth], [monotone-cost],
     [analytic-vs-sim], [fleet-degenerate], [sim-warm-resume],
@@ -51,6 +51,18 @@ val score_mismatch : Design.t -> Scenario.t list -> string option
     feasibility) equal {!reference_summary}'s bit for bit and
     {!Cost.total} equals [(Cost.outlays d).total] bit for bit; otherwise
     the first difference. The [summary-vs-reports] oracle. *)
+
+val derived_mismatch : Design.t -> string option
+(** [None] when every derived accessor of the design marshals to the same
+    bytes as its {!Reference} recomputation: [devices], [links],
+    [validate]; per device (and for one device outside the hierarchy)
+    [demands_on], [loaded_demands_on], [device_utilization],
+    [demand_shares] and [primary_technique_of_device] (its
+    [Invalid_argument] included); per link (and for one link outside it)
+    [link_demand]; per level [worst_lag] and [guaranteed_range] (against
+    {!Storage_hierarchy.Hierarchy}'s per-level functions) and
+    [rp_interval_min]. Otherwise the first accessor that differs. The
+    [derived-vs-reference] oracle. *)
 
 val find : string -> t option
 (** Look a name up in {!all}. *)

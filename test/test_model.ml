@@ -547,10 +547,50 @@ let test_scenario_fingerprints_pinned () =
         (Scenario.fingerprint scenario))
     pinned_fingerprints
 
+(* The derived table, filled in one walk, answers every accessor exactly
+   as the from-scratch list reference does: over the what-ifs, the shipped
+   designs and corpus entries (validated or not), the scale-2 grid, and
+   portfolio members, whose shared devices carry background demands. *)
+let test_derived_matches_reference () =
+  let ssdep_files dir =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".ssdep")
+    |> List.sort compare
+    |> List.map (Filename.concat dir)
+  in
+  let load path =
+    match Storage_spec.Spec.load_file ~validate:false path with
+    | Ok (d, _) -> d
+    | Error _ -> Alcotest.failf "%s does not load" path
+  in
+  let shipped = List.map load (ssdep_files "../examples/designs") in
+  let corpus = List.map load (ssdep_files "corpus") in
+  let grid =
+    List.of_seq
+      (Storage_optimize.Candidate.enumerate
+         (Whatif.search_kit ~business:Baseline.business ())
+         (Whatif.search_space ~scale:2 ()))
+  in
+  let members = Portfolio.members (Portfolio.make_exn shipped) in
+  Alcotest.(check bool) "members carry background demands" true
+    (List.exists (fun m -> m.Design.background <> []) members);
+  List.iter
+    (fun d ->
+      (* Once on a fresh table, once on the one the first pass filled. *)
+      List.iter
+        (fun d ->
+          match Storage_testkit.Oracle.derived_mismatch d with
+          | None -> ()
+          | Some m -> Alcotest.failf "%s: %s" d.Design.name m)
+        [ Design.strip d; d ])
+    (List.map snd Whatif.all @ shipped @ corpus @ grid @ members)
+
 let suite =
   [
     ( "model.design",
       [
+        Alcotest.test_case "derived table = reference" `Quick
+          test_derived_matches_reference;
         Alcotest.test_case "device deduplication" `Quick test_devices_deduplicated;
         Alcotest.test_case "array demand mapping" `Quick test_demands_on_array;
         Alcotest.test_case "device ownership" `Quick test_design_owner;

@@ -293,6 +293,47 @@ let test_search_alloc_budget () =
     Alcotest.failf "%.0f minor words per candidate exceeds the budget %.0f"
       per_candidate search_words_budget
 
+(* Minor-heap words per design, averaged over the scale-3 grid (6,847
+   designs), of the two per-design steps of a candidate's score: filling
+   a fresh derived table ([Design.validate] on a stripped copy) and the
+   outlay total ([Cost.total], the table already filled). *)
+let validate_words_budget = 1_000.
+let cost_total_words_budget = 460.
+
+let words_per_design f designs =
+  let was_enabled = Storage_obs.enabled () in
+  Storage_obs.disable ();
+  ignore (f (Design.strip designs.(0)));
+  let w0 = Gc.minor_words () in
+  Array.iter (fun d -> ignore (f d)) designs;
+  let words = Gc.minor_words () -. w0 in
+  if was_enabled then Storage_obs.enable ();
+  words /. float_of_int (Array.length designs)
+
+(* [Candidate.enumerate] validates every design it yields, so each one
+   arrives with its table filled. *)
+let scale3_designs () =
+  Array.of_seq
+    (Candidate.enumerate (kit (business ())) (Whatif.search_space ~scale:3 ()))
+
+let check_budget what words budget =
+  Printf.printf "%s: %.0f minor words/design (budget %.0f)\n" what words
+    budget;
+  if words > budget then
+    Alcotest.failf "%s: %.0f minor words per design exceeds the budget %.0f"
+      what words budget
+
+let test_validate_alloc_budget () =
+  let fresh = Array.map Design.strip (scale3_designs ()) in
+  check_budget "fresh Design.validate"
+    (words_per_design Design.validate fresh)
+    validate_words_budget
+
+let test_cost_total_alloc_budget () =
+  check_budget "Cost.total"
+    (words_per_design Cost.total (scale3_designs ()))
+    cost_total_words_budget
+
 (* Synthetic summaries over a tiny value lattice: small ranges force
    duplicates and per-axis ties, including [Entire_object] ties, which is
    exactly where an incremental frontier could diverge from the quadratic
@@ -634,6 +675,10 @@ let suite =
         Alcotest.test_case "feasible sorted by cost" `Quick
           test_search_feasible_sorted;
         Alcotest.test_case "allocation budget" `Quick test_search_alloc_budget;
+        Alcotest.test_case "validate allocation budget" `Quick
+          test_validate_alloc_budget;
+        Alcotest.test_case "Cost.total allocation budget" `Quick
+          test_cost_total_alloc_budget;
       ] );
     ( "optimize.solver",
       [
