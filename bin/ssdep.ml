@@ -422,7 +422,8 @@ let simulate_cmd =
   let sweep =
     let doc =
       "Run N additional simulations with the failure instant swept across \
-       one backup cycle, reporting min/max measured loss."
+       one backup cycle, reporting min/max measured loss. At most 1000: \
+       each is a whole run, warmup included."
     in
     Arg.(value & opt non_negative_int_conv 0 & info [ "sweep" ] ~docv:"N" ~doc)
   in
@@ -475,6 +476,13 @@ let simulate_cmd =
       with
       | Error e -> Error e
       | Ok outage ->
+      if sweep > Storage_sim.Sim.max_sweep_runs then
+        Error
+          (Printf.sprintf
+             "--sweep %d: each swept phase is a whole run; a sweep runs at \
+              most %d"
+             sweep Storage_sim.Sim.max_sweep_runs)
+      else
       match Storage_sim.Sim.shortest_rp_interval d with
       | Some (level, interval)
         when Duration.ratio (Duration.days warmup) interval
@@ -905,7 +913,10 @@ let fleet_cmd =
     @ [ ("erasure", Whatif.erasure_coded ~fragments:9 ~required:6 ~links:10) ]
   in
   let trials_arg =
-    let doc = "Monte-Carlo trials (independent sampled failure traces)." in
+    let doc =
+      "Monte-Carlo trials (independent sampled failure traces). At most \
+       10^6: a run keeps every trial's record until it aggregates."
+    in
     Arg.(value & opt positive_int_conv 1000 & info [ "trials" ] ~docv:"N" ~doc)
   in
   let horizon_arg =
@@ -943,7 +954,16 @@ let fleet_cmd =
           Fleet.rates ~default_afr:afr ~building_burst_per_year:building
             ~site_burst_per_year:site ())
     in
-    (* The bound [Fleet.config] enforces, reported against the flags. *)
+    (* The bounds [Fleet.config] enforces, reported against the flags. *)
+    let* () =
+      if trials > Fleet.max_trials then
+        Error
+          (Printf.sprintf
+             "--trials %d: a run keeps every trial's record until it \
+              aggregates; it takes at most %d"
+             trials Fleet.max_trials)
+      else Ok ()
+    in
     let* () =
       match
         List.find_opt

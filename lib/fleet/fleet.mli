@@ -62,9 +62,15 @@ val config :
   unit ->
   config
 (** Defaults: 1000 trials, 5 years, the framework seed, {!default_rates}.
-    Raises [Invalid_argument] when [trials < 1], the horizon is not
-    positive, or a rate times the horizon in years exceeds
-    {!max_expected_arrivals}. *)
+    Raises [Invalid_argument] when [trials] is outside [1 .. ]{!max_trials},
+    the horizon is not positive, or a rate times the horizon in years
+    exceeds {!max_expected_arrivals}. *)
+
+val max_trials : int
+(** [10^6]: the most trials one run may take. {!run} keeps every trial's
+    seed and record until it aggregates (about 180 bytes a trial), and the
+    slowest preset spends about 65 us a trial at the default rates, so
+    this many hold under 200 MiB and run for about a minute. *)
 
 val max_expected_arrivals : float
 (** [1e4]: the most arrivals one stream (a device's failures, a

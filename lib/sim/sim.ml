@@ -20,6 +20,11 @@ let default_config =
    warmup would never finish. *)
 let max_warmup_intervals = 1e7
 
+(* Each sweep run is a whole simulation, warmup included: at the default
+   12-week warmup one run of the 10-link async mirror takes about 60 ms,
+   so 10^3 runs take about a minute. *)
+let max_sweep_runs = 1_000
+
 let shortest_rp_interval design =
   let _, shortest =
     List.fold_left

@@ -46,6 +46,12 @@ val max_warmup_intervals : float
     point of its warmup, so beyond this it runs for minutes or more.
     {!run} itself does not enforce it. *)
 
+val max_sweep_runs : int
+(** [10^3]: the most failure phases [ssdep simulate --sweep] accepts. Each
+    is a whole run, warmup included (about 60 ms for the 10-link async
+    mirror at the default warmup), so this many take about a minute.
+    {!sweep_failure_phase} itself does not enforce it. *)
+
 val shortest_rp_interval : Design.t -> (int * Duration.t) option
 (** The protection level whose retrieval points arrive most often, and
     its {!Storage_protection.Schedule.rp_interval_min} (the lowest such
