@@ -385,11 +385,16 @@ let search ~jobs cs =
 
 (* --- streaming-pipeline benchmark --- *)
 
-(* The memory story behind the streaming search: a grid of ~10^5
-   candidates evaluated through [Search.run ~top_k] must peak within 2x
-   of a ~10^3-candidate run (working set = one pool window + the slim
-   frontier + k survivors, not the grid), while the materialized path
-   retains every summary. Peaks are {!peak_live_words}. *)
+(* The memory story behind the streaming search: [Search.run ~top_k]
+   holds one pool window, the slim frontier and k survivors, O(window +
+   frontier + k), never the grid, while the materialized path retains
+   every summary. The serial run over ~1.3 x 10^5 candidates must stay
+   under an absolute ceiling: 1.5x its measured peak (126,448 words),
+   which a frontier that kept its designs' derived tables through its
+   transient bulge exceeds five times over (638k words). Peaks are
+   {!peak_live_words}, deterministic for a given allocation pattern. *)
+let stream_large_peak_ceiling = 189_000
+
 let stream_bench () =
   let module J = Storage_report.Json in
   let module Search = Storage_optimize.Search in
@@ -434,11 +439,10 @@ let stream_bench () =
     bytes r_small.Search.frontier = bytes r_mat.Search.frontier
     && bytes r_small.Search.best = bytes r_mat.Search.best
   in
-  let within_2x = peak_large <= 2 * peak_small in
+  let within_ceiling = peak_large <= stream_large_peak_ceiling in
   Printf.printf "  frontier/best identical to materialized: %b\n" identical;
-  Printf.printf "  large-grid peak within 2x of small-grid peak: %b (%.2fx)\n"
-    within_2x
-    (float_of_int peak_large /. float_of_int peak_small);
+  Printf.printf "  large-grid serial peak within %d words: %b\n"
+    stream_large_peak_ceiling within_ceiling;
   let run name candidates jobs peak =
     J.Obj
       [
@@ -463,14 +467,15 @@ let stream_bench () =
               run "materialized_small_serial" n_small 1 peak_mat;
             ] );
         ("frontier_best_identical_to_materialized", J.Bool identical);
-        ("large_peak_within_2x_of_small", J.Bool within_2x);
+        ("large_peak_ceiling_words", J.Int stream_large_peak_ceiling);
+        ("large_peak_within_ceiling", J.Bool within_ceiling);
       ]
   in
   Out_channel.with_open_text "BENCH_stream.json" (fun oc ->
       output_string oc (J.to_string_pretty json);
       output_char oc '\n');
   print_endline "  wrote BENCH_stream.json";
-  if not (identical && within_2x) then exit 1
+  if not (identical && within_ceiling) then exit 1
 
 (* --- fleet Monte Carlo benchmark --- *)
 

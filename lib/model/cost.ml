@@ -16,21 +16,23 @@ type outlays = {
    capacity and bandwidth charges (zero charges skipped), then the same
    charges shadowed by its spare, then by its remote spare (§3.3.5:
    spares are "allocated in a similar fashion"); after every device, each
-   distinct link contributes one charge. [part] and [shadow] say which
-   component an item is, so a walk that only sums builds no name. *)
+   distinct link contributes one charge, to the technique of the lowest
+   level propagating over it. [part] and [shadow] say which component an
+   item is, so a walk that only sums builds no name. *)
 type part = Fixed | Capacity | Bandwidth
 type shadow = Own | Spare | Remote_spare
 
 (* An amount as the pass's shadow charges it: spares are priced as a
    multiple of the resources they shadow. *)
-let[@inline] shadowed (dev : Device.t) shadow amount =
+let shadowed (dev : Device.t) shadow amount =
   match shadow with
   | Own -> amount
   | Spare -> Spare.cost dev.Device.spare ~original:amount
   | Remote_spare -> Spare.cost dev.Device.remote_spare ~original:amount
 
-(* Inlined into [pass], so an amount is boxed only when it is handed on. *)
-let[@inline] charge ~device dev shadow technique part amount acc =
+(* One charge, shadowed; zero charges are skipped. Small enough to be
+   inlined into [pass], so an amount is boxed only when it is handed on. *)
+let charge ~device dev shadow technique part amount acc =
   if Money.is_zero amount then acc
   else
     let amount = shadowed dev shadow amount in

@@ -31,9 +31,13 @@ type outlays = private {
 val outlays : Design.t -> outlays
 
 val total : Design.t -> Money.t
-(** [(outlays d).total], bit for bit: both walk one item sequence in list
-    order and add the amounts from zero. [total] builds no item, name or
-    per-technique grouping. *)
+(** [(outlays d).total], bit for bit: both run one item walk in list order
+    and add the amounts from zero. The walk reads each device's owner and
+    per-technique shares and the design's distinct links from its derived
+    table ({!Design.primary_technique_of_device}, {!Design.demand_shares},
+    {!Design.links}), so [total] builds no item, name, per-technique
+    grouping or level list: about 156 minor words per scale-3 grid design,
+    four per charge it adds. *)
 
 type penalties = private {
   outage : Money.t;

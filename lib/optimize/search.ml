@@ -92,8 +92,9 @@ let run ?engine ?top_k candidates scenarios =
     in
     let keep_all = top_k = None in
     (* In [~top_k] mode the accumulators hold slim summaries: the design
-       stripped of its memoized derived data (placements, per-device
-       utilizations, lag tables), several times its own size. The
+       stripped of its memoized derived table (per-device demands, shares
+       and utilizations, link demands, validation, lag table), several
+       times its own size. The
        frontier can bulge transiently (a large antichain within one
        design family, later evicted wholesale by a dominating family),
        and holding that data through the bulge is what would make peak
