@@ -15,7 +15,6 @@ let add a b =
     capacity = Size.add a.capacity b.capacity;
   }
 
-let sum = List.fold_left add zero
 let total_bw t = Rate.add t.read_bw t.write_bw
 
 let is_zero t =

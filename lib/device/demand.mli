@@ -17,7 +17,6 @@ type t = private {
 val zero : t
 val make : ?read_bw:Rate.t -> ?write_bw:Rate.t -> ?capacity:Size.t -> unit -> t
 val add : t -> t -> t
-val sum : t list -> t
 
 val total_bw : t -> Rate.t
 (** [read_bw + write_bw]. *)

@@ -67,9 +67,9 @@ type utilization = {
 let slots_for amount per_slot =
   if per_slot <= 0. then 0 else int_of_float (ceil (amount /. per_slot))
 
-(* [Demand.sum] of the labeled demands, component by component: the same
-   additions in the same order, without the demand list or a record per
-   step. *)
+(* The labeled demands summed component by component, from zero in list
+   order, as a fold of [Demand.add] would: no demand list, and no record
+   per step. *)
 let rec sum_labeled read write cap = function
   | [] -> (cap, Rate.add read write)
   | { Demand.demand = d; _ } :: rest ->

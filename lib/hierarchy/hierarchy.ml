@@ -178,7 +178,8 @@ let retention_span t j =
   if j = 0 then Duration.zero
   else Schedule.retention_span (schedule_exn t.levels.(j))
 
-let current = Some (Age_range.make ~newest_age:Duration.zero ~oldest_age:Duration.zero)
+let current =
+  Some (Age_range.make ~newest_age:Duration.zero ~oldest_age:Duration.zero)
 
 (* The guaranteed range of level [j >= 1] whose worst lag is [newest]. *)
 let range_from t j ~upstream ~newest =
@@ -202,7 +203,8 @@ type lag = {
   rp_interval_min : Duration.t;
 }
 
-let primary_lag = { worst = Duration.zero; range = current; rp_interval_min = Duration.zero }
+let primary_lag =
+  { worst = Duration.zero; range = current; rp_interval_min = Duration.zero }
 
 (* Level [j]'s worst lag is computed once and is also its range's newest
    age, as [range_after] would recompute it. *)

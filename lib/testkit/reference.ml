@@ -11,7 +11,8 @@ open Storage_hierarchy
 open Storage_model
 
 let levels (d : Design.t) = Hierarchy.levels d.Design.hierarchy
-let same_name (a : Device.t) (b : Device.t) = String.equal a.Device.name b.Device.name
+let same_name (a : Device.t) (b : Device.t) =
+  String.equal a.Device.name b.Device.name
 
 let devices d =
   List.rev
@@ -35,8 +36,10 @@ let placements (d : Design.t) =
           Design.primary_raid d
         else Raid.Raid0
       in
-      (j, l, Demands.of_technique ~workload:d.Design.workload ~host_raid ?upstream
-               l.technique))
+      ( j,
+        l,
+        Demands.of_technique ~workload:d.Design.workload ~host_raid ?upstream
+          l.technique ))
     (levels d)
 
 (* A level's [on_target] lands on its own device, its [on_source] on the
@@ -45,8 +48,12 @@ let demands_on (d : Design.t) dev =
   let h = d.Design.hierarchy in
   List.concat_map
     (fun (j, (l : Hierarchy.level), (p : Demands.placement)) ->
-      let label demand = { Demand.technique = Technique.name l.technique; demand } in
-      let target = if same_name l.device dev then [ label p.on_target ] else [] in
+      let label demand =
+        { Demand.technique = Technique.name l.technique; demand }
+      in
+      let target =
+        if same_name l.device dev then [ label p.on_target ] else []
+      in
       let source =
         if j > 0 && same_name (Hierarchy.level h (j - 1)).Hierarchy.device dev
         then [ label p.on_source ]
@@ -65,7 +72,11 @@ let demand_shares d dev = Demand.by_technique (demands_on d dev)
 
 (* §3.3.5: the lowest level hosted on a device owns it. *)
 let primary_technique_of_device d dev =
-  match List.find_opt (fun (l : Hierarchy.level) -> same_name l.device dev) (levels d) with
+  match
+    List.find_opt
+      (fun (l : Hierarchy.level) -> same_name l.device dev)
+      (levels d)
+  with
   | Some l -> Technique.name l.technique
   | None -> invalid_arg "Design.primary_technique_of_device: unknown device"
 
@@ -140,7 +151,8 @@ let validate (d : Design.t) =
 
 let rp_interval_min (d : Design.t) j =
   match
-    Technique.schedule (Hierarchy.level d.Design.hierarchy j).Hierarchy.technique
+    Technique.schedule
+      (Hierarchy.level d.Design.hierarchy j).Hierarchy.technique
   with
   | Some s -> Schedule.rp_interval_min s
   | None -> Duration.zero
